@@ -6,7 +6,7 @@ from .errors import (EmptyBasis, IntegerAlpha, LeakyPermutation, ModelError,
                      NotBlockDiagonal, PrecisionExhausted, SingularParameter,
                      UnsupportedFamily, UnsupportedPair, UnsupportedTriple)
 from .labels import (ALPHA, P2, PSI, S32, SIGMA, VACUUM, ModelParams, QLabel,
-                     alpha_label, parse_alpha, parse_label, parse_leaves)
+                     alpha_label, parse_label, parse_leaves)
 from .anyon import (bubble_pop, f_matrix, fuse, model_dump,
                     modified_dimension, pentagon_sweep, q_power, r_symbol,
                     s_sign, t_sign)
@@ -17,11 +17,11 @@ from .braids import (BraidMatrix, BraidWord, block_decompose, evaluate,
                      evaluate_word, generator_matrix, matrix_order,
                      pseudo_unitarity_defect, wrap_closed_form,
                      exchange_closed_form, SPECIAL_UNITARY_PHASES)
-from .gates import (LOW_LEAKAGE_WORD, W_WORD, D_WORD, GateSpec,
-                    LeakageReport, SearchHit, build_D, build_W,
-                    controlled_gate, leakage_norms, operator_schmidt_rank,
-                    psi_sector, reichardt_iterate, reichardt_step,
-                    search_low_leakage, vacuum_sector_matrix)
+from .gates import (LOW_LEAKAGE_WORD, W_WORD, D_WORD, LeakageReport,
+                    SearchHit, build_D, build_W, controlled_gate,
+                    leakage_norms, operator_schmidt_rank, psi_sector,
+                    reichardt_iterate, reichardt_step, search_low_leakage,
+                    vacuum_sector_matrix)
 from .verify import CheckResult, failures, run_all
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ evaluated in double precision (default) or in mpmath arbitrary precision.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -39,12 +40,10 @@ FLOAT_NS = SimpleNamespace(
 )
 
 
-def mp_namespace(dps: int = 80):
-    """An mpmath-backed namespace mirroring :data:`FLOAT_NS`."""
+def mp_namespace():
+    """An mpmath namespace mirroring :data:`FLOAT_NS`; callers set the precision."""
     import mpmath as mp
     from fractions import Fraction
-
-    mp.mp.dps = dps
 
     def number(x):
         if isinstance(x, Fraction):
@@ -116,11 +115,16 @@ def fuse(a: QLabel, b: QLabel) -> tuple[QLabel, ...]:
     raise UnsupportedPair(f"{a} x {b} not tabulated")
 
 
-def can_fuse(a: QLabel, b: QLabel, c: QLabel) -> bool:
+def _outcomes(a: QLabel, b: QLabel) -> tuple[QLabel, ...]:
+    """Fusion outcomes of a x b, or () when the pair is not tabulated."""
     try:
-        return c in fuse(a, b)
+        return fuse(a, b)
     except UnsupportedPair:
-        return False
+        return ()
+
+
+def can_fuse(a: QLabel, b: QLabel, c: QLabel) -> bool:
+    return c in _outcomes(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +293,19 @@ def r_symbol(b: QLabel, a: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS):
     raise UnsupportedTriple(f"R[{b},{a};{c}] not tabulated")
 
 
+# every tabulated R row as (b, a, c), at the base alpha
+_R_ROWS = (
+    (ALPHA, PSI, ALPHA.shifted(2)), (PSI, ALPHA, ALPHA.shifted(2)),
+    (ALPHA, SIGMA, ALPHA.shifted(1)), (SIGMA, ALPHA, ALPHA.shifted(1)),
+    (ALPHA, PSI, ALPHA), (PSI, ALPHA, ALPHA),
+    (ALPHA, SIGMA, ALPHA.shifted(-1)), (SIGMA, ALPHA, ALPHA.shifted(-1)),
+    (ALPHA, PSI, ALPHA.shifted(-2)), (PSI, ALPHA, ALPHA.shifted(-2)),
+    (PSI, SIGMA, S32), (SIGMA, PSI, S32),
+    (PSI, SIGMA, SIGMA), (SIGMA, PSI, SIGMA),
+    (SIGMA, SIGMA, PSI), (SIGMA, SIGMA, VACUUM),
+)
+
+
 # ---------------------------------------------------------------------------
 # F-matrices
 # ---------------------------------------------------------------------------
@@ -426,6 +443,15 @@ def has_f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel) -> bool:
     return False
 
 
+# every tabulated F family as (a, b, c, d), at the base alpha
+_F_FAMILIES = (
+    (ALPHA, SIGMA, SIGMA, ALPHA), (ALPHA, SIGMA, SIGMA, ALPHA.shifted(2)),
+    (ALPHA, SIGMA, SIGMA, ALPHA.shifted(-2)),
+    (ALPHA, PSI, SIGMA, ALPHA.shifted(1)), (ALPHA, PSI, SIGMA, ALPHA.shifted(-1)),
+    (ALPHA, SIGMA, PSI, ALPHA.shifted(1)), (ALPHA, SIGMA, PSI, ALPHA.shifted(-1)),
+)
+
+
 # ---------------------------------------------------------------------------
 # pentagon sweep (restricted to tabulated symbols)
 # ---------------------------------------------------------------------------
@@ -464,34 +490,15 @@ def pentagon_sweep(params: ModelParams, shifts=(-1, 0, 1)) -> PentagonReport:
             return None
         return f_matrix(fa, fb, fc, fd, params)
 
-    for a in pool_a:
-        for b in pool_bcd:
-            for c in pool_bcd:
-                for d in pool_bcd:
-                    try:
-                        ps = fuse(a, b)
-                        ls = fuse(c, d)
-                    except UnsupportedPair:
-                        continue
-                    for p in ps:
-                        try:
-                            ms = fuse(p, c)
-                        except UnsupportedPair:
-                            continue
-                        for m in ms:
-                            try:
-                                es = fuse(m, d)
-                            except UnsupportedPair:
-                                continue
-                            for e in es:
-                                for l in ls:
-                                    try:
-                                        rs = fuse(b, l)
-                                    except UnsupportedPair:
-                                        continue
-                                    for r in rs:
-                                        _pentagon_instance(params, rep, get,
-                                                           a, b, c, d, e, p, m, l, r)
+    for a, b, c, d in itertools.product(pool_a, pool_bcd, pool_bcd, pool_bcd):
+        ls = _outcomes(c, d)
+        for p in _outcomes(a, b):
+            for m in _outcomes(p, c):
+                for e in _outcomes(m, d):
+                    for l in ls:
+                        for r in _outcomes(b, l):
+                            _pentagon_instance(params, rep, get,
+                                               a, b, c, d, e, p, m, l, r)
     return rep
 
 
@@ -509,10 +516,9 @@ def _pentagon_instance(params, rep, get, a, b, c, d, e, p, m, l, r):
     f_pcd, f_abl, f_abc, f_bcd = blocks
     lhs = f_pcd.entry(l, m) * f_abl.entry(r, p)
     rhs = 0.0
-    try:
-        ts = fuse(b, c)
-    except UnsupportedPair:
-        return
+    ts = _outcomes(b, c)
+    if not ts:
+        return  # an untabulated b x c verifies nothing
     for t in ts:
         f_atd = get(a, t, d, e)
         if f_atd is None:
@@ -531,7 +537,7 @@ def _pentagon_instance(params, rep, get, a, b, c, d, e, p, m, l, r):
 # ---------------------------------------------------------------------------
 
 def model_dump(params: ModelParams) -> dict:
-    """All tabulated data at the base alpha, JSON-shaped."""
+    """All tabulated data at the base alpha, as a dict of numbers and arrays."""
     al = params.alpha
     out = {
         "alpha": al,
@@ -554,31 +560,14 @@ def model_dump(params: ModelParams) -> dict:
     ]
     for (x, y, z) in bubbles:
         out["B"][f"B[{x},{y};{z}]"] = bubble_pop(x, y, z, params)
-    rs = [
-        (a, PSI, a.shifted(2)), (PSI, a, a.shifted(2)),
-        (a, SIGMA, a.shifted(1)), (SIGMA, a, a.shifted(1)),
-        (a, PSI, a), (PSI, a, a),
-        (a, SIGMA, a.shifted(-1)), (SIGMA, a, a.shifted(-1)),
-        (a, PSI, a.shifted(-2)), (PSI, a, a.shifted(-2)),
-        (PSI, SIGMA, S32), (SIGMA, PSI, S32),
-        (PSI, SIGMA, SIGMA), (SIGMA, PSI, SIGMA),
-        (SIGMA, SIGMA, PSI), (SIGMA, SIGMA, VACUUM),
-    ]
-    for (x, y, z) in rs:
-        val = r_symbol(x, y, z, params)
-        out["R"][f"R[{x},{y};{z}]"] = [val.real, val.imag]
-    fams = [
-        (a, SIGMA, SIGMA, a), (a, SIGMA, SIGMA, a.shifted(2)),
-        (a, SIGMA, SIGMA, a.shifted(-2)),
-        (a, PSI, SIGMA, a.shifted(1)), (a, PSI, SIGMA, a.shifted(-1)),
-        (a, SIGMA, PSI, a.shifted(1)), (a, SIGMA, PSI, a.shifted(-1)),
-    ]
-    for fam in fams:
+    for (x, y, z) in _R_ROWS:
+        out["R"][f"R[{x},{y};{z}]"] = r_symbol(x, y, z, params)
+    for fam in _F_FAMILIES:
         blk = f_matrix(*fam, params)
         key = "F[{},{},{};{}]".format(*(str(x) for x in fam))
         out["F"][key] = {
             "rows": [str(x) for x in blk.rows],
             "cols": [str(x) for x in blk.cols],
-            "matrix": [[[z.real, z.imag] for z in row] for row in np.asarray(blk.matrix, dtype=complex)],
+            "matrix": blk.matrix,
         }
     return out

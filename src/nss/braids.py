@@ -95,9 +95,6 @@ class BraidWord:
             cur = apply_letter_to_leaves(cur, tok)
         return cur
 
-    def fixes_pole(self, leaves) -> bool:
-        return self.permuted_leaves(leaves)[0] == tuple(leaves)[0]
-
 
 def apply_letter_to_leaves(leaves, tok: str) -> tuple[QLabel, ...]:
     leaves = tuple(leaves)
@@ -191,8 +188,9 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
                   charge: Optional[QLabel] = None, ns=FLOAT_NS):
     """Matrix of one unit-power letter; returns (matrix, new_leaves).
 
-    Results for the double-precision namespace are memoized; the memo is
-    only ever extended, so concurrent readers are safe under the GIL.
+    Results for the double-precision namespace are memoized as read-only
+    arrays; the memo is only ever extended, so concurrent readers are safe
+    under the GIL.
     """
     leaves = tuple(leaves)
     if charge is None:
@@ -214,6 +212,7 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
     else:
         raise ValueError(f"unknown letter {tok!r}")
     if cacheable:
+        res[0].setflags(write=False)
         _LETTER_MEMO[key] = res
     return res
 

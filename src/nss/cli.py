@@ -45,10 +45,6 @@ def _jsonify(obj):
     return obj
 
 
-def _matrix_json(m) -> list:
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
 def _emit(args, payload) -> None:
     if args.format == "csv" and isinstance(payload, dict) and "csv" in payload:
         text = payload["csv"]
@@ -73,10 +69,8 @@ def _add_common(sub):
     sub.add_argument("--alpha", default="12/5", help="base parameter; fractions like 12/5 stay exact")
     sub.add_argument("--tol", type=float,
                      default=float(os.environ.get("NSS_TOL", "1e-10")))
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     sub.add_argument("--out", default=None)
-    sub.add_argument("--jobs", type=int, default=1)
 
 
 def _cmd_model(args) -> int:
@@ -133,7 +127,7 @@ def _cmd_braid(args) -> int:
         "alpha": params.alpha,
         "system": [str(l) for l in leaves],
         "word": str(word),
-        "matrix": _matrix_json(m),
+        "matrix": m,
         "pseudo_unitarity_defect": pseudo_unitarity_defect(m, space),
         "det_modulus": float(abs(np.linalg.det(np.asarray(m, dtype=complex)))),
     }
@@ -234,10 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.3)
     p.add_argument("--max-power", type=int, default=2)
     p.add_argument("--top", type=int, default=25)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", help="run the full property-check suite")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
     return ap
 

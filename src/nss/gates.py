@@ -11,6 +11,7 @@ magnitudes |M[0,1]| and |M[2,3]| are the leakage figures tracked here.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,8 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .anyon import FLOAT_NS, mp_namespace
-from .braids import BraidMatrix, BraidWord, evaluate_word, letter_matrix
+from .anyon import FLOAT_NS, _inv_small, mp_namespace
+from .braids import (BraidMatrix, BraidWord, block_decompose, evaluate_word,
+                     letter_matrix)
 from .errors import NotBlockDiagonal, PrecisionExhausted
 from .labels import ALPHA, PSI, SIGMA, VACUUM, ModelParams
 from .spaces import IndefSpace, control_basis_transform
@@ -65,21 +67,6 @@ def build_W(params: ModelParams) -> BraidMatrix:
     return BraidMatrix(m, space)
 
 
-@dataclass(frozen=True)
-class GateSpec:
-    """The compiled gate ingredients: the diagonal braid, the initializing
-    braid, and the control-sector basis they act on."""
-
-    D: BraidMatrix
-    W: BraidMatrix
-    basis: tuple
-
-    @classmethod
-    def build(cls, params: ModelParams) -> "GateSpec":
-        space = psi_sector(params)
-        return cls(build_D(params), build_W(params), space.basis)
-
-
 def leakage_norms(matrix) -> tuple[float, float]:
     """(|M[0,1]|, |M[2,3]|): upper- and lower-block off-diagonal magnitudes.
 
@@ -93,32 +80,39 @@ def leakage_norms(matrix) -> tuple[float, float]:
 # the leakage-suppressing recursion
 # ---------------------------------------------------------------------------
 
-def _inv4_blockwise(m: np.ndarray) -> np.ndarray:
-    """Inverse of a block-diagonal (2x2 + 2x2) matrix, any dtype."""
-    out = np.zeros_like(m)
-    for sl in (slice(0, 2), slice(2, 4)):
-        b = m[sl, sl]
-        det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-        out[sl, sl] = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]],
-                               dtype=m.dtype) / det
+def _blocks(m: np.ndarray) -> np.ndarray:
+    """The upper and lower 2x2 blocks of a 4x4 operator (or a stack), stacked.
+
+    Raises NotBlockDiagonal if an entry coupling the two blocks is nonzero.
+    """
+    off = np.concatenate([m[..., :2, 2:].ravel(), m[..., 2:, :2].ravel()])
+    if off.any():
+        raise NotBlockDiagonal(float(np.max(np.abs(off))))
+    return np.stack([m[..., :2, :2], m[..., 2:, 2:]], axis=-3)
+
+
+def _from_blocks(b: np.ndarray) -> np.ndarray:
+    """The 4x4 operator with the stacked 2x2 blocks on its diagonal."""
+    out = np.zeros((4, 4), dtype=b.dtype)
+    out[:2, :2], out[2:, 2:] = b
     return out
 
 
 def reichardt_step(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """One recursion step W -> W D W^-1 D^3 W D^3 W^-1 D W.
 
-    Raises the off-diagonal magnitude of each 2x2 block to its fifth power.
+    Raises the off-diagonal magnitude of each 2x2 block to its fifth power;
+    float and mpmath (object) matrices share this blockwise path.  Raises
+    NotBlockDiagonal when W or D couples the two blocks.
     """
     w = np.asarray(w)
     d = np.asarray(d)
     if w.shape != d.shape:
         raise ValueError("W and D must have the same shape")
-    if w.dtype == object:
-        wi = _inv4_blockwise(w)
-    else:
-        wi = np.linalg.inv(w)
+    w, d = _blocks(w), _blocks(d)
+    wi = np.stack([_inv_small(b) for b in w])
     d3 = d @ d @ d
-    return w @ d @ wi @ d3 @ w @ d3 @ wi @ d @ w
+    return _from_blocks(w @ d @ wi @ d3 @ w @ d3 @ wi @ d @ w)
 
 
 def step_word(word: BraidWord, d_word: BraidWord = D_WORD) -> BraidWord:
@@ -199,29 +193,33 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
     """
     if k > 4 and not extended:
         raise PrecisionExhausted("k > 4 needs the extended-precision mode")
-    ns = mp_namespace(dps) if extended else FLOAT_NS
-    wm = evaluate_word(params, PSI_LEAVES, word, ns=ns)
-    dm = evaluate_word(params, PSI_LEAVES, D_WORD, ns=ns)
-    reports = []
-    cur = wm
-    cur_word = word
-    for step in range(k + 1):
-        su2, su11 = leakage_norms(cur)
-        ld2 = ld11 = None
-        if step > 0:
-            prev = reports[-1]
-            ld2 = _rel_defect(su2, prev.su2_offdiag ** 5)
-            ld11 = _rel_defect(su11, prev.su11_offdiag ** 5)
-            if max(ld2, ld11) > law_tol:
-                raise PrecisionExhausted(
-                    f"fifth-power law defect {max(ld2, ld11):.2e} at k={step}; "
-                    "rerun with extended=True")
-        th1, th2 = _diag_phases(np.asarray(cur, dtype=complex))
-        reports.append(LeakageReport(cur_word, step, su2, su11, th1, th2,
-                                     len(cur_word), ld2, ld11))
-        if step < k:
-            cur = reichardt_step(cur, dm)
-            cur_word = step_word(cur_word)
+    if extended:
+        import mpmath
+        precision, ns = mpmath.workdps(dps), mp_namespace()
+    else:
+        precision, ns = contextlib.nullcontext(), FLOAT_NS
+    with precision:
+        cur = evaluate_word(params, PSI_LEAVES, word, ns=ns)
+        dm = evaluate_word(params, PSI_LEAVES, D_WORD, ns=ns)
+        reports = []
+        cur_word = word
+        for step in range(k + 1):
+            su2, su11 = leakage_norms(cur)
+            ld2 = ld11 = None
+            if step > 0:
+                prev = reports[-1]
+                ld2 = _rel_defect(su2, prev.su2_offdiag ** 5)
+                ld11 = _rel_defect(su11, prev.su11_offdiag ** 5)
+                if max(ld2, ld11) > law_tol:
+                    raise PrecisionExhausted(
+                        f"fifth-power law defect {max(ld2, ld11):.2e} at k={step}; "
+                        "rerun with extended=True")
+            th1, th2 = _diag_phases(np.asarray(cur, dtype=complex))
+            reports.append(LeakageReport(cur_word, step, su2, su11, th1, th2,
+                                         len(cur_word), ld2, ld11))
+            if step < k:
+                cur = reichardt_step(cur, dm)
+                cur_word = step_word(cur_word)
     return reports
 
 
@@ -303,24 +301,20 @@ def search_low_leakage(params: ModelParams, max_len: int, threshold: float,
         return (round(max(n1, n2), 12), len(word), str(BraidWord(word)))
 
     raw.sort(key=rank)
+    blocks = _blocks(np.array([h[3] for h in raw]).reshape(-1, 4, 4)).reshape(-1, 8)
     out = []
-    seen = set()
-    for word, n1, n2, mat in raw:
-        key = _phase_invariant_key(mat)
-        if key in seen:
+    buckets = {}
+    for (word, n1, n2, mat), v in zip(raw, blocks):
+        vv = np.outer(v, v.conj())  # invariant under a global phase
+        # adding 0.0 turns -0.0 into 0.0, so equal rounded values give equal bytes
+        bucket = buckets.setdefault((np.round(vv, 6) + 0.0).tobytes(), [])
+        if any(np.max(np.abs(vv - seen)) < 1e-8 for seen in bucket):
             continue
-        seen.add(key)
+        bucket.append(vv)
         bw = BraidWord(word)
         th1, th2 = _diag_phases(mat)
         out.append(SearchHit(bw, LeakageReport(bw, 0, n1, n2, th1, th2, len(bw))))
     return out
-
-
-def _phase_invariant_key(mat: np.ndarray) -> bytes:
-    flat = np.asarray(mat, dtype=complex).ravel()
-    pivot = flat[int(np.argmax(np.abs(flat)))]
-    norm = flat * (abs(pivot) / pivot)
-    return np.round(norm, 6).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +353,6 @@ def controlled_gate(two_qubit: IndefSpace, u_psi: np.ndarray,
     op[2:, 2:] = np.asarray(u_psi, dtype=complex)
     t = cb.matrix
     g = np.linalg.inv(t) @ op @ t
-    mask = two_qubit.computational_mask
-    off1 = g[np.ix_(mask, ~mask)]
-    off2 = g[np.ix_(~mask, mask)]
-    leak = float(max(np.max(np.abs(off1)), np.max(np.abs(off2))))
-    if leak > leak_tol:
-        raise NotBlockDiagonal(leak)
-    comp = g[np.ix_(mask, mask)]
-    return ControlledGate(g, comp, leak, operator_schmidt_rank(comp))
+    blocks = block_decompose(g, two_qubit, leak_tol)
+    comp = blocks.computational
+    return ControlledGate(g, comp, blocks.leakage, operator_schmidt_rank(comp))

@@ -8,7 +8,6 @@ formula actually needs it.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,20 +94,9 @@ def parse_leaves(text: str) -> tuple[QLabel, ...]:
     return tuple(parse_label(t) for t in text.split(",") if t.strip())
 
 
-def parse_alpha(text: str) -> float:
-    """Parse alpha from a decimal or an exact fraction like ``12/5``.
-
-    Fractions are kept exact until the single final float conversion.
-    """
-    text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
-
-
 @dataclass(frozen=True)
 class ModelParams:
-    """Base parameter alpha, the fixed eighth root of unity q, and tolerance.
+    """Base parameter alpha and numerical tolerance.
 
     ``exact`` optionally records alpha as an exact rational; arbitrary-
     precision evaluations use it so that, e.g., phases that are exact roots
@@ -130,10 +118,6 @@ class ModelParams:
             raise ValueError("exact fraction does not match alpha")
 
     @property
-    def q(self) -> complex:
-        return cmath.exp(1j * math.pi / 4)
-
-    @property
     def definite_regime(self) -> bool:
         """True when alpha lies in (2, 3), where the computational metric is definite."""
         return 2.0 < self.alpha < 3.0
@@ -141,10 +125,4 @@ class ModelParams:
     @classmethod
     def from_string(cls, text: str, tol: float = 1e-10) -> "ModelParams":
         frac = Fraction(text.strip())
-        return cls(float(frac), tol, exact=frac)
-
-    @classmethod
-    def exact_rational(cls, numerator: int, denominator: int,
-                       tol: float = 1e-10) -> "ModelParams":
-        frac = Fraction(numerator, denominator)
         return cls(float(frac), tol, exact=frac)

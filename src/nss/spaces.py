@@ -16,7 +16,7 @@ import numpy as np
 
 from . import anyon
 from .anyon import bubble_pop, f_matrix, fuse, modified_dimension
-from .errors import EmptyBasis, UnsupportedPair, UnsupportedTriple
+from .errors import EmptyBasis, UnsupportedTriple
 from .labels import ALPHA, PSI, SIGMA, VACUUM, ModelParams, QLabel, parse_label
 
 
@@ -122,11 +122,7 @@ def enumerate_basis(leaves, charge) -> tuple[FusionTree, ...]:
             if chain[-1] == charge:
                 chains.append(tuple(chain))
             return
-        try:
-            outs = fuse(chain[-1], leaves[i])
-        except UnsupportedPair:
-            return
-        for c in outs:
+        for c in anyon._outcomes(chain[-1], leaves[i]):
             extend(chain + [c])
 
     extend([leaves[0]])
@@ -149,22 +145,27 @@ def _effective_qubits(leaves) -> int:
     return int(n)
 
 
-def tree_norm_sign(tree: FusionTree, params: ModelParams) -> int:
-    """Sign of <T, T> from the bubble-pop reduction.
+def _metric_sign(vertices, leaves, root: QLabel, params: ModelParams) -> int:
+    """Norm sign of a tree with the given (in, in, out) fusion vertices.
 
     Product of the signs of the bubble at every fusion vertex, times the
     sign of the modified dimension of the root, times the parity factor
     (-1)^(n+1) where n is the total q-spin of the braided leaves (the form
     is flipped for an even number of qubits).
     """
-    ch = tree.chain
     prod = 1.0
-    for i in range(1, len(tree.leaves)):
-        prod *= math.copysign(1.0, bubble_pop(ch[i - 1], tree.leaves[i], ch[i], params))
-    n = _effective_qubits(tree.leaves)
-    d = modified_dimension(tree.root.value(params.alpha), params.tol)
-    sign = (-1) ** (n + 1) * math.copysign(1.0, d) * prod
-    return int(sign)
+    for (u, v, w) in vertices:
+        prod *= math.copysign(1.0, bubble_pop(u, v, w, params))
+    n = _effective_qubits(leaves)
+    d = modified_dimension(root.value(params.alpha), params.tol)
+    return int((-1) ** (n + 1) * math.copysign(1.0, d) * prod)
+
+
+def tree_norm_sign(tree: FusionTree, params: ModelParams) -> int:
+    """Sign of <T, T> from the bubble-pop reduction of the left comb."""
+    ch = tree.chain
+    vertices = [(ch[i - 1], tree.leaves[i], ch[i]) for i in range(1, len(tree.leaves))]
+    return _metric_sign(vertices, tree.leaves, tree.root, params)
 
 
 @dataclass(frozen=True)
@@ -298,19 +299,14 @@ def _control_trees(n_sigmas: int):
     return out
 
 
-def _control_tree_sign(pair_channel, rest, params: ModelParams) -> int:
+def _control_tree_sign(pair_channel, rest, space: IndefSpace) -> int:
     # vertices: (s,s)->x, (alpha,x)->rest[0], then sigma steps closing at alpha
     vertices = [(SIGMA, SIGMA, pair_channel), (ALPHA, pair_channel, rest[0])]
     for i in range(1, len(rest)):
         vertices.append((rest[i - 1], SIGMA, rest[i]))
     if len(rest) > 1:
         vertices.append((rest[-1], SIGMA, ALPHA))
-    prod = 1.0
-    for (u, v, w) in vertices:
-        prod *= math.copysign(1.0, bubble_pop(u, v, w, params))
-    n = 1 if len(rest) == 1 else 2
-    d = modified_dimension(params.alpha, params.tol)
-    return int((-1) ** (n + 1) * math.copysign(1.0, d) * prod)
+    return _metric_sign(vertices, space.leaves, ALPHA, space.params)
 
 
 def control_basis_transform(space: IndefSpace) -> ControlBasis:
@@ -326,7 +322,7 @@ def control_basis_transform(space: IndefSpace) -> ControlBasis:
         raise UnsupportedTriple("control basis defined for (a,s,s) and (a,s,s,s,s)")
     ctrees = _control_trees(n_sig)
     labels = tuple(f"({t[0]};{','.join(str(x) for x in t[1])})" for t in ctrees)
-    signs = np.array([_control_tree_sign(x, rest, space.params) for x, rest in ctrees],
+    signs = np.array([_control_tree_sign(x, rest, space) for x, rest in ctrees],
                      dtype=int)
     T = np.zeros((len(ctrees), space.dim), dtype=complex)
     for j, tree in enumerate(space.basis):

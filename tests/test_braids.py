@@ -10,7 +10,8 @@ from nss import (ALPHA, PSI, SIGMA, BraidWord, LeakyPermutation, ModelParams,
                  evaluate, evaluate_word, generator_matrix, matrix_order,
                  pseudo_unitarity_defect, q_power, qubit_space,
                  wrap_closed_form, exchange_closed_form)
-from nss.braids import evaluate_word_open, two_qubit_block_form, J4_WORD
+from nss.braids import (evaluate_word_open, letter_matrix, two_qubit_block_form,
+                        J4_WORD)
 
 RNG = np.random.default_rng(3)
 H1 = (ALPHA, SIGMA, SIGMA)
@@ -43,6 +44,14 @@ def test_word_free_reduce_and_inverse():
     assert w.free_reduce().letters == ()
     w2 = BraidWord.parse("b2 x^2")
     assert w2.inverse().letters == (("x", -2), ("b2", -1))
+
+
+def test_memoized_letter_is_read_only():
+    m, _ = letter_matrix(ModelParams(2.4), H1, "b2", 1)
+    with pytest.raises(ValueError):
+        m *= 2
+    m2, _ = letter_matrix(ModelParams(2.4), H1, "b2", 1)
+    assert m2 is m
 
 
 def test_empty_word_is_identity():

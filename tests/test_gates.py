@@ -2,6 +2,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from nss import (ALPHA, PSI, SIGMA, BraidWord, LOW_LEAKAGE_WORD, ModelParams,
                  operator_schmidt_rank, psi_sector, q_power,
                  reichardt_iterate, reichardt_step, search_low_leakage,
                  vacuum_sector_matrix, qubit_space)
+from nss.anyon import mp_namespace
 from nss.braids import evaluate_word
 from nss.gates import D_WORD, PSI_LEAVES, step_word
 
@@ -97,6 +99,24 @@ def test_step_shape_mismatch():
         reichardt_step(np.eye(4), np.eye(2))
 
 
+def test_step_rejects_off_block_entry():
+    w = build_W(P).matrix.copy()
+    w[1, 2] = 1e-3
+    with pytest.raises(NotBlockDiagonal):
+        reichardt_step(w, build_D(P).matrix)
+
+
+def test_step_float_matches_mp():
+    ns = mp_namespace()
+    with mpmath.workdps(50):
+        w = evaluate_word(P, PSI_LEAVES, W_WORD, ns=ns)
+        d = evaluate_word(P, PSI_LEAVES, D_WORD, ns=ns)
+        m = reichardt_step(w, d)
+    assert m.dtype == object
+    want = reichardt_step(build_W(P).matrix, build_D(P).matrix)
+    assert np.max(np.abs(np.asarray(m, dtype=complex) - want)) < 1e-12
+
+
 def test_step_matches_expanded_word():
     # evaluating the expanded braid word reproduces the matrix recursion
     w = build_W(P).matrix
@@ -126,6 +146,12 @@ def test_iterate_extended_precision_exact_law():
     for r in reports[1:]:
         assert r.law_defect_su2 < 1e-12
         assert r.law_defect_su11 < 1e-12
+
+
+def test_iterate_extended_keeps_global_precision():
+    before = mpmath.mp.dps
+    reichardt_iterate(P, W_WORD, k=1, extended=True, dps=before + 40)
+    assert mpmath.mp.dps == before
 
 
 def test_iterate_diagonal_fixed_point():
@@ -173,7 +199,7 @@ def test_search_deterministic_and_deduplicated():
     h1 = search_low_leakage(P, 5, 0.9)
     h2 = search_low_leakage(P, 5, 0.9)
     assert [str(h.word) for h in h1] == [str(h.word) for h in h2]
-    mats = [evaluate_word(P, PSI_LEAVES, h.word) for h in h1[:12]]
+    mats = [evaluate_word(P, PSI_LEAVES, h.word) for h in h1]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             ratio = mats[i] @ np.linalg.inv(mats[j])

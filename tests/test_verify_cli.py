@@ -79,6 +79,12 @@ def test_cli_model_integer_alpha_exit_code():
     assert json.loads(out)["error"] == "IntegerAlpha"
 
 
+def test_cli_seed_only_on_verify():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("model", "--seed", "0")
+    assert exc.value.code == 2
+
+
 def test_cli_braid_w_leakage():
     code, out = run_cli("braid", "--alpha", "12/5", "--system", "a,psi,s,s",
                         "--charge", "a", "--word", "b2^2 X b2^2 X b2^-2")
