@@ -485,10 +485,12 @@ def pentagon_sweep(params: ModelParams, shifts=(-1, 0, 1)) -> PentagonReport:
     pool_a = [ALPHA.shifted(s) for s in shifts] + [VACUUM, SIGMA, PSI]
     pool_bcd = [VACUUM, SIGMA, PSI]
 
-    def get(fa, fb, fc, fd):
-        if not has_f_matrix(fa, fb, fc, fd):
-            return None
-        return f_matrix(fa, fb, fc, fd, params)
+    blocks = {}  # (a, b, c, d) -> FBlock, or None when not tabulated
+
+    def get(*fam):
+        if fam not in blocks:
+            blocks[fam] = f_matrix(*fam, params) if has_f_matrix(*fam) else None
+        return blocks[fam]
 
     for a, b, c, d in itertools.product(pool_a, pool_bcd, pool_bcd, pool_bcd):
         ls = _outcomes(c, d)

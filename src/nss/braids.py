@@ -142,19 +142,25 @@ def _half_exchange_matrix(leaves, basis, i, params, inverse, ns):
     idx = {t.chain: k for k, t in enumerate(new_basis)}
     m = np.zeros((len(new_basis), len(basis)), dtype=ns.dtype)
     P, Q = leaves[i], leaves[i + 1]
+    # columns with the same outer channels share F blocks; R depends only on w
+    f_blocks = {}
+    r_phases = {}
     for j, tree in enumerate(basis):
         ch = tree.chain
-        f_src = f_matrix(ch[i - 1], P, Q, ch[i + 1], params, ns)
-        f_tgt = f_matrix(ch[i - 1], Q, P, ch[i + 1], params, ns)
-        f_tgt_inv = f_tgt.inverse()
+        outer = (ch[i - 1], ch[i + 1])
+        if outer not in f_blocks:
+            f_src = f_matrix(ch[i - 1], P, Q, ch[i + 1], params, ns)
+            f_tgt = f_matrix(ch[i - 1], Q, P, ch[i + 1], params, ns)
+            f_blocks[outer] = (f_src, f_tgt, f_tgt.inverse())
+        f_src, f_tgt, f_tgt_inv = f_blocks[outer]
         col = f_src.cols.index(ch[i])
         for tj, mt in enumerate(f_tgt.cols):
             amp = 0
             for wi, w in enumerate(f_src.rows):
-                if inverse:
-                    r = 1 / r_symbol(P, Q, w, params, ns)
-                else:
-                    r = r_symbol(Q, P, w, params, ns)
+                if w not in r_phases:
+                    r_phases[w] = (1 / r_symbol(P, Q, w, params, ns) if inverse
+                                   else r_symbol(Q, P, w, params, ns))
+                r = r_phases[w]
                 wt = f_tgt.rows.index(w)
                 amp = amp + f_tgt_inv[tj, wt] * r * f_src.matrix[wi, col]
             target = ch[:i] + (mt,) + ch[i + 1:]
@@ -352,6 +358,31 @@ class OrderResult:
     scalar: Optional[complex] = None
 
 
+_ORDER_CHUNK = 256  # powers tested together with array operations
+
+
+def _power_tests(m: np.ndarray, max_n: int, tol: float):
+    """(k, defect, lam, unit scalar?, identity?) for M^k, k = 1..max_n.
+
+    The powers come from the sequential product acc @ m; the tests run a
+    chunk of powers at a time.
+    """
+    n = m.shape[0]
+    acc = np.eye(n, dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    for k0 in range(1, max_n + 1, _ORDER_CHUNK):
+        powers = np.empty((min(_ORDER_CHUNK, max_n + 1 - k0), n, n), dtype=complex)
+        for j in range(len(powers)):
+            acc = acc @ m
+            powers[j] = acc
+        lam = np.trace(powers, axis1=1, axis2=2) / n
+        defect = np.max(np.abs(powers - lam[:, None, None] * eye), axis=(1, 2))
+        unit_scalar = (defect < tol) & (np.abs(np.abs(lam) - 1) < tol)
+        identity = np.max(np.abs(powers - eye), axis=(1, 2)) < tol
+        yield from zip(range(k0, k0 + len(powers)), defect.tolist(), lam.tolist(),
+                       unit_scalar.tolist(), identity.tolist())
+
+
 def matrix_order(matrix, max_n: int, tol: float = 1e-10) -> OrderResult:
     """Least k <= max_n with M^k a unit scalar (projective) or identity (strict).
 
@@ -360,20 +391,15 @@ def matrix_order(matrix, max_n: int, tol: float = 1e-10) -> OrderResult:
     """
     m = _as_complex(matrix)
     n = m.shape[0]
-    acc = np.eye(n, dtype=complex)
-    eye = np.eye(n, dtype=complex)
     projective = strict = None
     best_defect = math.inf
     scalar = None
-    for k in range(1, max_n + 1):
-        acc = acc @ m
-        lam = np.trace(acc) / n
-        defect = float(np.max(np.abs(acc - lam * eye)))
+    for k, defect, lam, unit_scalar, identity in _power_tests(m, max_n, tol):
         best_defect = min(best_defect, defect)
-        if projective is None and defect < tol and abs(abs(lam) - 1) < tol:
+        if projective is None and unit_scalar:
             projective = k
-            scalar = complex(lam)
-        if strict is None and float(np.max(np.abs(acc - eye))) < tol:
+            scalar = lam
+        if strict is None and identity:
             strict = k
         if projective is not None and strict is not None:
             break

@@ -9,6 +9,7 @@ composed with its mirror image.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,9 +106,18 @@ def enumerate_basis(leaves, charge) -> tuple[FusionTree, ...]:
     alpha-shifts first; on qubit systems (alpha followed by an even number
     of sigmas at total charge alpha) computational trees come first, which
     reproduces the two-qubit listing order with the noncomputational
-    vectors last.
+    vectors last.  The basis does not depend on alpha, so each (leaves,
+    charge) is enumerated once per process and the same tuple returned.
     """
-    leaves = tuple(leaves)
+    return _enumerate_basis(tuple(leaves), charge)
+
+
+# bases are small immutable tuples; the bound only stops unbounded growth
+_BASIS_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _enumerate_basis(leaves: tuple, charge) -> tuple[FusionTree, ...]:
     if len(leaves) == 0:
         raise EmptyBasis("no leaves")
     if len(leaves) == 1:

@@ -264,6 +264,66 @@ def test_infinite_order_word_and_eigenphase():
     assert abs(tr.real) == pytest.approx(math.sqrt(3 - math.sqrt(5)), abs=1e-10)
 
 
+def _matrix_order_oracle(matrix, max_n, tol=1e-10):
+    """matrix_order as a single loop testing one power per step."""
+    m = np.asarray(matrix, dtype=complex)
+    n = m.shape[0]
+    acc = np.eye(n, dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    projective = strict = None
+    best_defect = math.inf
+    scalar = None
+    for k in range(1, max_n + 1):
+        acc = acc @ m
+        lam = np.trace(acc) / n
+        defect = float(np.max(np.abs(acc - lam * eye)))
+        best_defect = min(best_defect, defect)
+        if projective is None and defect < tol and abs(abs(lam) - 1) < tol:
+            projective = k
+            scalar = complex(lam)
+        if strict is None and float(np.max(np.abs(acc - eye))) < tol:
+            strict = k
+        if projective is not None and strict is not None:
+            break
+        if projective is not None and k >= projective * n * 8:
+            break
+    return projective, strict, max_n, best_defect, scalar
+
+
+def _order_cases():
+    p125 = ModelParams.from_string("12/5")
+    s125 = qubit_space(p125, 1)
+    x = generator_matrix(s125, "x", 1, SPECIAL_UNITARY_PHASES["x"]).matrix
+    b = generator_matrix(s125, "b2", 1, SPECIAL_UNITARY_PHASES["b2"]).matrix
+    cases = [(b @ x @ b @ b, 10_000, 1e-8), (b @ x @ b @ b, 300, 1e-8),
+             (np.eye(2), 5, 1e-10), (-np.eye(2), 5, 1e-10),
+             (np.diag([1j, 1j]), 5, 1e-10), (cmath.exp(1j) * np.eye(2), 40, 1e-10)]
+    # exp(i) is no root of unity: a projective order without a strict one
+    for al in (2.15, 2.4, 2.85):
+        space = qubit_space(ModelParams(al), 1)
+        for phase in (SPECIAL_UNITARY_PHASES["b2"], None, cmath.exp(1j)):
+            m = generator_matrix(space, "b2", 1, phase).matrix
+            cases += [(m, 16, 1e-10), (m, 1_000, 1e-10)]
+    return cases
+
+
+def test_matrix_order_matches_stepwise_loop():
+    exits = set()
+    for m, max_n, tol in _order_cases():
+        res = matrix_order(m, max_n, tol)
+        want = _matrix_order_oracle(m, max_n, tol)
+        assert (res.projective, res.strict, res.max_checked, res.defect,
+                res.scalar) == want
+        assert res.scalar is None or type(res.scalar) is complex
+        if res.strict is not None:
+            exits.add("strict")
+        elif res.projective is not None and 8 * 2 * res.projective <= max_n:
+            exits.add("projective*n*8")
+        else:
+            exits.add("max_n")
+    assert exits == {"strict", "projective*n*8", "max_n"}
+
+
 def test_wrap_memo_consistency():
     # repeated evaluation hits the memo and stays identical
     p = ModelParams(2.4)

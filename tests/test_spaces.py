@@ -60,6 +60,17 @@ def test_empty_basis():
         enumerate_basis((ALPHA, SIGMA), ALPHA)
 
 
+def test_empty_basis_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(EmptyBasis):
+            enumerate_basis((ALPHA, SIGMA, SIGMA), PSI)
+
+
+def test_basis_shared_between_list_and_tuple_leaves():
+    leaves = [ALPHA, SIGMA, SIGMA, SIGMA, SIGMA]
+    assert enumerate_basis(leaves, ALPHA) is enumerate_basis(tuple(leaves), ALPHA)
+
+
 # ---------------------------------------------------------------------------
 # metric
 # ---------------------------------------------------------------------------
