@@ -148,6 +148,16 @@ def test_iterate_extended_precision_exact_law():
         assert r.law_defect_su11 < 1e-12
 
 
+def test_iterate_extended_law_checked_below_double_range():
+    # the k=6 off-diagonal is ~1e-1246; dps 600 leaves ~1e-848 of rounding,
+    # which reads 0.0 as a double just like the prediction
+    with pytest.raises(PrecisionExhausted):
+        reichardt_iterate(P, W_WORD, k=6, extended=True, dps=600)
+    reports = reichardt_iterate(P, W_WORD, k=6, extended=True, dps=1277)
+    assert reports[6].su2_offdiag == 0.0  # underflows as a double
+    assert max(reports[6].law_defect_su2, reports[6].law_defect_su11) < 1e-3
+
+
 def test_iterate_extended_keeps_global_precision():
     before = mpmath.mp.dps
     reichardt_iterate(P, W_WORD, k=1, extended=True, dps=before + 40)
@@ -220,6 +230,43 @@ def test_search_parallel_matches_serial():
     s1 = search_low_leakage(P, 4, 0.9, jobs=1)
     s2 = search_low_leakage(P, 4, 0.9, jobs=2)
     assert [str(h.word) for h in s1] == [str(h.word) for h in s2]
+
+
+def test_search_four_jobs_match_serial():
+    s1 = search_low_leakage(P, 5, 0.9, jobs=1)
+    s4 = search_low_leakage(P, 5, 0.9, jobs=4)
+    assert [(str(h.word), h.report.su2_offdiag, h.report.su11_offdiag) for h in s4] \
+        == [(str(h.word), h.report.su2_offdiag, h.report.su11_offdiag) for h in s1]
+
+
+def test_search_splits_by_first_syllable(monkeypatch):
+    from concurrent.futures import Future
+    from nss import gates
+
+    class InlinePool:
+        """Runs each task at submit and records it."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            tasks.append(args[-1])
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    workers, tasks = [], []
+    monkeypatch.setattr(gates, "ProcessPoolExecutor", InlinePool)
+    hits = search_low_leakage(P, 4, 0.9, jobs=4)
+    assert workers == [4]
+    assert tasks == [((t, p),) for t in ("x", "b2") for p in (1, -1, 2, -2)]
+    assert [str(h.word) for h in hits] == [str(h.word) for h in search_low_leakage(P, 4, 0.9)]
 
 
 # ---------------------------------------------------------------------------
