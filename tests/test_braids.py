@@ -298,6 +298,13 @@ def _order_cases():
     cases = [(b @ x @ b @ b, 10_000, 1e-8), (b @ x @ b @ b, 300, 1e-8),
              (np.eye(2), 5, 1e-10), (-np.eye(2), 5, 1e-10),
              (np.diag([1j, 1j]), 5, 1e-10), (cmath.exp(1j) * np.eye(2), 40, 1e-10)]
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    two = qubit_space(ModelParams(2.4), 2)
+    cases += [(u, 300, 1e-10), (generator_matrix(two, "b2").matrix, 100, 1e-10)]
+    # projective at k=5 within a loose tol, exit at 80; k=485 is closer still
+    cases.append((cmath.exp(1j) * np.diag([1, cmath.exp(2j * math.pi * 98 / 485)]),
+                  1_000, 0.05))
     # exp(i) is no root of unity: a projective order without a strict one
     for al in (2.15, 2.4, 2.85):
         space = qubit_space(ModelParams(al), 1)
@@ -317,7 +324,7 @@ def test_matrix_order_matches_stepwise_loop():
         assert res.scalar is None or type(res.scalar) is complex
         if res.strict is not None:
             exits.add("strict")
-        elif res.projective is not None and 8 * 2 * res.projective <= max_n:
+        elif res.projective is not None and 8 * len(m) * res.projective <= max_n:
             exits.add("projective*n*8")
         else:
             exits.add("max_n")
