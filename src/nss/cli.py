@@ -155,6 +155,8 @@ def _cmd_reichardt(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.top < 0:
+        raise ValueError("--top must be at least 0")
     params = _params(args)
     hits = gates.search_low_leakage(params, args.max_len, args.threshold,
                                     jobs=args.jobs, max_power=args.max_power)

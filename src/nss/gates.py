@@ -151,15 +151,17 @@ class LeakageReport:
         }
 
 
-def _diag_phases(m: np.ndarray) -> tuple[float, float]:
+def _diag_phases(diag) -> tuple[float, float]:
     """Computational diagonal arguments after dividing out the mean phase.
+
+    ``diag`` is the operator's diagonal, four complex numbers.
 
     The mean phase is the circular mean of the four diagonal phases (the
     argument of the sum of their unit vectors), which is branch-stable; for
     a special near-diagonal matrix it vanishes and the raw arguments are
     returned.  Results lie in (-pi, pi].
     """
-    d = [complex(m[i, i]) for i in range(4)]
+    d = [complex(z) for z in diag]
     vec = sum(z / abs(z) for z in d)
     mean = cmath.phase(vec) if abs(vec) > 1e-12 else 0.0
     th1 = _wrap_angle(cmath.phase(d[1]) - mean)
@@ -217,7 +219,7 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
                         f"fifth-power law defect {max(ld2, ld11):.2e} at k={step}; "
                         + ("rerun with a larger dps" if extended
                            else "rerun with extended=True"))
-            th1, th2 = _diag_phases(np.asarray(cur, dtype=complex))
+            th1, th2 = _diag_phases(np.diag(cur))
             reports.append(LeakageReport(cur_word, step, su2, su11, th1, th2,
                                          len(cur_word), ld2, ld11))
             prev_mags = mags
@@ -238,7 +240,12 @@ class SearchHit:
 
 
 def _letter_pool(params: ModelParams, max_power: int):
-    """Transition matrices for every syllable on the two leaf arrangements."""
+    """Every syllable on the two leaf arrangements, as (its 8 block entries,
+    the arrangement it leads to).
+
+    The entries are the upper then the lower 2x2 block, row-major, as Python
+    complex; a syllable that couples the blocks raises NotBlockDiagonal.
+    """
     arrangements = [PSI_LEAVES, (ALPHA, SIGMA, PSI, SIGMA)]
     pool = {}
     for si, leaves in enumerate(arrangements):
@@ -250,7 +257,8 @@ def _letter_pool(params: ModelParams, max_power: int):
                     for _ in range(p):
                         lm, cur = letter_matrix(params, cur, tok, sgn)
                         m = lm if m is None else lm @ m
-                    pool[(si, tok, sgn * p)] = (m, arrangements.index(cur))
+                    entries = tuple(complex(z) for z in _blocks(m).ravel())
+                    pool[(si, tok, sgn * p)] = (entries, arrangements.index(cur))
     return pool
 
 
@@ -258,28 +266,57 @@ def _syllable_powers(max_power: int) -> list[int]:
     return [p for a in range(1, max_power + 1) for p in (a, -a)]
 
 
+def _block_product(s, m):
+    """The 8 block entries of S @ M, given the 8 block entries of each."""
+    a0, a1, a2, a3, b0, b1, b2, b3 = s
+    u00, u01, u10, u11, l00, l01, l10, l11 = m
+    return (a0 * u00 + a1 * u10, a0 * u01 + a1 * u11,
+            a2 * u00 + a3 * u10, a2 * u01 + a3 * u11,
+            b0 * l00 + b1 * l10, b0 * l01 + b1 * l11,
+            b2 * l00 + b3 * l10, b2 * l01 + b3 * l11)
+
+
 def _search_range(params, max_len, threshold, max_power, first_syllables):
-    """Raw hits of the DFS over the words starting with one of first_syllables."""
+    """Raw hits (word, n1, n2, 8 block entries) of the DFS over the words
+    starting with one of first_syllables.
+
+    A node is the 8 block entries of its product; each node reads the pool
+    once.  On the last level only the two off-diagonals are formed, and only
+    on arrangement 0, where words are scored.
+    """
     pool = _letter_pool(params, max_power)
     powers = _syllable_powers(max_power)
+    last = max_len - 1
     hits = []
-    ident = np.eye(4, dtype=complex)
+    word = []
 
-    def dfs(tok, mat, si, depth, letters, tok_powers):
+    def dfs(tok, m, si, depth, tok_powers):
+        if depth == last:
+            _, u01, _, u11, _, l01, _, l11 = m
+            for p in tok_powers:
+                s, si2 = pool[(si, tok, p)]
+                if si2:
+                    continue
+                n1 = abs(s[0] * u01 + s[1] * u11)
+                n2 = abs(s[4] * l01 + s[5] * l11)
+                if n1 < threshold and n2 < threshold:
+                    hits.append((tuple(word) + ((tok, p),), n1, n2, _block_product(s, m)))
+            return
         nxt = "b2" if tok == "x" else "x"
         for p in tok_powers:
-            m2, si2 = pool[(si, tok, p)]
-            prod = m2 @ mat
-            w2 = letters + ((tok, p),)
-            if si2 == 0:
-                n1, n2 = leakage_norms(prod)
-                if max(n1, n2) < threshold:
-                    hits.append((w2, n1, n2, prod))
-            if depth + 1 < max_len:
-                dfs(nxt, prod, si2, depth + 1, w2, powers)
+            s, si2 = pool[(si, tok, p)]
+            prod = _block_product(s, m)
+            word.append((tok, p))
+            if not si2:
+                n1, n2 = abs(prod[1]), abs(prod[5])
+                if n1 < threshold and n2 < threshold:
+                    hits.append((tuple(word), n1, n2, prod))
+            dfs(nxt, prod, si2, depth + 1, powers)
+            word.pop()
 
+    ident = (1 + 0j, 0j, 0j, 1 + 0j) * 2
     for tok, p in first_syllables:
-        dfs(tok, ident, 0, 0, (), (p,))
+        dfs(tok, ident, 0, 0, (p,))
     return hits
 
 
@@ -291,7 +328,13 @@ def search_low_leakage(params: ModelParams, max_len: int, threshold: float,
     Words are enumerated in free-reduced form (alternating generators);
     results equal up to a global phase are merged, keeping the first in
     (leakage, length, text) order.  Deterministic for fixed arguments.
+    Raises ValueError when max_len, max_power or jobs is below 1 or the
+    threshold is not finite; a threshold <= 0 gives no results.
     """
+    if max_len < 1 or max_power < 1 or jobs < 1:
+        raise ValueError("max_len, max_power and jobs must be at least 1")
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be a finite number")
     if threshold <= 0:
         return []
     syllables = [(tok, p) for tok in ("x", "b2") for p in _syllable_powers(max_power)]
@@ -312,10 +355,10 @@ def search_low_leakage(params: ModelParams, max_len: int, threshold: float,
         return (round(max(n1, n2), 12), len(word), str(BraidWord(word)))
 
     raw.sort(key=rank)
-    blocks = _blocks(np.array([h[3] for h in raw]).reshape(-1, 4, 4)).reshape(-1, 8)
     out = []
     buckets = {}
-    for (word, n1, n2, mat), v in zip(raw, blocks):
+    for word, n1, n2, entries in raw:
+        v = np.array(entries)
         vv = np.outer(v, v.conj())  # invariant under a global phase
         # adding 0.0 turns -0.0 into 0.0, so equal rounded values give equal bytes
         bucket = buckets.setdefault((np.round(vv, 6) + 0.0).tobytes(), [])
@@ -323,7 +366,7 @@ def search_low_leakage(params: ModelParams, max_len: int, threshold: float,
             continue
         bucket.append(vv)
         bw = BraidWord(word)
-        th1, th2 = _diag_phases(mat)
+        th1, th2 = _diag_phases([entries[i] for i in (0, 3, 4, 7)])
         out.append(SearchHit(bw, LeakageReport(bw, 0, n1, n2, th1, th2, len(bw))))
     return out
 

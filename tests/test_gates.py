@@ -14,6 +14,7 @@ from nss import (ALPHA, PSI, SIGMA, BraidWord, LOW_LEAKAGE_WORD, ModelParams,
                  vacuum_sector_matrix, qubit_space)
 from nss.anyon import mp_namespace
 from nss.braids import evaluate_word
+from nss import gates
 from nss.gates import D_WORD, PSI_LEAVES, step_word
 
 P = ModelParams.from_string("12/5")
@@ -241,7 +242,6 @@ def test_search_four_jobs_match_serial():
 
 def test_search_splits_by_first_syllable(monkeypatch):
     from concurrent.futures import Future
-    from nss import gates
 
     class InlinePool:
         """Runs each task at submit and records it."""
@@ -267,6 +267,68 @@ def test_search_splits_by_first_syllable(monkeypatch):
     assert workers == [4]
     assert tasks == [((t, p),) for t in ("x", "b2") for p in (1, -1, 2, -2)]
     assert [str(h.word) for h in hits] == [str(h.word) for h in search_low_leakage(P, 4, 0.9)]
+
+
+def _numpy_dfs(params, max_len, threshold, max_power):
+    """Raw hits (word, n1, n2, product) of the 4x4 numpy DFS the scalar
+    kernel replaced."""
+    pool = {key: (gates._from_blocks(np.array(entries).reshape(2, 2, 2)), si2)
+            for key, (entries, si2) in gates._letter_pool(params, max_power).items()}
+    powers = gates._syllable_powers(max_power)
+    hits = []
+
+    def dfs(tok, mat, si, depth, letters, tok_powers):
+        nxt = "b2" if tok == "x" else "x"
+        for p in tok_powers:
+            m2, si2 = pool[(si, tok, p)]
+            prod = m2 @ mat
+            w2 = letters + ((tok, p),)
+            if si2 == 0:
+                n1, n2 = leakage_norms(prod)
+                if max(n1, n2) < threshold:
+                    hits.append((w2, n1, n2, prod))
+            if depth + 1 < max_len:
+                dfs(nxt, prod, si2, depth + 1, w2, powers)
+
+    for tok in ("x", "b2"):
+        for p in powers:
+            dfs(tok, np.eye(4, dtype=complex), 0, 0, (), (p,))
+    return hits
+
+
+@pytest.mark.parametrize("max_power", [2, 3])
+def test_search_kernel_matches_numpy_dfs(max_power):
+    syllables = [(t, p) for t in ("x", "b2") for p in gates._syllable_powers(max_power)]
+    for alpha in ("2.001", "2.05", "12/5", "2.5", "2.999"):
+        params = ModelParams.from_string(alpha)
+        want = _numpy_dfs(params, 6, 0.5, max_power)
+        got = gates._search_range(params, 6, 0.5, max_power, syllables)
+        assert [h[0] for h in got] == [h[0] for h in want]
+        if alpha == "2.999":
+            # pool entries reach 1.8e3 here, so the norms are cancellation
+            # noise: the two kernels differ by up to 9e-7 at 7 syllables,
+            # enough to change the deduplicated list (59 against 58 results
+            # at threshold 0.5); only the raw words are compared
+            continue
+        for (_, n1, n2, entries), (_, m1, m2, prod) in zip(got, want):
+            assert abs(n1 - m1) < 1e-12 and abs(n2 - m2) < 1e-12
+            # the norms depend only on the second column of each block
+            assert np.max(np.abs(np.array(entries) - gates._blocks(prod).ravel())) < 1e-12
+
+
+@pytest.mark.parametrize("max_power", [1, 2, 3])
+def test_search_reads_pool_once_per_node(monkeypatch, max_power):
+    # the benchmark counts search nodes as lookups on the letter pool
+    class CountingPool(dict):
+        def __getitem__(self, key):
+            lookups.append(key)
+            return dict.__getitem__(self, key)
+
+    lookups = []
+    letter_pool = gates._letter_pool
+    monkeypatch.setattr(gates, "_letter_pool", lambda *a: CountingPool(letter_pool(*a)))
+    search_low_leakage(P, 5, 0.3, jobs=1, max_power=max_power)
+    assert len(lookups) == 2 * sum((2 * max_power) ** d for d in range(1, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,16 @@ def test_cli_search_small():
     assert all(max(r["su2"], r["su11"]) < 0.9 for r in data["results"])
 
 
+@pytest.mark.parametrize("arg", [
+    "--max-len=0", "--max-len=-3", "--max-power=0", "--jobs=0", "--top=-1",
+    "--threshold=nan", "--threshold=inf", "--threshold=-inf"])
+def test_cli_search_rejects_bad_parameters(arg):
+    code, out = run_cli("search", "--alpha", "12/5", "--max-len", "3", arg)
+    assert code == 2
+    assert "NaN" not in out and "Infinity" not in out
+    assert json.loads(out)["error"] == "ValueError"
+
+
 def test_cli_verify_exit_zero():
     code, out = run_cli("verify", "--alpha", "2.4", "--seed", "0")
     assert code == 0
