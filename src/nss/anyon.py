@@ -123,10 +123,6 @@ def _outcomes(a: QLabel, b: QLabel) -> tuple[QLabel, ...]:
         return ()
 
 
-def can_fuse(a: QLabel, b: QLabel, c: QLabel) -> bool:
-    return c in _outcomes(a, b)
-
-
 # ---------------------------------------------------------------------------
 # modified dimension, sign functions
 # ---------------------------------------------------------------------------
@@ -343,59 +339,78 @@ def _inv_small(m: np.ndarray) -> np.ndarray:
     raise ValueError("only 1x1 and 2x2 blocks occur in the tabulated data")
 
 
+def f_channels(a: QLabel, b: QLabel, c: QLabel, d: QLabel):
+    """(rows, cols) of F[a,b,c;d], or None when the family is not tabulated.
+
+    The channels do not depend on alpha, so letter plans read them without
+    evaluating a symbol; :func:`f_matrix` returns its blocks in this order.
+    """
+    if b == VACUUM:
+        return (c,), (a,)
+    if c == VACUUM:
+        return (b,), (d,)
+    if a == VACUUM:
+        return (d,), (b,)
+    if not (a.is_alpha and d.is_alpha):
+        return None
+    A, k, dd = ALPHA.shifted, a.shift, d.shift - a.shift
+    if (b, c) == (SIGMA, SIGMA) and dd in (-2, 2):
+        return (PSI,), (A(k + dd // 2),)
+    if (b, c) == (SIGMA, SIGMA) and dd == 0:
+        return (VACUUM, PSI), (A(k + 1), A(k - 1))
+    if (b, c) == (PSI, SIGMA) and dd in (-1, 1):
+        return (SIGMA, S32), (A(k), A(k + 2 * dd))
+    if (b, c) == (SIGMA, PSI) and dd in (-1, 1):
+        return (SIGMA, S32), (A(k + 1), A(k - 1))
+    return None
+
+
 def _ftilde(a: QLabel, b: QLabel, c: QLabel, d: QLabel, params: ModelParams, ns):
     """Unnormalized F-matrix table. Returns (matrix, rows, cols)."""
+    channels = f_channels(a, b, c, d)
+    if channels is None or VACUUM in (a, b, c):
+        raise UnsupportedFamily(f"F[{a},{b},{c};{d}] not tabulated")
     al, tol = alpha_in(params, ns), params.tol
     x = a.value(al)
-    k = a.shift
+    dd = d.shift - a.shift
     qp = lambda v: q_power(v, ns)
     Q = qp(2 * x)
     q2 = qp(2)
-    A = lambda s: ALPHA.shifted(s)
 
     def arr(rows):
         return np.array(rows, dtype=ns.dtype)
 
     if (b, c) == (SIGMA, SIGMA):
-        dd = d.shift - k
         if dd == 2:
-            return arr([[ns.one + 0 * ns.i]]), (PSI,), (A(k + 1),)
-        if dd == -2:
-            sgn = 1.0 if ns.sin(ns.pi * x / 2) > 0 else -1.0
-            return arr([[sgn + 0 * ns.i]]), (PSI,), (A(k - 1),)
-        if dd == 0:
+            mat = arr([[ns.one + 0 * ns.i]])
+        elif dd == -2:
+            mat = arr([[(1.0 if ns.sin(ns.pi * x / 2) > 0 else -1.0) + 0 * ns.i]])
+        else:
             den = _sqrt2(ns) * (Q - 1)
             _guard(den, tol, "Ftilde[a,s,s;a]")
             mat = arr([[qp(1) * (Q + q2), -(Q - 1)],
                        [Q - q2, qp(1) * (Q - 1)]]) / den
-            return mat, (VACUUM, PSI), (A(k + 1), A(k - 1))
     elif (b, c) == (PSI, SIGMA):
-        dd = d.shift - k
         if dd == 1:
             den = Q + q2
             _guard(den, tol, "Ftilde[a,psi,s;a+1]")
             mat = arr([[(q2 - 1) * (Q + q2), (q2 + 1) * (Q + 1)],
                        [(q2 + 1) * (Q + q2), Q - q2]]) / den
-            return mat, (SIGMA, S32), (A(k), A(k + 2))
-        if dd == -1:
+        else:
             den = Q - q2
             _guard(den, tol, "Ftilde[a,psi,s;a-1]")
             mat = arr([[(q2 + 1) * (Q + q2), -2 * (Q - q2)],
                        [Q + 1, q2 * (Q - q2)]]) / den
-            return mat, (SIGMA, S32), (A(k), A(k - 2))
-    elif (b, c) == (SIGMA, PSI):
-        dd = d.shift - k
+    else:
         den = Q - 1
         _guard(den, tol, "Ftilde[a,s,psi]")
         if dd == 1:
             mat = arr([[q2 * (Q + 1), -qp(1) * (Q - 1)],
                        [_sqrt2(ns) * (Q - q2), q2 * (Q - 1)]]) / den
-            return mat, (SIGMA, S32), (A(k + 1), A(k - 1))
-        if dd == -1:
+        else:
             mat = arr([[qp(1) * (q2 + 1) * (Q + q2), -(Q - 1)],
                        [Q + 1, qp(1) * (Q - 1)]]) / den
-            return mat, (SIGMA, S32), (A(k + 1), A(k - 1))
-    raise UnsupportedFamily(f"F[{a},{b},{c};{d}] not tabulated")
+    return (mat,) + channels
 
 
 def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
@@ -408,14 +423,9 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
     with principal square roots; only then are the matrices pseudo-unitary.
     A vacuum in any slot gives the unit coefficient 1.
     """
-    if b == VACUUM:
-        return FBlock(np.array([[ns.one + 0 * ns.i]], dtype=ns.dtype), (c,), (a,))
-    if c == VACUUM:
-        return FBlock(np.array([[ns.one + 0 * ns.i]], dtype=ns.dtype), (b,), (d,))
-    if a == VACUUM:
-        return FBlock(np.array([[ns.one + 0 * ns.i]], dtype=ns.dtype), (d,), (b,))
-    if not a.is_alpha:
-        raise UnsupportedFamily(f"F[{a},{b},{c};{d}] not tabulated")
+    if VACUUM in (a, b, c):
+        return FBlock(np.array([[ns.one + 0 * ns.i]], dtype=ns.dtype),
+                      *f_channels(a, b, c, d))
     ft, rows, cols = _ftilde(a, b, c, d, params, ns)
     if (b, c) == (SIGMA, SIGMA) and d.shift != a.shift:
         return FBlock(ft, rows, cols)  # the one-dimensional data are already normalized
@@ -428,19 +438,6 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
                 ns.sqrt(bubble_pop(a, b, m, params, ns))
             out[i, j] = num / den * ft[i, j]
     return FBlock(out, rows, cols)
-
-
-def has_f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel) -> bool:
-    """True when f_matrix would resolve (possibly as a vacuum-leg unit)."""
-    if VACUUM in (a, b, c):
-        return True
-    if not a.is_alpha:
-        return False
-    if (b, c) == (SIGMA, SIGMA):
-        return d.is_alpha and d.shift - a.shift in (-2, 0, 2)
-    if (b, c) in ((PSI, SIGMA), (SIGMA, PSI)):
-        return d.is_alpha and d.shift - a.shift in (-1, 1)
-    return False
 
 
 # every tabulated F family as (a, b, c, d), at the base alpha
@@ -489,7 +486,7 @@ def pentagon_sweep(params: ModelParams, shifts=(-1, 0, 1)) -> PentagonReport:
 
     def get(*fam):
         if fam not in blocks:
-            blocks[fam] = f_matrix(*fam, params) if has_f_matrix(*fam) else None
+            blocks[fam] = f_matrix(*fam, params) if f_channels(*fam) else None
         return blocks[fam]
 
     for a, b, c, d in itertools.product(pool_a, pool_bcd, pool_bcd, pool_bcd):

@@ -12,15 +12,18 @@ Words read left to right with the leftmost letter acting first.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .anyon import FLOAT_NS, f_matrix, q_power, r_symbol, computational_bubbles
-from .errors import LeakyPermutation, NotBlockDiagonal
+from .anyon import (FLOAT_NS, computational_bubbles, f_channels, f_matrix, q_power,
+                    r_symbol)
+from .errors import LeakyPermutation, NotBlockDiagonal, UnsupportedFamily
 from .labels import ModelParams, QLabel
 from .spaces import IndefSpace, enumerate_basis
 
@@ -85,9 +88,7 @@ class BraidWord:
 
     def unit_letters(self):
         for tok, p in self.letters:
-            step = 1 if p > 0 else -1
-            for _ in range(abs(p)):
-                yield tok, step
+            yield from [(tok, 1 if p > 0 else -1)] * abs(p)
 
     def permuted_leaves(self, leaves) -> tuple[QLabel, ...]:
         cur = tuple(leaves)
@@ -100,10 +101,7 @@ def apply_letter_to_leaves(leaves, tok: str) -> tuple[QLabel, ...]:
     leaves = tuple(leaves)
     if tok == "x":
         return leaves
-    if tok == "h1":
-        i = 0
-    else:
-        i = int(tok[1:]) - 1
+    i = 0 if tok == "h1" else int(tok[1:]) - 1
     if i + 1 >= len(leaves):
         raise ValueError(f"letter {tok} needs strand {i + 2}")
     out = list(leaves)
@@ -115,88 +113,85 @@ def apply_letter_to_leaves(leaves, tok: str) -> tuple[QLabel, ...]:
 # elementary letter matrices
 # ---------------------------------------------------------------------------
 
-def _eye(n, ns):
-    m = np.zeros((n, n), dtype=ns.dtype)
-    for i in range(n):
-        m[i, i] = ns.one + 0 * ns.i
-    return m
+@dataclass(frozen=True)
+class _LetterPlan:
+    """The alpha-free structure of one unit letter on one basis.
+
+    Each row of ``entries`` is (row, column, amplitude) of a nonzero entry.
+    R label k's phase is the product of r_symbol over ``r_args[k]``; the
+    inverse letter's is the reciprocal over those triples reversed, each with
+    its first two labels swapped.  An exchange amplitude sums, in term order,
+    F_tgt^-1[row, w] * R_w * F_src[w, col] over terms ((block, row, col),
+    label, (block, row, col)); x and h1 have no F blocks and their
+    amplitudes are the phases.
+    """
+
+    leaves: tuple[QLabel, ...]   # after the letter
+    shape: tuple[int, int]
+    f_args: tuple                # f_matrix arguments (a, b, c, d), per block
+    r_args: tuple
+    amplitudes: tuple
+    entries: np.ndarray
 
 
-def _wrap_matrix(leaves, basis, params, inverse, ns):
-    """Full wrap of strand 2 around strand 1: diagonal monodromy phases."""
-    n = len(basis)
-    m = np.zeros((n, n), dtype=ns.dtype)
-    for j, tree in enumerate(basis):
-        c1 = tree.chain[1]
-        ph = (r_symbol(leaves[1], leaves[0], c1, params, ns)
-              * r_symbol(leaves[0], leaves[1], c1, params, ns))
-        m[j, j] = 1 / ph if inverse else ph
-    return m, tuple(leaves)
+@functools.lru_cache(maxsize=256)  # plans are alpha-free; the bound stops growth
+def _letter_plan(leaves: tuple, charge: QLabel, tok: str) -> _LetterPlan:
+    if tok.startswith("b") and int(tok[1:]) < 2:
+        raise ValueError("exchange index must be >= 2")
+    if tok not in ("x", "h1") and not tok.startswith("b"):
+        raise ValueError(f"unknown letter {tok!r}")
+    new_leaves = apply_letter_to_leaves(leaves, tok)
+    basis = enumerate_basis(leaves, charge)
+    idx = {t.chain: k for k, t in enumerate(enumerate_basis(new_leaves, charge))}
+    blocks, labels, amps, entries = {}, {}, {}, []
 
+    def block(args):
+        channels = f_channels(*args)
+        if channels is None:
+            raise UnsupportedFamily("F[{},{},{};{}] not tabulated".format(*args))
+        return (blocks.setdefault(args, len(blocks)),) + channels
 
-def _half_exchange_matrix(leaves, basis, i, params, inverse, ns):
-    """Half-exchange of leaves i, i+1 (0-indexed, i >= 1) via F^-1 R F."""
-    new_leaves = apply_letter_to_leaves(leaves, f"b{i + 1}")
-    charge = basis[0].root
-    new_basis = enumerate_basis(new_leaves, charge)
-    idx = {t.chain: k for k, t in enumerate(new_basis)}
-    m = np.zeros((len(new_basis), len(basis)), dtype=ns.dtype)
-    P, Q = leaves[i], leaves[i + 1]
-    # columns with the same outer channels share F blocks; R depends only on w
-    f_blocks = {}
-    r_phases = {}
+    def label(*triples):
+        return labels.setdefault(triples, len(labels))
+
     for j, tree in enumerate(basis):
         ch = tree.chain
-        outer = (ch[i - 1], ch[i + 1])
-        if outer not in f_blocks:
-            f_src = f_matrix(ch[i - 1], P, Q, ch[i + 1], params, ns)
-            f_tgt = f_matrix(ch[i - 1], Q, P, ch[i + 1], params, ns)
-            f_blocks[outer] = (f_src, f_tgt, f_tgt.inverse())
-        f_src, f_tgt, f_tgt_inv = f_blocks[outer]
-        col = f_src.cols.index(ch[i])
-        for tj, mt in enumerate(f_tgt.cols):
-            amp = 0
-            for wi, w in enumerate(f_src.rows):
-                if w not in r_phases:
-                    r_phases[w] = (1 / r_symbol(P, Q, w, params, ns) if inverse
-                                   else r_symbol(Q, P, w, params, ns))
-                r = r_phases[w]
-                wt = f_tgt.rows.index(w)
-                amp = amp + f_tgt_inv[tj, wt] * r * f_src.matrix[wi, col]
+        if tok in ("x", "h1"):  # the wrap of strand 2 around strand 1, or their half-exchange
+            L0, L1 = leaves[:2]
+            triples = ((L1, L0, ch[1]), (L0, L1, ch[1]))[:2 if tok == "x" else 1]
+            entries.append((idx[(new_leaves[0],) + ch[1:]], j, label(*triples)))
+            continue
+        # half-exchange of leaves i, i+1 via F^-1 R F at their vertex
+        i = int(tok[1:]) - 1
+        P, Q = leaves[i], leaves[i + 1]
+        sb, s_rows, s_cols = block((ch[i - 1], P, Q, ch[i + 1]))
+        tb, t_rows, t_cols = block((ch[i - 1], Q, P, ch[i + 1]))
+        col = s_cols.index(ch[i])
+        for tj, mt in enumerate(t_cols):
             target = ch[:i] + (mt,) + ch[i + 1:]
             if target in idx:
-                m[idx[target], j] = m[idx[target], j] + amp
-    return m, new_leaves
-
-
-def _half_pole_matrix(leaves, basis, params, inverse, ns):
-    """Half-exchange of strands 1, 2: a diagonal map to the swapped system."""
-    new_leaves = apply_letter_to_leaves(leaves, "h1")
-    charge = basis[0].root
-    new_basis = enumerate_basis(new_leaves, charge)
-    idx = {t.chain: k for k, t in enumerate(new_basis)}
-    m = np.zeros((len(new_basis), len(basis)), dtype=ns.dtype)
-    for j, tree in enumerate(basis):
-        ch = tree.chain
-        if inverse:
-            r = 1 / r_symbol(leaves[0], leaves[1], ch[1], params, ns)
-        else:
-            r = r_symbol(leaves[1], leaves[0], ch[1], params, ns)
-        target = (new_leaves[0],) + ch[1:]
-        m[idx[target], j] = r
-    return m, new_leaves
+                terms = tuple(((tb, tj, t_rows.index(w)), label((Q, P, w)), (sb, wi, col))
+                              for wi, w in enumerate(s_rows))
+                entries.append((idx[target], j, amps.setdefault(terms, len(amps))))
+    entries = np.array(entries, dtype=np.intp).reshape(-1, 3)
+    entries.setflags(write=False)
+    return _LetterPlan(new_leaves, (len(idx), len(basis)), tuple(blocks), tuple(labels),
+                       tuple(amps), entries)
 
 
 _LETTER_MEMO: dict = {}
 
 
 def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
-                  charge: Optional[QLabel] = None, ns=FLOAT_NS):
+                  charge: Optional[QLabel] = None, ns=FLOAT_NS,
+                  symbols: Optional[dict] = None):
     """Matrix of one unit-power letter; returns (matrix, new_leaves).
 
-    Results for the double-precision namespace are memoized as read-only
-    arrays; the memo is only ever extended, so concurrent readers are safe
-    under the GIL.
+    Each F block and R symbol the letter's cached plan needs is read from
+    ``symbols`` (keyed by its argument tuple) or evaluated into it; one dict
+    serves the letters of one evaluation.  Double-precision results are
+    memoized as read-only arrays; the memo is only ever extended, so
+    concurrent readers are safe under the GIL.
     """
     leaves = tuple(leaves)
     if charge is None:
@@ -205,22 +200,36 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
     key = (params, leaves, charge, tok, sign)
     if cacheable and key in _LETTER_MEMO:
         return _LETTER_MEMO[key]
-    basis = enumerate_basis(leaves, charge)
-    if tok == "x":
-        res = _wrap_matrix(leaves, basis, params, sign < 0, ns)
-    elif tok == "h1":
-        res = _half_pole_matrix(leaves, basis, params, sign < 0, ns)
-    elif tok.startswith("b"):
-        i = int(tok[1:]) - 1
-        if i < 1:
-            raise ValueError("exchange index must be >= 2")
-        res = _half_exchange_matrix(leaves, basis, i, params, sign < 0, ns)
-    else:
-        raise ValueError(f"unknown letter {tok!r}")
+    plan = _letter_plan(leaves, charge, tok)
+    symbols = {} if symbols is None else symbols
+    for args in plan.f_args:
+        if args not in symbols:
+            blk = f_matrix(*args, params, ns)
+            symbols[args] = (blk.matrix, blk.inverse())
+    blocks = [symbols[args] for args in plan.f_args]
+    values = []
+    for triples in plan.r_args:
+        if sign < 0:
+            triples = tuple((a, b, c) for b, a, c in reversed(triples))
+        for args in triples:
+            if args not in symbols:
+                symbols[args] = r_symbol(*args, params, ns)
+        ph = functools.reduce(operator.mul, [symbols[args] for args in triples])
+        values.append(1 / ph if sign < 0 else ph)
+    if plan.amplitudes:
+        phases, values = values, []
+        for terms in plan.amplitudes:
+            amp = 0
+            for (tb, tj, wt), lab, (sb, wi, col) in terms:
+                amp = amp + blocks[tb][1][tj, wt] * phases[lab] * blocks[sb][0][wi, col]
+            values.append(amp)
+    m = np.zeros(plan.shape, dtype=ns.dtype)
+    rows, cols, amp_index = plan.entries.T
+    m[rows, cols] = np.array(values, dtype=ns.dtype)[amp_index]
     if cacheable:
-        res[0].setflags(write=False)
-        _LETTER_MEMO[key] = res
-    return res
+        m.setflags(write=False)
+        _LETTER_MEMO[key] = (m, plan.leaves)
+    return m, plan.leaves
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +261,7 @@ def generator_matrix(space: IndefSpace, gen, power: int = 1,
     labeling, so the basis is not preserved.  No phase is applied unless the
     caller passes one; it is recorded on the result.
     """
-    tok = _normalize_gen(gen)
+    tok = ("x" if gen == 1 else f"b{gen}") if isinstance(gen, int) else str(gen).lower()
     word = BraidWord(((tok, power),))
     if word.permuted_leaves(space.leaves) != space.leaves:
         raise LeakyPermutation(f"{tok}^{power} does not preserve {space.leaves}")
@@ -260,12 +269,6 @@ def generator_matrix(space: IndefSpace, gen, power: int = 1,
     if global_phase is not None:
         m = m * (global_phase ** power)
     return BraidMatrix(m, space, global_phase)
-
-
-def _normalize_gen(gen) -> str:
-    if isinstance(gen, int):
-        return "x" if gen == 1 else f"b{gen}"
-    return str(gen).lower()
 
 
 def evaluate_word_open(params: ModelParams, leaves, word: BraidWord,
@@ -279,12 +282,12 @@ def evaluate_word_open(params: ModelParams, leaves, word: BraidWord,
     if charge is None:
         charge = leaves[0]
     cur = leaves
-    basis0 = enumerate_basis(leaves, charge)
-    m = _eye(len(basis0), ns)
+    m = np.zeros((len(enumerate_basis(leaves, charge)),) * 2, dtype=ns.dtype)
+    np.fill_diagonal(m, ns.one + 0 * ns.i)
+    symbols = {}  # this call's F blocks and R symbols, by argument tuple
     for tok, sgn in word.unit_letters():
-        lm, cur_new = letter_matrix(params, cur, tok, sgn, charge, ns)
+        lm, cur = letter_matrix(params, cur, tok, sgn, charge, ns, symbols)
         m = lm @ m
-        cur = cur_new
     return m, cur
 
 
@@ -310,13 +313,9 @@ def evaluate(space: IndefSpace, word, ns=FLOAT_NS) -> BraidMatrix:
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def _as_complex(m) -> np.ndarray:
-    return np.asarray(m, dtype=complex)
-
-
 def pseudo_unitarity_defect(matrix, space: IndefSpace) -> float:
     """max-norm of M^dagger J M - J for J = diag(metric signs)."""
-    m = _as_complex(matrix)
+    m = np.asarray(matrix, dtype=complex)
     j = space.J
     return float(np.max(np.abs(m.conj().T @ j @ m - j)))
 
@@ -334,7 +333,7 @@ def block_decompose(matrix, space: IndefSpace, tol: Optional[float] = None) -> B
     Raises NotBlockDiagonal (carrying the off-block norm) when the matrix
     mixes the two sectors beyond tolerance.
     """
-    m = _as_complex(matrix)
+    m = np.asarray(matrix, dtype=complex)
     mask = space.computational_mask
     if tol is None:
         tol = space.params.tol
@@ -389,7 +388,7 @@ def matrix_order(matrix, max_n: int, tol: float = 1e-10) -> OrderResult:
     The scalar compared against is the Frobenius-optimal multiple of the
     identity, trace(M^k)/dim.
     """
-    m = _as_complex(matrix)
+    m = np.asarray(matrix, dtype=complex)
     n = m.shape[0]
     projective = strict = None
     best_defect = math.inf

@@ -116,13 +116,25 @@ def reichardt_step(w: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def step_word(word: BraidWord, d_word: BraidWord = D_WORD) -> BraidWord:
-    """The braid word realizing one recursion step of `word`."""
-    d3 = BraidWord.from_letters([(t, 3 * p) for t, p in d_word.letters])
-    parts = (word, d_word, word.inverse(), d3, word, d3, word.inverse(), d_word, word)
-    letters = []
-    for p in parts:
-        letters.extend(p.letters)
-    return BraidWord(tuple(letters)).free_reduce()
+    """The free-reduced braid word realizing one recursion step of `word`.
+
+    With each part reduced, syllables merge only where two parts meet; a
+    whole cancellation there runs on into the parts on either side.
+    """
+    w, d = word.free_reduce(), d_word.free_reduce()
+    d3 = BraidWord.from_letters([(t, 3 * p) for t, p in d.letters])
+    out = []
+    for part in (w, d, w.inverse(), d3, w, d3, w.inverse(), d, w):
+        letters, k = part.letters, 0
+        while k < len(letters) and out and out[-1][0] == letters[k][0]:
+            tok, p = letters[k]
+            k += 1
+            if out[-1][1] + p:
+                out[-1] = (tok, out[-1][1] + p)
+                break
+            out.pop()
+        out.extend(letters[k:])
+    return BraidWord(tuple(out))
 
 
 @dataclass(frozen=True)

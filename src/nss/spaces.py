@@ -40,11 +40,6 @@ class FusionTree:
             return (self.root,)
         return (self.leaves[0],) + self.internal + (self.root,)
 
-    def is_admissible(self) -> bool:
-        ch = self.chain
-        return all(anyon.can_fuse(ch[i - 1], self.leaves[i], ch[i])
-                   for i in range(1, len(self.leaves)))
-
     def serialize(self) -> str:
         leaves = ",".join(str(l) for l in self.leaves)
         inner = ",".join(str(l) for l in self.internal)
@@ -214,9 +209,6 @@ class IndefSpace:
     @property
     def J(self) -> np.ndarray:
         return np.diag(self.metric_signs.astype(float))
-
-    def index(self, tree: FusionTree) -> int:
-        return self.basis.index(tree)
 
 
 def _computational_flag(tree: FusionTree) -> bool:

@@ -1,7 +1,9 @@
 """Braid-engine tests: closed forms, relations, blocks, orders."""
 import cmath
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,8 +12,13 @@ from nss import (ALPHA, PSI, SIGMA, BraidWord, LeakyPermutation, ModelParams,
                  evaluate, evaluate_word, generator_matrix, matrix_order,
                  pseudo_unitarity_defect, q_power, qubit_space,
                  wrap_closed_form, exchange_closed_form)
-from nss.braids import (evaluate_word_open, letter_matrix, two_qubit_block_form,
-                        J4_WORD)
+from nss import braids
+from nss.anyon import FLOAT_NS, f_matrix, mp_namespace, r_symbol
+from nss.braids import (apply_letter_to_leaves, evaluate_word_open, letter_matrix,
+                        two_qubit_block_form, J4_WORD)
+from nss.gates import PSI_LEAVES, W_WORD
+from nss.labels import parse_leaves
+from nss.spaces import enumerate_basis
 
 RNG = np.random.default_rng(3)
 H1 = (ALPHA, SIGMA, SIGMA)
@@ -381,3 +388,148 @@ def test_leakage_free_alphabet_preserves_partition():
     b3 = evaluate_word(p, space.leaves, BraidWord.parse("b3"))
     with pytest.raises(NotBlockDiagonal):
         block_decompose(b3, space, tol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# letter plans against the per-column builders they replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_wrap(leaves, basis, params, inverse, ns):
+    n = len(basis)
+    m = np.zeros((n, n), dtype=ns.dtype)
+    for j, tree in enumerate(basis):
+        c1 = tree.chain[1]
+        ph = (r_symbol(leaves[1], leaves[0], c1, params, ns)
+              * r_symbol(leaves[0], leaves[1], c1, params, ns))
+        m[j, j] = 1 / ph if inverse else ph
+    return m, tuple(leaves)
+
+
+def _oracle_half_exchange(leaves, basis, i, params, inverse, ns):
+    new_leaves = apply_letter_to_leaves(leaves, f"b{i + 1}")
+    new_basis = enumerate_basis(new_leaves, basis[0].root)
+    idx = {t.chain: k for k, t in enumerate(new_basis)}
+    m = np.zeros((len(new_basis), len(basis)), dtype=ns.dtype)
+    P, Q = leaves[i], leaves[i + 1]
+    f_blocks = {}
+    r_phases = {}
+    for j, tree in enumerate(basis):
+        ch = tree.chain
+        outer = (ch[i - 1], ch[i + 1])
+        if outer not in f_blocks:
+            f_src = f_matrix(ch[i - 1], P, Q, ch[i + 1], params, ns)
+            f_tgt = f_matrix(ch[i - 1], Q, P, ch[i + 1], params, ns)
+            f_blocks[outer] = (f_src, f_tgt, f_tgt.inverse())
+        f_src, f_tgt, f_tgt_inv = f_blocks[outer]
+        col = f_src.cols.index(ch[i])
+        for tj, mt in enumerate(f_tgt.cols):
+            amp = 0
+            for wi, w in enumerate(f_src.rows):
+                if w not in r_phases:
+                    r_phases[w] = (1 / r_symbol(P, Q, w, params, ns) if inverse
+                                   else r_symbol(Q, P, w, params, ns))
+                r = r_phases[w]
+                wt = f_tgt.rows.index(w)
+                amp = amp + f_tgt_inv[tj, wt] * r * f_src.matrix[wi, col]
+            target = ch[:i] + (mt,) + ch[i + 1:]
+            if target in idx:
+                m[idx[target], j] = m[idx[target], j] + amp
+    return m, new_leaves
+
+
+def _oracle_half_pole(leaves, basis, params, inverse, ns):
+    new_leaves = apply_letter_to_leaves(leaves, "h1")
+    new_basis = enumerate_basis(new_leaves, basis[0].root)
+    idx = {t.chain: k for k, t in enumerate(new_basis)}
+    m = np.zeros((len(new_basis), len(basis)), dtype=ns.dtype)
+    for j, tree in enumerate(basis):
+        ch = tree.chain
+        if inverse:
+            r = 1 / r_symbol(leaves[0], leaves[1], ch[1], params, ns)
+        else:
+            r = r_symbol(leaves[1], leaves[0], ch[1], params, ns)
+        m[idx[(new_leaves[0],) + ch[1:]], j] = r
+    return m, new_leaves
+
+
+def _oracle_letter(params, leaves, tok, sign, ns):
+    """The letter as the parent's per-column builders computed it."""
+    basis = enumerate_basis(leaves, leaves[0])
+    if tok == "x":
+        return _oracle_wrap(leaves, basis, params, sign < 0, ns)
+    if tok == "h1":
+        return _oracle_half_pole(leaves, basis, params, sign < 0, ns)
+    return _oracle_half_exchange(leaves, basis, int(tok[1:]) - 1, params, sign < 0, ns)
+
+
+def _letter_cases():
+    systems = [parse_leaves(t) for t in ("a,s,s", "a,psi,s,s", "a,s,psi,s", "a,s,s,s,s")]
+    systems.append(qubit_space(ModelParams(2.4), 4).leaves)
+    for leaves in systems:
+        toks = ["x", "h1"] + [f"b{k}" for k in range(2, len(leaves))]
+        for tok in toks:
+            for sign in (1, -1):
+                yield leaves, tok, sign
+
+
+LETTER_ALPHAS = (Fraction(12, 5), Fraction(2003, 1000), Fraction(293, 100))
+
+
+@pytest.mark.parametrize("alpha", LETTER_ALPHAS, ids=str)
+def test_float_letters_bit_identical_to_oracle(alpha):
+    p = ModelParams(float(alpha), exact=alpha)
+    n = 0
+    for leaves, tok, sign in _letter_cases():
+        m, out = letter_matrix(p, leaves, tok, sign, ns=FLOAT_NS, symbols={})
+        want, want_out = _oracle_letter(p, leaves, tok, sign, FLOAT_NS)
+        assert out == want_out
+        assert m.dtype == want.dtype and m.shape == want.shape
+        assert m.tobytes() == want.tobytes(), (leaves, tok, sign)
+        n += 1
+    assert n == 2 * (3 + 4 + 4 + 5 + 9)
+
+
+@pytest.mark.parametrize("alpha", LETTER_ALPHAS, ids=str)
+def test_mp_letters_equal_to_oracle(alpha):
+    p = ModelParams(float(alpha), exact=alpha)
+    with mpmath.workdps(40):
+        ns = mp_namespace()
+        symbols = {}
+        for leaves, tok, sign in _letter_cases():
+            m, out = letter_matrix(p, leaves, tok, sign, ns=ns, symbols=symbols)
+            want, want_out = _oracle_letter(p, leaves, tok, sign, ns)
+            assert out == want_out and m.shape == want.shape
+            assert all(a == b for a, b in zip(m.ravel(), want.ravel())), (leaves, tok, sign)
+
+
+def test_mp_word_evaluates_each_f_block_once(monkeypatch):
+    calls = []
+    real = braids.f_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args[:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(braids, "f_matrix", counting)
+    p = ModelParams.from_string("12/5")
+    with mpmath.workdps(40):
+        ns = mp_namespace()
+        evaluate_word(p, PSI_LEAVES, W_WORD, ns=ns)
+        assert len(calls) == 4 and len(set(calls)) == 4
+        evaluate_word(p, PSI_LEAVES, W_WORD, ns=ns)
+    assert len(calls) == 8
+
+
+def test_mp_word_follows_the_working_precision():
+    # nothing evaluated at one precision is reused at another
+    p = ModelParams.from_string("12/5")
+    ns = mp_namespace()
+
+    def at(dps):
+        with mpmath.workdps(dps):
+            m = evaluate_word(p, PSI_LEAVES, W_WORD, ns=ns)
+            return [str(z) for z in m.ravel()]
+
+    first30, first60 = at(30), at(60)
+    assert first30 != first60
+    assert first30 == at(30) and first60 == at(60)

@@ -1,6 +1,7 @@
 """Gate compilation: D, W, the recursion, search, and the controlled gate."""
 import cmath
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -189,6 +190,45 @@ def test_search_word_series_extended():
 def test_deep_iteration_capped_without_extended():
     with pytest.raises(PrecisionExhausted):
         reichardt_iterate(P, W_WORD, k=5)
+
+
+
+def _step_word_oracle(word, d_word=D_WORD):
+    """The parent's step_word: free-reduce the whole concatenation."""
+    d3 = BraidWord.from_letters([(t, 3 * p) for t, p in d_word.letters])
+    parts = (word, d_word, word.inverse(), d3, word, d3, word.inverse(), d_word, word)
+    return BraidWord(tuple(l for part in parts for l in part.letters)).free_reduce()
+
+
+def _random_letters(rng, n, toks=("x", "b2", "b3")):
+    # repeated tokens are allowed, so the words are not free-reduced
+    return BraidWord.from_letters([(rng.choice(toks), rng.choice((-2, -1, 1, 2)))
+                                   for _ in range(n)])
+
+
+def test_step_word_matches_reducing_the_concatenation():
+    rng = random.Random(4)
+    cases = [(W_WORD, D_WORD), (LOW_LEAKAGE_WORD, D_WORD), (BraidWord(()), D_WORD),
+             (BraidWord.parse("b2 x^-2"), D_WORD),            # D cancels a whole syllable
+             (BraidWord.parse("x^2 b2 x^-2"), D_WORD),        # ... on both sides
+             (BraidWord.parse("x^-2"), D_WORD),               # W cancels against D entirely
+             (BraidWord.parse("b2 x b2^-1"), BraidWord.parse("b2 b2^-1 x")),
+             (BraidWord.parse("x b2 x"), BraidWord.parse("x^-1"))]
+    for _ in range(300):
+        d = _random_letters(rng, rng.randrange(0, 4))
+        cases.append((_random_letters(rng, rng.randrange(0, 9)), d))
+    cancelled = 0
+    for word, d in cases:
+        got = step_word(word, d)
+        assert got == _step_word_oracle(word, d), (str(word), str(d))
+        assert got.free_reduce() == got
+        cancelled += len(got) < 5 * len(word.free_reduce()) + 4 * len(d.free_reduce())
+    assert cancelled > 100
+    # iterating keeps agreeing
+    w = W_WORD
+    for _ in range(3):
+        assert step_word(w) == _step_word_oracle(w)
+        w = step_word(w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,40 @@
+"""The README's CLI commands print exactly their recorded stdout.
+
+The files under tests/golden/ hold each command's stdout byte for byte.
+``search`` runs serially here; its output equals ``--jobs 4`` (CI diffs
+the parallel run against the same file).
+"""
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from nss.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+README_COMMANDS = {
+    "model": ["model", "--alpha", "12/5"],
+    "space": ["space", "--alpha", "2.4", "--leaves", "a,s,s,s,s"],
+    "braid": ["braid", "--alpha", "12/5", "--system", "a,psi,s,s", "--charge", "a",
+              "--word", "b2^2 X b2^2 X b2^-2"],
+    "reichardt_csv": ["reichardt", "--alpha", "12/5", "--k", "3", "--format", "csv"],
+    "reichardt_extended": ["reichardt", "--alpha", "12/5", "--k", "3", "--extended"],
+    "search": ["search", "--alpha", "12/5", "--max-len", "9", "--threshold", "0.3"],
+    "verify": ["verify", "--alpha", "2.4", "--seed", "0"],
+}
+
+
+def run_cli(args):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(args))
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", README_COMMANDS)
+def test_readme_command_stdout_is_golden(name):
+    code, out = run_cli(README_COMMANDS[name])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
