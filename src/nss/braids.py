@@ -16,6 +16,7 @@ import functools
 import math
 import operator
 import re
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -179,7 +180,11 @@ def _letter_plan(leaves: tuple, charge: QLabel, tok: str) -> _LetterPlan:
                        tuple(amps), entries)
 
 
+# double-precision letters by (params, leaves, charge, tok, sign), oldest
+# evicted first; the bound sits above the ~900 letters of a verify process
+_LETTER_MEMO_SIZE = 1024
 _LETTER_MEMO: dict = {}
+_LETTER_MEMO_LOCK = threading.Lock()
 
 
 def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
@@ -190,16 +195,18 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
     Each F block and R symbol the letter's cached plan needs is read from
     ``symbols`` (keyed by its argument tuple) or evaluated into it; one dict
     serves the letters of one evaluation.  Double-precision results are
-    memoized as read-only arrays; the memo is only ever extended, so
-    concurrent readers are safe under the GIL.
+    memoized as read-only arrays in a bounded memo; readers take one
+    ``get`` and writers hold a lock, so concurrent callers are safe.
     """
     leaves = tuple(leaves)
     if charge is None:
         charge = leaves[0]
     cacheable = ns is FLOAT_NS
     key = (params, leaves, charge, tok, sign)
-    if cacheable and key in _LETTER_MEMO:
-        return _LETTER_MEMO[key]
+    if cacheable:
+        hit = _LETTER_MEMO.get(key)
+        if hit is not None:
+            return hit
     plan = _letter_plan(leaves, charge, tok)
     symbols = {} if symbols is None else symbols
     for args in plan.f_args:
@@ -228,7 +235,10 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
     m[rows, cols] = np.array(values, dtype=ns.dtype)[amp_index]
     if cacheable:
         m.setflags(write=False)
-        _LETTER_MEMO[key] = (m, plan.leaves)
+        with _LETTER_MEMO_LOCK:
+            if len(_LETTER_MEMO) >= _LETTER_MEMO_SIZE:
+                del _LETTER_MEMO[next(iter(_LETTER_MEMO))]
+            _LETTER_MEMO[key] = (m, plan.leaves)
     return m, plan.leaves
 
 

@@ -67,8 +67,8 @@ def _params(args) -> ModelParams:
 
 def _add_common(sub):
     sub.add_argument("--alpha", default="12/5", help="base parameter; fractions like 12/5 stay exact")
-    sub.add_argument("--tol", type=float,
-                     default=float(os.environ.get("NSS_TOL", "1e-10")))
+    # a string default: argparse converts it, so a bad NSS_TOL is a usage error
+    sub.add_argument("--tol", type=float, default=os.environ.get("NSS_TOL", "1e-10"))
     sub.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     sub.add_argument("--out", default=None)
 

@@ -9,6 +9,7 @@ formula actually needs it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,22 +22,31 @@ _QSPIN = {"vac": 0.0, "sigma": 0.5, "psi": 1.0, "s32": 1.5, "p2": 2.0}
 _TOKEN = {"vac": "1", "sigma": "s", "psi": "psi", "s32": "s32", "p2": "p2"}
 
 
-@dataclass(frozen=True, order=True)
-class QLabel:
-    """An anyon type: vacuum, sigma, psi, S3/2, P2 or alpha+shift."""
+class QLabel(tuple):
+    """An anyon type: vacuum, sigma, psi, S3/2, P2 or alpha+shift.
 
-    kind: str
-    shift: int = 0
+    An immutable ``(kind, shift, is_alpha)`` tuple, so equality, hashing
+    and ordering (by kind, then shift) run in C.
+    """
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown label kind {self.kind!r}")
-        if self.kind != "alpha" and self.shift != 0:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, shift: int = 0):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown label kind {kind!r}")
+        if kind != "alpha" and shift != 0:
             raise ValueError("only alpha-type labels carry a shift")
+        return tuple.__new__(cls, (kind, shift, kind == "alpha"))
 
-    @property
-    def is_alpha(self) -> bool:
-        return self.kind == "alpha"
+    kind = property(operator.itemgetter(0))
+    shift = property(operator.itemgetter(1))
+    is_alpha = property(operator.itemgetter(2))
+
+    def __getnewargs__(self):
+        return self[:2]
+
+    def __repr__(self) -> str:
+        return f"QLabel(kind={self.kind!r}, shift={self.shift!r})"
 
     def value(self, alpha: float) -> float:
         """Numeric q-spin value of the label given the base parameter."""
@@ -108,12 +118,13 @@ class ModelParams:
     exact: Fraction | None = None
 
     def __post_init__(self):
+        # tol first: the integer-alpha test below reads it
+        if not (0 < self.tol < 1):
+            raise ValueError("tol must lie in (0, 1)")
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
         if abs(self.alpha - round(self.alpha)) <= max(self.tol, 1e-12):
             raise IntegerAlpha(f"alpha = {self.alpha} is integer within tolerance")
-        if not (0 < self.tol < 1):
-            raise ValueError("tol must lie in (0, 1)")
         if self.exact is not None and float(self.exact) != self.alpha:
             raise ValueError("exact fraction does not match alpha")
 

@@ -104,15 +104,52 @@ def enumerate_basis(leaves, charge) -> tuple[FusionTree, ...]:
     vectors last.  The basis does not depend on alpha, so each (leaves,
     charge) is enumerated once per process and the same tuple returned.
     """
-    return _enumerate_basis(tuple(leaves), charge)
+    return _space_plan(tuple(leaves), charge).basis
 
 
-# bases are small immutable tuples; the bound only stops unbounded growth
+@dataclass(frozen=True)
+class _SpacePlan:
+    """The alpha-free part of a space: its basis and how to sign its metric.
+
+    ``vertices`` holds the distinct (in, in, out) fusion vertices of the
+    basis trees in first-appearance order, ``tree_vertices`` row k the
+    indices of tree k's vertices in comb order, and ``head`` the number of
+    distinct vertices of the first tree (they come first).  ``parity`` is
+    (-1)^(n+1) for the total q-spin n of the braided leaves, or None when
+    n is not an integer.
+    """
+
+    basis: tuple[FusionTree, ...]
+    vertices: tuple
+    tree_vertices: np.ndarray
+    head: int
+    parity: int | None
+    computational_mask: np.ndarray
+
+
+# plans are small and alpha-free; the bound only stops unbounded growth
 _BASIS_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _enumerate_basis(leaves: tuple, charge) -> tuple[FusionTree, ...]:
+def _space_plan(leaves: tuple, charge) -> _SpacePlan:
+    trees = _enumerate_trees(leaves, charge)
+    vertices = {}
+    rows = [[vertices.setdefault((t.chain[i - 1], leaves[i], t.chain[i]), len(vertices))
+             for i in range(1, len(leaves))] for t in trees]
+    tree_vertices = np.array(rows, dtype=np.intp).reshape(len(trees), len(leaves) - 1)
+    mask = np.array([_computational_flag(t) for t in trees], dtype=bool)
+    for arr in (tree_vertices, mask):
+        arr.setflags(write=False)
+    try:
+        parity = (-1) ** (_effective_qubits(leaves) + 1)
+    except UnsupportedTriple:
+        parity = None
+    return _SpacePlan(trees, tuple(vertices), tree_vertices, len(set(rows[0])),
+                      parity, mask)
+
+
+def _enumerate_trees(leaves: tuple, charge) -> tuple[FusionTree, ...]:
     if len(leaves) == 0:
         raise EmptyBasis("no leaves")
     if len(leaves) == 1:
@@ -141,12 +178,15 @@ def _enumerate_basis(leaves: tuple, charge) -> tuple[FusionTree, ...]:
     return tuple(trees)
 
 
+_QSPIN_ERROR = "metric convention needs integer total q-spin"
+
+
 def _effective_qubits(leaves) -> int:
     """Total q-spin carried by the braided leaves; integer for charge-alpha spaces."""
     total = sum(0.0 if l.is_alpha else l.value(0.0) for l in leaves[1:])
     n = round(total)
     if abs(total - n) > 1e-9:
-        raise UnsupportedTriple("metric convention needs integer total q-spin")
+        raise UnsupportedTriple(_QSPIN_ERROR)
     return int(n)
 
 
@@ -196,11 +236,20 @@ class IndefSpace:
             charge = leaves[0]
         if not charge.is_alpha:
             raise UnsupportedTriple("metric is defined for alpha-type total charge")
-        basis = enumerate_basis(leaves, charge)
-        signs = np.array([tree_norm_sign(t, params) for t in basis], dtype=int)
-        scale = abs(modified_dimension(charge.value(params.alpha), params.tol))
-        mask = np.array([_computational_flag(t) for t in basis], dtype=bool)
-        return cls(params, leaves, charge, basis, signs, scale, mask)
+        plan = _space_plan(leaves, charge)
+        # each distinct vertex sign once, in the order tree_norm_sign would
+        # meet them: the first tree's bubbles, its parity and root, the rest
+        bubbles = [math.copysign(1.0, bubble_pop(*v, params))
+                   for v in plan.vertices[:plan.head]]
+        if plan.parity is None:
+            raise UnsupportedTriple(_QSPIN_ERROR)
+        d = modified_dimension(charge.value(params.alpha), params.tol)
+        bubbles += [math.copysign(1.0, bubble_pop(*v, params))
+                    for v in plan.vertices[plan.head:]]
+        prods = np.array(bubbles)[plan.tree_vertices].prod(axis=1)
+        signs = (plan.parity * math.copysign(1.0, d) * prods).astype(int)
+        return cls(params, leaves, charge, plan.basis, signs, abs(d),
+                   plan.computational_mask)
 
     @property
     def dim(self) -> int:

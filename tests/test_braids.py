@@ -61,6 +61,50 @@ def test_memoized_letter_is_read_only():
     assert m2 is m
 
 
+def test_letter_memo_is_bounded_and_recomputes_evicted_letters(monkeypatch):
+    monkeypatch.setattr(braids, "_LETTER_MEMO", {})
+    bound = braids._LETTER_MEMO_SIZE
+    first = ModelParams(2.4)
+    m0, _ = letter_matrix(first, H1, "b2", 1)
+    for k in range(2 * bound):
+        letter_matrix(ModelParams(2.1 + 0.8 * k / (2 * bound)), H1, "x", 1)
+        assert len(braids._LETTER_MEMO) <= bound
+    assert (first, H1, ALPHA, "b2", 1) not in braids._LETTER_MEMO
+    m1, _ = letter_matrix(first, H1, "b2", 1)
+    assert m1 is not m0 and m1.tobytes() == m0.tobytes()
+
+
+def test_letter_memo_under_concurrent_callers(monkeypatch):
+    # more threads than cores share a memo of 8; eviction must never raise
+    # or let the memo pass its bound
+    import sys
+    import threading
+    monkeypatch.setattr(braids, "_LETTER_MEMO", {})
+    monkeypatch.setattr(braids, "_LETTER_MEMO_SIZE", 8)
+    errors = []
+
+    def work(seed):
+        try:
+            for k in range(150):
+                letter_matrix(ModelParams(2.1 + 0.8 * ((seed * 37 + k) % 50) / 50), H1, "x", 1)
+                assert len(braids._LETTER_MEMO) <= 8
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
 def test_empty_word_is_identity():
     p = ModelParams(2.4)
     m = evaluate_word(p, H1, BraidWord(()))

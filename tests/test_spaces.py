@@ -8,6 +8,8 @@ from nss import (ALPHA, PSI, SIGMA, VACUUM, EmptyBasis, FusionTree, IndefSpace,
                  ModelParams, QubitCode, control_basis_transform,
                  enumerate_basis, f_matrix, modified_dimension, qubit_space,
                  tree_norm_sign)
+from nss.labels import parse_leaves
+from nss.spaces import _computational_flag
 
 RNG = np.random.default_rng(11)
 
@@ -109,6 +111,61 @@ def test_three_qubit_computational_positive_oracle():
                     * math.copysign(1.0, bminus) ** n1 * math.copysign(1.0, d))
             got = tree_norm_sign(code.encode(bits), p)
             assert got == int(want) == 1
+
+
+def _signs_or_error(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared by type and message below
+        return type(exc), str(exc)
+
+
+_PLAN_LEAVES = ["a,s,s", "a,s,s,s,s", "a,s,s,s,s,s,s", "a,s,s,s,s,s,s,s,s",
+                "a,psi,s,s", "a,s,psi,s"]
+_PLAN_PARAMS = ([ModelParams.from_string("12/5")]
+                + [ModelParams(float(a)) for a in np.random.default_rng(29).uniform(2, 3, 20)]
+                + [ModelParams(a) for a in (0.5, 1.5, 3.5, 5.3, 7.7)])
+
+
+@pytest.mark.parametrize("leaves", _PLAN_LEAVES)
+def test_plan_built_space_matches_tree_oracle(leaves):
+    # the plan evaluates each distinct vertex once; tree_norm_sign and
+    # _computational_flag, tree by tree, are the oracle
+    leaves = parse_leaves(leaves)
+    basis = enumerate_basis(leaves, ALPHA)
+    for p in _PLAN_PARAMS:
+        space = IndefSpace.build(p, leaves)
+        assert space.metric_signs.dtype == int
+        assert list(space.metric_signs) == [tree_norm_sign(t, p) for t in basis]
+        assert list(space.computational_mask) == [_computational_flag(t) for t in basis]
+        assert space.scale == abs(modified_dimension(p.alpha, p.tol))
+
+
+@pytest.mark.parametrize("params, leaves, charge", [
+    # the second tree's (a, s, a-1) bubble is singular; the first tree's are not
+    (ModelParams(4 + 1.1e-4, tol=1e-4), "a,s,s", ALPHA),
+    # a singular first-tree bubble comes before the q-spin parity
+    (ModelParams(4 + 1.1e-4, tol=1e-4), "a,s", ALPHA.shifted(-1)),
+    # non-integer total q-spin, after the first tree's bubbles
+    (ModelParams(2.4), "a,s", ALPHA.shifted(1)),
+    (ModelParams(2.4), "a,s,s,s", ALPHA.shifted(1)),
+])
+def test_plan_built_space_raises_like_tree_oracle(params, leaves, charge):
+    leaves = parse_leaves(leaves)
+    basis = enumerate_basis(leaves, charge)
+    want = _signs_or_error(lambda: [tree_norm_sign(t, params) for t in basis])
+    got = _signs_or_error(lambda: IndefSpace.build(params, leaves, charge))
+    assert isinstance(want, tuple) and got == want
+
+
+def test_plan_signs_are_fresh_and_mask_read_only():
+    p = ModelParams(2.4)
+    s1, s2 = qubit_space(p, 2), qubit_space(p, 2)
+    assert s1.metric_signs is not s2.metric_signs
+    s1.metric_signs[0] = 0
+    assert s2.metric_signs[0] == 1
+    with pytest.raises(ValueError):
+        s1.computational_mask[0] = False
 
 
 def test_metric_rejects_non_alpha_charge():

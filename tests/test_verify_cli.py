@@ -79,6 +79,27 @@ def test_cli_model_integer_alpha_exit_code():
     assert json.loads(out)["error"] == "IntegerAlpha"
 
 
+def test_cli_bad_tol_is_a_usage_error():
+    # tol is validated before alpha is tested for being integral within it
+    code, out = run_cli("model", "--alpha", "12/5", "--tol", "5")
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError", "message": "tol must lie in (0, 1)"}
+
+
+def test_cli_bad_nss_tol_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("NSS_TOL", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("model")
+    assert exc.value.code == 2
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_cli_nss_tol_sets_the_default(monkeypatch):
+    monkeypatch.setenv("NSS_TOL", "0.45")  # 12/5 is 0.4 from 2
+    code, out = run_cli("model", "--alpha", "12/5")
+    assert code == 3 and json.loads(out)["error"] == "IntegerAlpha"
+
+
 def test_cli_seed_only_on_verify():
     with pytest.raises(SystemExit) as exc:
         run_cli("model", "--seed", "0")
