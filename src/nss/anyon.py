@@ -153,8 +153,9 @@ def t_sign(alpha: float, tol: float = 1e-10) -> int:
 
 def _guard(den, tol, what):
     # formulas are regular for non-integer alpha; the guard catches near-integer
-    # evaluations that slip past parameter validation
-    if abs(den) < tol:
+    # evaluations that slip past parameter validation.  Its bound does not grow
+    # with a loose tol, which would call regular points (0.19 at 12/5) singular.
+    if abs(den) < min(tol, 1e-10):
         raise SingularParameter(f"{what}: denominator ~ 0")
 
 
@@ -429,14 +430,17 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
     ft, rows, cols = _ftilde(a, b, c, d, params, ns)
     if (b, c) == (SIGMA, SIGMA) and d.shift != a.shift:
         return FBlock(ft, rows, cols)  # the one-dimensional data are already normalized
-    out = np.empty_like(ft)
-    for i, n in enumerate(rows):
-        for j, m in enumerate(cols):
-            num = ns.sqrt(bubble_pop(a, n, d, params, ns)) * \
-                ns.sqrt(bubble_pop(b, c, n, params, ns))
-            den = ns.sqrt(bubble_pop(m, c, d, params, ns)) * \
-                ns.sqrt(bubble_pop(a, b, m, params, ns))
-            out[i, j] = num / den * ft[i, j]
+    # each row's numerator and column's denominator once, in the order a
+    # per-entry loop first evaluates them (so a guard raises the same error)
+    def num(n):
+        return ns.sqrt(bubble_pop(a, n, d, params, ns)) * ns.sqrt(bubble_pop(b, c, n, params, ns))
+
+    first = num(rows[0])
+    dens = [ns.sqrt(bubble_pop(m, c, d, params, ns)) * ns.sqrt(bubble_pop(a, b, m, params, ns))
+            for m in cols]
+    nums = [first] + [num(n) for n in rows[1:]]
+    out = np.array([[nu / de * f for de, f in zip(dens, row)] for nu, row in zip(nums, ft)],
+                   dtype=ns.dtype)
     return FBlock(out, rows, cols)
 
 
@@ -482,49 +486,57 @@ def pentagon_sweep(params: ModelParams, shifts=(-1, 0, 1)) -> PentagonReport:
     pool_a = [ALPHA.shifted(s) for s in shifts] + [VACUUM, SIGMA, PSI]
     pool_bcd = [VACUUM, SIGMA, PSI]
 
+    # each symbol, fusion and skip-reason key once per sweep
     blocks = {}  # (a, b, c, d) -> FBlock, or None when not tabulated
+    fusions = {}
+    keys = {}
 
     def get(*fam):
         if fam not in blocks:
             blocks[fam] = f_matrix(*fam, params) if f_channels(*fam) else None
         return blocks[fam]
 
+    def outcomes(a, b):
+        if (a, b) not in fusions:
+            fusions[a, b] = _outcomes(a, b)
+        return fusions[a, b]
+
+    def skip(fam):
+        if fam not in keys:
+            keys[fam] = "F[{},{},{}]".format(*fam)
+        rep.skipped += 1
+        rep.skip_reasons[keys[fam]] = rep.skip_reasons.get(keys[fam], 0) + 1
+
     for a, b, c, d in itertools.product(pool_a, pool_bcd, pool_bcd, pool_bcd):
-        ls = _outcomes(c, d)
-        for p in _outcomes(a, b):
-            for m in _outcomes(p, c):
-                for e in _outcomes(m, d):
+        ls = outcomes(c, d)
+        for p in outcomes(a, b):
+            for m in outcomes(p, c):
+                for e in outcomes(m, d):
                     for l in ls:
-                        for r in _outcomes(b, l):
-                            _pentagon_instance(params, rep, get,
+                        for r in outcomes(b, l):
+                            _pentagon_instance(rep, get, outcomes, skip,
                                                a, b, c, d, e, p, m, l, r)
     return rep
 
 
-def _pentagon_instance(params, rep, get, a, b, c, d, e, p, m, l, r):
+def _pentagon_instance(rep, get, outcomes, skip, a, b, c, d, e, p, m, l, r):
     needed = [(p, c, d, e), (a, b, l, e), (a, b, c, m), (b, c, d, r)]
     blocks = []
     for fam in needed:
         blk = get(*fam)
         if blk is None:
-            rep.skipped += 1
-            key = "F[{},{},{}]".format(*(str(x) for x in fam[:3]))
-            rep.skip_reasons[key] = rep.skip_reasons.get(key, 0) + 1
-            return
+            return skip(fam[:3])
         blocks.append(blk)
     f_pcd, f_abl, f_abc, f_bcd = blocks
     lhs = f_pcd.entry(l, m) * f_abl.entry(r, p)
     rhs = 0.0
-    ts = _outcomes(b, c)
+    ts = outcomes(b, c)
     if not ts:
         return  # an untabulated b x c verifies nothing
     for t in ts:
         f_atd = get(a, t, d, e)
         if f_atd is None:
-            rep.skipped += 1
-            key = f"F[{a},{t},{d}]"
-            rep.skip_reasons[key] = rep.skip_reasons.get(key, 0) + 1
-            return
+            return skip((a, t, d))
         rhs += f_abc.entry(t, p) * f_atd.entry(r, m) * f_bcd.entry(l, t)
     defect = abs(lhs - rhs)
     rep.verified += 1

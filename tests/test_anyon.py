@@ -10,7 +10,10 @@ from nss import (ALPHA, P2, PSI, S32, SIGMA, VACUUM, IntegerAlpha, ModelParams,
                  UnsupportedFamily, UnsupportedPair, UnsupportedTriple,
                  bubble_pop, f_matrix, fuse, modified_dimension,
                  pentagon_sweep, q_power, r_symbol, s_sign, t_sign)
-from nss.anyon import computational_bubbles
+from nss import anyon
+from nss.anyon import (_F_FAMILIES, FLOAT_NS, _ftilde, computational_bubbles,
+                       mp_namespace)
+from nss.errors import ModelError
 
 RNG = np.random.default_rng(7)
 
@@ -227,6 +230,82 @@ def test_f_inverse_and_pseudo_unitarity():
             jc = np.diag([math.copysign(1.0, bubble_pop(a, b, mm, p) * bubble_pop(mm, c, d, p))
                           for mm in blk.cols])
             assert np.max(np.abs(m.conj().T @ jr @ m - jc)) < 1e-9
+
+
+def _f_matrix_oracle(a, b, c, d, params, ns=FLOAT_NS):
+    """f_matrix normalising entry by entry: four bubbles and roots per entry."""
+    ft, rows, cols = _ftilde(a, b, c, d, params, ns)
+    if (b, c) == (SIGMA, SIGMA) and d.shift != a.shift:
+        return ft, rows, cols
+    out = np.empty_like(ft)
+    for i, n in enumerate(rows):
+        for j, m in enumerate(cols):
+            num = ns.sqrt(bubble_pop(a, n, d, params, ns)) * \
+                ns.sqrt(bubble_pop(b, c, n, params, ns))
+            den = ns.sqrt(bubble_pop(m, c, d, params, ns)) * \
+                ns.sqrt(bubble_pop(a, b, m, params, ns))
+            out[i, j] = num / den * ft[i, j]
+    return out, rows, cols
+
+
+def _shifted_families():
+    return [(a.shifted(s), b, c, d.shifted(s))
+            for a, b, c, d in _F_FAMILIES for s in (-1, 0, 1)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+def test_f_matrix_matches_per_entry_normalisation():
+    alphas = [float(al) for al in np.random.default_rng(11).uniform(2, 3, 24)]
+    for al in alphas + [2.0005, 2.9995]:
+        p = ModelParams(al)
+        for fam in _shifted_families():
+            blk = f_matrix(*fam, p)
+            want, rows, cols = _f_matrix_oracle(*fam, p)
+            assert (blk.rows, blk.cols) == (rows, cols)
+            assert blk.matrix.dtype == want.dtype and blk.matrix.tobytes() == want.tobytes()
+    # near-integer alphas that pass validation at a tight tol raise the same error
+    raised = 0
+    for al in (2 + 3e-11, 4 - 5e-11, 5 + 2e-12, 1 + 7e-11):
+        p = ModelParams(al, tol=1e-12)
+        for fam in _shifted_families():
+            got = _outcome(lambda: f_matrix(*fam, p).matrix.tobytes())
+            assert got == _outcome(lambda: _f_matrix_oracle(*fam, p)[0].tobytes())
+            raised += isinstance(got, tuple)
+    assert raised > 0
+
+
+def test_f_matrix_mp_matches_per_entry_normalisation():
+    with mp.workdps(40):
+        ns = mp_namespace()
+        for p in (ModelParams.from_string("12/5"), ModelParams(2.0137), ModelParams(2.9871)):
+            for fam in _shifted_families():
+                blk = f_matrix(*fam, p, ns)
+                want, _, _ = _f_matrix_oracle(*fam, p, ns)
+                assert blk.matrix.dtype == object and blk.matrix.shape == want.shape
+                assert all(x == y for x, y in zip(blk.matrix.flat, want.flat))
+
+
+def test_f_matrix_pops_eight_bubbles_per_2x2_block(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:3])
+        return bubble_pop(*args)
+
+    monkeypatch.setattr(anyon, "bubble_pop", counting)
+    p = ModelParams(2.4)
+    with mp.workdps(30):
+        for ns in (FLOAT_NS, mp_namespace()):
+            for fam in _shifted_families():
+                calls.clear()
+                blk = f_matrix(*fam, p, ns)
+                assert len(calls) == (8 if blk.matrix.shape == (2, 2) else 0)
 
 
 def test_f_vacuum_legs_are_units():

@@ -2,7 +2,8 @@
 
 The files under tests/golden/ hold each command's stdout byte for byte.
 ``search`` runs serially here; its output equals ``--jobs 4`` (CI diffs
-the parallel run against the same file).
+the parallel run against the same file).  ``verify_near2`` pins the
+verify defects at a second input, 0.01 from the integer end.
 """
 import contextlib
 import io
@@ -24,6 +25,8 @@ README_COMMANDS = {
     "search": ["search", "--alpha", "12/5", "--max-len", "9", "--threshold", "0.3"],
     "verify": ["verify", "--alpha", "2.4", "--seed", "0"],
 }
+GOLDEN_COMMANDS = {**README_COMMANDS,
+                   "verify_near2": ["verify", "--alpha", "2.01", "--seed", "7"]}
 
 
 def run_cli(args):
@@ -33,8 +36,17 @@ def run_cli(args):
     return code, buf.getvalue()
 
 
-@pytest.mark.parametrize("name", README_COMMANDS)
+@pytest.mark.parametrize("name", GOLDEN_COMMANDS)
 def test_readme_command_stdout_is_golden(name):
-    code, out = run_cli(README_COMMANDS[name])
+    code, out = run_cli(GOLDEN_COMMANDS[name])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("tol", ["0.1", "0.3"])
+def test_loose_tol_keeps_model_output(tol):
+    # the singularity guard's bound does not grow with --tol: at 12/5 the
+    # B[a,psi,a] denominator is 0.19
+    code, out = run_cli(README_COMMANDS["model"] + ["--tol", tol])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "model.out").read_bytes()

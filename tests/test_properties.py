@@ -1,0 +1,59 @@
+"""Property tests over random alpha: F-move identities and the integer ends.
+
+Deterministic (derandomized, no example database) with fixed example counts.
+"""
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from nss import (ALPHA, SIGMA, BraidWord, IntegerAlpha, ModelParams,  # noqa: E402
+                 SingularParameter, bubble_pop, evaluate_word, f_matrix, r_symbol)
+from nss.anyon import _F_FAMILIES, _R_ROWS  # noqa: E402
+
+FAMILIES_2X2 = [f for f in _F_FAMILIES if f_matrix(*f, ModelParams(2.4)).matrix.shape == (2, 2)]
+PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+alphas = st.floats(2.001, 2.999)
+
+
+def _metric(blk, a, b, c, d, p):
+    """The bubble-sign metrics of the two tree shapes, as the verify check forms them."""
+    jr = np.diag([math.copysign(1.0, bubble_pop(b, c, n, p) * bubble_pop(a, n, d, p))
+                  for n in blk.rows])
+    jc = np.diag([math.copysign(1.0, bubble_pop(a, b, m, p) * bubble_pop(m, c, d, p))
+                  for m in blk.cols])
+    return jr, jc
+
+
+@PROPERTY
+@given(alpha=alphas, fam=st.sampled_from(FAMILIES_2X2))
+def test_f_blocks_are_pseudo_unitary(alpha, fam):
+    p = ModelParams(alpha)
+    blk = f_matrix(*fam, p)
+    jr, jc = _metric(blk, *fam, p)
+    m = blk.matrix
+    assert np.max(np.abs(m.conj().T @ jr @ m - jc)) < 1e-9
+
+
+@PROPERTY
+@given(alpha=alphas, fam=st.sampled_from(_F_FAMILIES))
+def test_f_times_inverse_is_identity(alpha, fam):
+    blk = f_matrix(*fam, ModelParams(alpha))
+    assert np.max(np.abs(blk.matrix @ blk.inverse() - np.eye(len(blk.rows)))) < 1e-9
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(end=st.sampled_from([2, 3]), offset=st.floats(-1e-6, 1e-6))
+def test_near_integer_alpha_raises_or_stays_finite(end, offset):
+    try:
+        p = ModelParams(end + offset)
+        values = [f_matrix(*fam, p).matrix for fam in _F_FAMILIES]
+        values.append(np.array([r_symbol(*row, p) for row in _R_ROWS]))
+        values.append(evaluate_word(p, (ALPHA, SIGMA, SIGMA), BraidWord.parse("x b2 x^-1 b2^2")))
+    except (IntegerAlpha, SingularParameter):
+        return
+    assert all(np.all(np.isfinite(v)) for v in values)

@@ -143,9 +143,9 @@ def test_plan_built_space_matches_tree_oracle(leaves):
 
 @pytest.mark.parametrize("params, leaves, charge", [
     # the second tree's (a, s, a-1) bubble is singular; the first tree's are not
-    (ModelParams(4 + 1.1e-4, tol=1e-4), "a,s,s", ALPHA),
+    (ModelParams(4 + 1.1e-10, tol=1e-10), "a,s,s", ALPHA),
     # a singular first-tree bubble comes before the q-spin parity
-    (ModelParams(4 + 1.1e-4, tol=1e-4), "a,s", ALPHA.shifted(-1)),
+    (ModelParams(4 + 1.1e-10, tol=1e-10), "a,s", ALPHA.shifted(-1)),
     # non-integer total q-spin, after the first tree's bubbles
     (ModelParams(2.4), "a,s", ALPHA.shifted(1)),
     (ModelParams(2.4), "a,s,s,s", ALPHA.shifted(1)),

@@ -1,12 +1,14 @@
 """Verify-suite behavior and the command-line interface."""
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from nss import IntegerAlpha, ModelParams, failures, run_all
+from nss import IntegerAlpha, ModelParams, bubble_pop, f_matrix, failures, run_all, verify
+from nss.anyon import _F_FAMILIES
 from nss.cli import main
 
 
@@ -49,6 +51,35 @@ def test_skips_carry_reason_outside_definite_window():
     by_name = {r.name: r for r in results}
     assert by_name["two-qubit-signature"].status == "skipped"
     assert by_name["two-qubit-signature"].detail
+
+
+def _f_pseudo_unitarity_oracle(params, rng):
+    """The f-pseudo-unitarity check as one loop over alphas and families."""
+    worst_pu = 0.0
+    worst_inv = 0.0
+    for al in verify._sample_alphas(rng, 100):
+        p = ModelParams(float(al), params.tol)
+        for (a, b, c, d) in _F_FAMILIES:
+            blk = f_matrix(a, b, c, d, p)
+            if len(blk.rows) != 2:
+                continue
+            m = np.asarray(blk.matrix, dtype=complex)
+            jr = np.diag([math.copysign(1.0, bubble_pop(b, c, n, p) * bubble_pop(a, n, d, p))
+                          for n in blk.rows])
+            jc = np.diag([math.copysign(1.0, bubble_pop(a, b, mm, p) * bubble_pop(mm, c, d, p))
+                          for mm in blk.cols])
+            worst_pu = max(worst_pu, float(np.max(np.abs(m.conj().T @ jr @ m - jc))))
+            worst_inv = max(worst_inv, float(np.max(np.abs(m @ blk.inverse() - np.eye(len(blk.rows))))))
+    return verify._result("f-pseudo-unitarity", max(worst_pu, worst_inv), 1e-9,
+                          "F^dag J_rows F = J_cols and F F^-1 = 1 for the 2x2 families, 100 alphas")
+
+
+def test_f_pseudo_unitarity_check_matches_per_block_loop():
+    alphas = (2.0005, 2.0183, 2.4, 2.9812, 2.9995, 2.01, 2.5, 2.99, 5.3, 2.0101, 2.9899)
+    for seed, alpha in enumerate(alphas):
+        params = ModelParams(alpha, tol=1e-12 if seed == 3 else 1e-10)
+        got = verify._chk_f_pseudo_unitarity(params, np.random.default_rng(seed))
+        assert got == _f_pseudo_unitarity_oracle(params, np.random.default_rng(seed))
 
 
 def test_integer_alpha_rejected_at_construction():
