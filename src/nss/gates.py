@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -245,6 +244,10 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
 # brute-force search
 # ---------------------------------------------------------------------------
 
+# raw hits deduplicated per numpy pass
+_DEDUPE_CHUNK = 128
+
+
 @dataclass(frozen=True)
 class SearchHit:
     word: BraidWord
@@ -294,41 +297,51 @@ def _search_range(params, max_len, threshold, max_power, first_syllables):
 
     A node is the 8 block entries of its product; each node reads the pool
     once.  On the last level only the two off-diagonals are formed, and only
-    on arrangement 0, where words are scored.
+    on arrangement 0, where words are scored; the second only when the first
+    passes.
     """
     pool = _letter_pool(params, max_power)
-    powers = _syllable_powers(max_power)
+    # the (pool key, syllable) pairs that follow each (arrangement, generator)
+    steps = {(si, tok): [((si, tok, p), (tok, p)) for p in _syllable_powers(max_power)]
+             for si in (0, 1) for tok in ("x", "b2")}
     last = max_len - 1
     hits = []
     word = []
 
-    def dfs(tok, m, si, depth, tok_powers):
+    def dfs(tok, m, si, depth, tok_steps):
+        u00, u01, u10, u11, l00, l01, l10, l11 = m
         if depth == last:
-            _, u01, _, u11, _, l01, _, l11 = m
-            for p in tok_powers:
-                s, si2 = pool[(si, tok, p)]
+            for key, syl in tok_steps:
+                s, si2 = pool[key]
                 if si2:
                     continue
-                n1 = abs(s[0] * u01 + s[1] * u11)
-                n2 = abs(s[4] * l01 + s[5] * l11)
-                if n1 < threshold and n2 < threshold:
-                    hits.append((tuple(word) + ((tok, p),), n1, n2, _block_product(s, m)))
+                a0, a1, _, _, b0, b1, _, _ = s
+                n1 = abs(a0 * u01 + a1 * u11)
+                if n1 < threshold:
+                    n2 = abs(b0 * l01 + b1 * l11)
+                    if n2 < threshold:
+                        hits.append((tuple(word) + (syl,), n1, n2, _block_product(s, m)))
             return
         nxt = "b2" if tok == "x" else "x"
-        for p in tok_powers:
-            s, si2 = pool[(si, tok, p)]
-            prod = _block_product(s, m)
-            word.append((tok, p))
+        depth += 1
+        for key, syl in tok_steps:
+            s, si2 = pool[key]
+            a0, a1, a2, a3, b0, b1, b2, b3 = s
+            p01 = a0 * u01 + a1 * u11
+            q01 = b0 * l01 + b1 * l11
+            prod = (a0 * u00 + a1 * u10, p01, a2 * u00 + a3 * u10, a2 * u01 + a3 * u11,
+                    b0 * l00 + b1 * l10, q01, b2 * l00 + b3 * l10, b2 * l01 + b3 * l11)
+            word.append(syl)
             if not si2:
-                n1, n2 = abs(prod[1]), abs(prod[5])
+                n1, n2 = abs(p01), abs(q01)
                 if n1 < threshold and n2 < threshold:
                     hits.append((tuple(word), n1, n2, prod))
-            dfs(nxt, prod, si2, depth + 1, powers)
+            dfs(nxt, prod, si2, depth, steps[si2, nxt])
             word.pop()
 
     ident = (1 + 0j, 0j, 0j, 1 + 0j) * 2
     for tok, p in first_syllables:
-        dfs(tok, ident, 0, 0, (p,))
+        dfs(tok, ident, 0, 0, [((0, tok, p), (tok, p))])
     return hits
 
 
@@ -351,6 +364,9 @@ def search_low_leakage(params: ModelParams, max_len: int, threshold: float,
         return []
     syllables = [(tok, p) for tok in ("x", "b2") for p in _syllable_powers(max_power)]
     if jobs > 1:
+        # imported here, so importing the package does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # one task per first syllable; concatenated in order they give the
         # serial DFS order
         with ProcessPoolExecutor(max_workers=min(jobs, len(syllables))) as ex:
@@ -362,24 +378,56 @@ def search_low_leakage(params: ModelParams, max_len: int, threshold: float,
     else:
         raw = _search_range(params, max_len, threshold, max_power, syllables)
 
+    text = _word_text(syllables)
+
     def rank(h):
         word, n1, n2, _ = h
-        return (round(max(n1, n2), 12), len(word), str(BraidWord(word)))
+        return (round(max(n1, n2), 12), len(word), text(word))
 
     raw.sort(key=rank)
+    return _phase_dedupe(raw)
+
+
+def _word_text(syllables):
+    """str(BraidWord(word)) for words over syllables, joined from each
+    syllable's text."""
+    text = {s: str(BraidWord((s,))) for s in syllables}.__getitem__
+    return lambda word: " ".join(map(text, word))
+
+
+def _phase_dedupe(raw) -> list[SearchHit]:
+    """The ranked raw hits without those equal to an earlier one up to a
+    global phase.
+
+    Each hit's 8x8 outer product v v^dag of its block entries is
+    phase-free; rounded to 6 digits it is a bucket key, and a hit is a
+    duplicate when it lies within 1e-8 of an operator kept in its bucket.
+    The hits go through numpy _DEDUPE_CHUNK at a time.
+    """
     out = []
     buckets = {}
-    for word, n1, n2, entries in raw:
-        v = np.array(entries)
-        vv = np.outer(v, v.conj())  # invariant under a global phase
-        # adding 0.0 turns -0.0 into 0.0, so equal rounded values give equal bytes
-        bucket = buckets.setdefault((np.round(vv, 6) + 0.0).tobytes(), [])
-        if any(np.max(np.abs(vv - seen)) < 1e-8 for seen in bucket):
-            continue
-        bucket.append(vv)
-        bw = BraidWord(word)
-        th1, th2 = _diag_phases([entries[i] for i in (0, 3, 4, 7)])
-        out.append(SearchHit(bw, LeakageReport(bw, 0, n1, n2, th1, th2, len(bw))))
+    for start in range(0, len(raw), _DEDUPE_CHUNK):
+        chunk = raw[start:start + _DEDUPE_CHUNK]
+        v = np.array([h[3] for h in chunk])
+        vv = v[:, :, None] * v.conj()[:, None, :]  # np.outer of each row
+        rounded = np.round(vv, 6)
+        rounded += 0.0  # turns -0.0 into 0.0, so equal rounded values give equal bytes
+        keys = [r.tobytes() for r in rounded]
+        # each row against the first operator kept under its key: one kept in
+        # an earlier chunk, else this chunk's first row with the key
+        firsts = {}
+        refs = [buckets[key][0] if key in buckets else vv[firsts.setdefault(key, i)]
+                for i, key in enumerate(keys)]
+        near_first = np.max(np.abs(vv - np.array(refs)), axis=(1, 2)) < 1e-8
+        for (word, n1, n2, entries), row, key, near in zip(chunk, vv, keys, near_first):
+            bucket = buckets.setdefault(key, [])
+            if bucket and (near or any(np.max(np.abs(row - seen)) < 1e-8
+                                       for seen in bucket[1:])):
+                continue
+            bucket.append(row.copy())
+            bw = BraidWord(word)
+            th1, th2 = _diag_phases([entries[i] for i in (0, 3, 4, 7)])
+            out.append(SearchHit(bw, LeakageReport(bw, 0, n1, n2, th1, th2, len(bw))))
     return out
 
 

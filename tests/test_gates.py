@@ -2,6 +2,8 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -16,7 +18,7 @@ from nss import (ALPHA, PSI, SIGMA, BraidWord, LOW_LEAKAGE_WORD, ModelParams,
 from nss.anyon import mp_namespace
 from nss.braids import evaluate_word
 from nss import gates
-from nss.gates import D_WORD, PSI_LEAVES, step_word
+from nss.gates import D_WORD, PSI_LEAVES, LeakageReport, SearchHit, step_word
 
 P = ModelParams.from_string("12/5")
 
@@ -302,7 +304,7 @@ def test_search_splits_by_first_syllable(monkeypatch):
             return fut
 
     workers, tasks = [], []
-    monkeypatch.setattr(gates, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     hits = search_low_leakage(P, 4, 0.9, jobs=4)
     assert workers == [4]
     assert tasks == [((t, p),) for t in ("x", "b2") for p in (1, -1, 2, -2)]
@@ -354,6 +356,119 @@ def test_search_kernel_matches_numpy_dfs(max_power):
             assert abs(n1 - m1) < 1e-12 and abs(n2 - m2) < 1e-12
             # the norms depend only on the second column of each block
             assert np.max(np.abs(np.array(entries) - gates._blocks(prod).ravel())) < 1e-12
+
+
+def _search_range_oracle(params, max_len, threshold, max_power, first_syllables):
+    """The scalar DFS with one _block_product call per node that the
+    unpacked kernel replaced."""
+    pool = gates._letter_pool(params, max_power)
+    powers = gates._syllable_powers(max_power)
+    last = max_len - 1
+    hits = []
+    word = []
+
+    def dfs(tok, m, si, depth, tok_powers):
+        if depth == last:
+            _, u01, _, u11, _, l01, _, l11 = m
+            for p in tok_powers:
+                s, si2 = pool[(si, tok, p)]
+                if si2:
+                    continue
+                n1 = abs(s[0] * u01 + s[1] * u11)
+                n2 = abs(s[4] * l01 + s[5] * l11)
+                if n1 < threshold and n2 < threshold:
+                    hits.append((tuple(word) + ((tok, p),), n1, n2,
+                                 gates._block_product(s, m)))
+            return
+        nxt = "b2" if tok == "x" else "x"
+        for p in tok_powers:
+            s, si2 = pool[(si, tok, p)]
+            prod = gates._block_product(s, m)
+            word.append((tok, p))
+            if not si2:
+                n1, n2 = abs(prod[1]), abs(prod[5])
+                if n1 < threshold and n2 < threshold:
+                    hits.append((tuple(word), n1, n2, prod))
+            dfs(nxt, prod, si2, depth + 1, powers)
+            word.pop()
+
+    ident = (1 + 0j, 0j, 0j, 1 + 0j) * 2
+    for tok, p in first_syllables:
+        dfs(tok, ident, 0, 0, (p,))
+    return hits
+
+
+def _syllables(max_power):
+    return [(t, p) for t in ("x", "b2") for p in gates._syllable_powers(max_power)]
+
+
+@pytest.mark.parametrize("alpha, max_len, max_power", [
+    ("2.001", 7, 2), ("12/5", 7, 2), ("37/14", 7, 2), ("2.999", 7, 2),
+    ("12/5", 7, 1), ("12/5", 7, 3), ("12/5", 1, 2), ("12/5", 2, 2)])
+def test_search_kernel_matches_block_product_dfs(alpha, max_len, max_power):
+    # raw hits (word, n1, n2, 8 entries) equal bit for bit, in the same order
+    params = ModelParams.from_string(alpha)
+    threshold = 0.5 if max_len > 2 else 2.0
+    syllables = _syllables(max_power)
+    want = _search_range_oracle(params, max_len, threshold, max_power, syllables)
+    got = gates._search_range(params, max_len, threshold, max_power, syllables)
+    assert len(want) > 0
+    assert got == want
+    # the jobs > 1 split: one first syllable per call
+    assert [h for s in syllables
+            for h in gates._search_range(params, max_len, threshold, max_power, (s,))] == want
+
+
+def _rank_oracle(h):
+    word, n1, n2, _ = h
+    return (round(max(n1, n2), 12), len(word), str(BraidWord(word)))
+
+
+def _phase_dedupe_oracle(raw):
+    """The per-row dedupe loop the chunked pass replaced."""
+    out = []
+    buckets = {}
+    for word, n1, n2, entries in raw:
+        v = np.array(entries)
+        vv = np.outer(v, v.conj())
+        bucket = buckets.setdefault((np.round(vv, 6) + 0.0).tobytes(), [])
+        if any(np.max(np.abs(vv - seen)) < 1e-8 for seen in bucket):
+            continue
+        bucket.append(vv)
+        bw = BraidWord(word)
+        th1, th2 = gates._diag_phases([entries[i] for i in (0, 3, 4, 7)])
+        out.append(SearchHit(bw, LeakageReport(bw, 0, n1, n2, th1, th2, len(bw))))
+    return out
+
+
+@pytest.mark.parametrize("alpha, max_len, threshold, kept", [
+    ("12/5", 9, 0.3, 83), ("37/14", 9, 0.3, 939),
+    # a family whose norms straddle the rank key's 12-digit rounding boundary
+    ("436/165", 9, 0.3, 939),
+    ("2.999", 7, 0.5, 58), ("12/5", 11, 0.3, 533)])
+def test_phase_dedupe_matches_per_row_loop(monkeypatch, alpha, max_len, threshold, kept):
+    params = ModelParams.from_string(alpha)
+    raw = gates._search_range(params, max_len, threshold, 2, _syllables(2))
+    ranked = sorted(raw, key=_rank_oracle)
+    want = _phase_dedupe_oracle(ranked)
+    assert len(want) == kept
+    # chunk sizes 1 and 7 put rows of one bucket in different chunks
+    for chunk in (1, 7, gates._DEDUPE_CHUNK):
+        monkeypatch.setattr(gates, "_DEDUPE_CHUNK", chunk)
+        assert gates._phase_dedupe(ranked) == want
+    # search_low_leakage ranks the same raw hits the same way
+    monkeypatch.setattr(gates, "_search_range", lambda *args: list(raw))
+    assert search_low_leakage(params, max_len, threshold) == want
+
+
+def test_import_does_not_load_multiprocessing():
+    # the process pool is imported only when a search runs with jobs > 1
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nss.cli; print(sorted(m for m in sys.modules "
+         "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("max_power", [1, 2, 3])

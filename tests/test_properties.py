@@ -1,4 +1,5 @@
-"""Property tests over random alpha: F-move identities and the integer ends.
+"""Property tests over random alpha: F-move identities and the integer ends;
+over random words: the search's rank text.
 
 Deterministic (derandomized, no example database) with fixed example counts.
 """
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from nss import (ALPHA, SIGMA, BraidWord, IntegerAlpha, ModelParams,  # noqa: E402
                  SingularParameter, bubble_pop, evaluate_word, f_matrix, r_symbol)
 from nss.anyon import _F_FAMILIES, _R_ROWS  # noqa: E402
+from nss.gates import _syllable_powers, _word_text  # noqa: E402
 
 FAMILIES_2X2 = [f for f in _F_FAMILIES if f_matrix(*f, ModelParams(2.4)).matrix.shape == (2, 2)]
 PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -57,3 +59,15 @@ def test_near_integer_alpha_raises_or_stays_finite(end, offset):
     except (IntegerAlpha, SingularParameter):
         return
     assert all(np.all(np.isfinite(v)) for v in values)
+
+
+@PROPERTY
+@given(max_power=st.integers(1, 3), length=st.integers(1, 11), data=st.data())
+def test_search_rank_text_is_the_word_text(max_power, length, data):
+    # the search ranks equal-length words by this text
+    syllables = [(t, p) for t in ("x", "b2") for p in _syllable_powers(max_power)]
+    word = st.lists(st.sampled_from(syllables), min_size=length, max_size=length).map(tuple)
+    words = data.draw(st.lists(word, min_size=2, max_size=20))
+    text = _word_text(syllables)
+    assert [text(w) for w in words] == [str(BraidWord(w)) for w in words]
+    assert sorted(words, key=text) == sorted(words, key=lambda w: str(BraidWord(w)))
