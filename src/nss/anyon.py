@@ -2,9 +2,10 @@
 
 Everything here is a pure evaluation in the real parameter alpha: fusion
 rules, the modified quantum dimension, bubble-pop coefficients, the sign
-functions s/t, R-symbols and (normalized) F-matrices.  Alpha-parameterized
-table rows apply verbatim under integer shifts of alpha; lookups outside
-the tabulated data raise, they are never extrapolated.
+functions s/t, R-symbols and (normalized) F-matrices.  B, R and F are each
+one table that every evaluator and listing reads; alpha-parameterized rows
+apply verbatim under integer shifts of alpha, and lookups outside the
+tables raise, they are never extrapolated.
 
 All q-powers mean ``q^x = exp(i pi x / 4)`` for real x.  Square roots of
 negative bubble coefficients use the principal branch (``+i sqrt|B|``).
@@ -157,6 +158,45 @@ def _guard(den, tol, what):
     # with a loose tol, which would call regular points (0.19 at 12/5) singular.
     if abs(den) < min(tol, 1e-10):
         raise SingularParameter(f"{what}: denominator ~ 0")
+    return den
+
+
+def _b_s32_down(x, ns, tol):
+    t = _guard(ns.tan(ns.pi * x / 4), tol, "B[a,s32,a-1] cot")
+    return (2 + 2 * t) / _guard(-1 + 1 / t, tol, "B[a,s32,a-1]")
+
+
+# every non-unit bubble row (a, b, c) at the base alpha, as a function of
+# (x, ns, tol) with x the value of the alpha-type label a
+_B_TABLE = {
+    (ALPHA, SIGMA, ALPHA.shifted(1)): lambda x, ns, tol: ns.one,
+    (ALPHA, SIGMA, ALPHA.shifted(-1)): lambda x, ns, tol: _sqrt2(ns) / _guard(
+        -1 + 1 / _guard(ns.tan(ns.pi * x / 4), tol, "B[a,s,a-1] cot"), tol, "B[a,s,a-1]"),
+    (ALPHA, PSI, ALPHA.shifted(2)): lambda x, ns, tol: ns.one,
+    (ALPHA, PSI, ALPHA): lambda x, ns, tol: _sqrt2(ns) * ns.cos(ns.pi * x / 2) / _guard(
+        1 - ns.sin(ns.pi * x / 2), tol, "B[a,psi,a]"),
+    (ALPHA, PSI, ALPHA.shifted(-2)):
+        lambda x, ns, tol: 2 / _guard(ns.tan(ns.pi * (x - 2) / 4), tol, "B[a,psi,a-2]"),
+    (ALPHA, S32, ALPHA.shifted(1)):
+        lambda x, ns, tol: _sqrt2(ns) / _guard(1 - ns.tan(ns.pi * x / 4), tol, "B[a,s32,a+1]"),
+    (ALPHA, S32, ALPHA.shifted(-1)): _b_s32_down,
+    (SIGMA, SIGMA, VACUUM): lambda x, ns, tol: -_sqrt2(ns),
+    (SIGMA, SIGMA, PSI): lambda x, ns, tol: ns.one,
+    (PSI, SIGMA, SIGMA): lambda x, ns, tol: -1 / _sqrt2(ns),
+    (PSI, SIGMA, S32): lambda x, ns, tol: ns.one,
+    (SIGMA, PSI, SIGMA): lambda x, ns, tol: -_sqrt2(ns),
+    (SIGMA, PSI, S32): lambda x, ns, tol: ns.one,
+}
+
+
+def _kind_index(table):
+    """``table`` keyed on kinds and the last shift: a row's first two labels
+    sit at shift 0 and hold at most one alpha-type, so a triple (u, v, w) at
+    any shift is looked up by its kinds and w.shift - u.shift - v.shift."""
+    return {(u.kind, v.kind, w.kind, w.shift): fn for (u, v, w), fn in table.items()}
+
+
+_B_INDEX = _kind_index(_B_TABLE)
 
 
 def bubble_pop(a: QLabel, b: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS):
@@ -165,61 +205,15 @@ def bubble_pop(a: QLabel, b: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS
     Real for every tabulated triple; its sign feeds the metric.  Alpha-type
     rows shift: the first label's value is the `alpha' of the table row.
     """
-    al, tol = alpha_in(params, ns), params.tol
     if b == VACUUM and a == c:
         return ns.one
     if a == VACUUM and b == c:
         return ns.one
-    if a.is_alpha and c.is_alpha:
-        x = a.value(al)
-        d = c.shift - a.shift
-        if b == SIGMA:
-            if d == 1:
-                return ns.one
-            if d == -1:
-                t = ns.tan(ns.pi * x / 4)
-                _guard(t, tol, "B[a,s,a-1] cot")
-                den = -1 + 1 / t
-                _guard(den, tol, "B[a,s,a-1]")
-                return _sqrt2(ns) / den
-        if b == PSI:
-            if d == 2:
-                return ns.one
-            if d == 0:
-                den = 1 - ns.sin(ns.pi * x / 2)
-                _guard(den, tol, "B[a,psi,a]")
-                return _sqrt2(ns) * ns.cos(ns.pi * x / 2) / den
-            if d == -2:
-                t = ns.tan(ns.pi * (x - 2) / 4)
-                _guard(t, tol, "B[a,psi,a-2]")
-                return 2 / t
-        if b == S32:
-            if d == 1:
-                den = 1 - ns.tan(ns.pi * x / 4)
-                _guard(den, tol, "B[a,s32,a+1]")
-                return _sqrt2(ns) / den
-            if d == -1:
-                t = ns.tan(ns.pi * x / 4)
-                _guard(t, tol, "B[a,s32,a-1] cot")
-                den = -1 + 1 / t
-                _guard(den, tol, "B[a,s32,a-1]")
-                return (2 + 2 * t) / den
-    if a == SIGMA and b == SIGMA:
-        if c == VACUUM:
-            return -_sqrt2(ns)
-        if c == PSI:
-            return ns.one
-    if a == PSI and b == SIGMA:
-        if c == S32:
-            return ns.one
-        if c == SIGMA:
-            return -1 / _sqrt2(ns)
-    if a == SIGMA and b == PSI:
-        if c == S32:
-            return ns.one
-        if c == SIGMA:
-            return -_sqrt2(ns)
-    raise UnsupportedTriple(f"B[{a},{b};{c}] not tabulated")
+    # a label is the tuple (kind, shift, is_alpha); see _kind_index
+    row = _B_INDEX.get((a[0], b[0], c[0], c[1] - a[1] - b[1]))
+    if row is None:
+        raise UnsupportedTriple(f"B[{a},{b};{c}] not tabulated")
+    return row(alpha_in(params, ns) + a[1], ns, params.tol)
 
 
 def _sqrt2(ns):
@@ -238,6 +232,32 @@ def computational_bubbles(params: ModelParams, ns=FLOAT_NS):
 # R-symbols
 # ---------------------------------------------------------------------------
 
+# every R row (b, a, c) at the base alpha, as a function of (x, ns, tol)
+# with x the value of its alpha-type label
+_R_TABLE = {
+    (ALPHA, PSI, ALPHA.shifted(2)): lambda x, ns, tol: q_power(3 + x, ns),
+    (PSI, ALPHA, ALPHA.shifted(2)): lambda x, ns, tol: q_power(3 + x, ns),
+    (ALPHA, SIGMA, ALPHA.shifted(1)): lambda x, ns, tol: q_power((3 + x) / 2, ns),
+    (SIGMA, ALPHA, ALPHA.shifted(1)): lambda x, ns, tol: q_power((3 + x) / 2, ns),
+    (ALPHA, PSI, ALPHA): lambda x, ns, tol: s_sign(x, tol) * q_power(1 - x, ns),
+    (PSI, ALPHA, ALPHA): lambda x, ns, tol: s_sign(x, tol) * q_power(3 + x, ns),
+    (ALPHA, SIGMA, ALPHA.shifted(-1)):
+        lambda x, ns, tol: s_sign(x, tol) * q_power(-(1 + 3 * x) / 2, ns),
+    (SIGMA, ALPHA, ALPHA.shifted(-1)):
+        lambda x, ns, tol: s_sign(x, tol) * q_power((7 + x) / 2, ns),
+    (ALPHA, PSI, ALPHA.shifted(-2)): lambda x, ns, tol: t_sign(x, tol) * q_power(1 - 3 * x, ns),
+    (PSI, ALPHA, ALPHA.shifted(-2)): lambda x, ns, tol: t_sign(x, tol) * q_power(5 + x, ns),
+    (PSI, SIGMA, S32): lambda x, ns, tol: q_power(1, ns),
+    (SIGMA, PSI, S32): lambda x, ns, tol: q_power(1, ns),
+    (PSI, SIGMA, SIGMA): lambda x, ns, tol: q_power(1, ns),
+    (SIGMA, PSI, SIGMA): lambda x, ns, tol: q_power(3, ns),
+    (SIGMA, SIGMA, PSI): lambda x, ns, tol: q_power(0.5, ns),
+    (SIGMA, SIGMA, VACUUM): lambda x, ns, tol: q_power(2.5, ns),
+}
+
+_R_INDEX = _kind_index(_R_TABLE)
+
+
 def r_symbol(b: QLabel, a: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS):
     """R^{ba}_c: the phase exchanging a pair split from channel c.
 
@@ -245,62 +265,13 @@ def r_symbol(b: QLabel, a: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS):
     yields R^{ba}_c times the state split as (b, a).  Unit modulus for every
     tabulated row; rows with an alpha-type label shift with it.
     """
-    al = alpha_in(params, ns)
-    qp = lambda x: q_power(x, ns)
     if b == VACUUM or a == VACUUM:
         return ns.one + 0 * ns.i
-    if b.is_alpha and a == PSI:
-        x, d = b.value(al), c.shift - b.shift
-        if d == 2:
-            return qp(3 + x)
-        if d == 0:
-            return s_sign(x, params.tol) * qp(1 - x)
-        if d == -2:
-            return t_sign(x, params.tol) * qp(1 - 3 * x)
-    if b == PSI and a.is_alpha:
-        x, d = a.value(al), c.shift - a.shift
-        if d == 2:
-            return qp(3 + x)
-        if d == 0:
-            return s_sign(x, params.tol) * qp(3 + x)
-        if d == -2:
-            return t_sign(x, params.tol) * qp(5 + x)
-    if b.is_alpha and a == SIGMA:
-        x, d = b.value(al), c.shift - b.shift
-        if d == 1:
-            return qp((3 + x) / 2)
-        if d == -1:
-            return s_sign(x, params.tol) * qp(-(1 + 3 * x) / 2)
-    if b == SIGMA and a.is_alpha:
-        x, d = a.value(al), c.shift - a.shift
-        if d == 1:
-            return qp((3 + x) / 2)
-        if d == -1:
-            return s_sign(x, params.tol) * qp((7 + x) / 2)
-    if {b, a} == {PSI, SIGMA}:
-        if c == S32:
-            return qp(1)
-        if c == SIGMA:
-            return qp(1) if b == PSI else qp(3)
-    if b == SIGMA and a == SIGMA:
-        if c == PSI:
-            return qp(0.5)
-        if c == VACUUM:
-            return qp(2.5)
-    raise UnsupportedTriple(f"R[{b},{a};{c}] not tabulated")
-
-
-# every tabulated R row as (b, a, c), at the base alpha
-_R_ROWS = (
-    (ALPHA, PSI, ALPHA.shifted(2)), (PSI, ALPHA, ALPHA.shifted(2)),
-    (ALPHA, SIGMA, ALPHA.shifted(1)), (SIGMA, ALPHA, ALPHA.shifted(1)),
-    (ALPHA, PSI, ALPHA), (PSI, ALPHA, ALPHA),
-    (ALPHA, SIGMA, ALPHA.shifted(-1)), (SIGMA, ALPHA, ALPHA.shifted(-1)),
-    (ALPHA, PSI, ALPHA.shifted(-2)), (PSI, ALPHA, ALPHA.shifted(-2)),
-    (PSI, SIGMA, S32), (SIGMA, PSI, S32),
-    (PSI, SIGMA, SIGMA), (SIGMA, PSI, SIGMA),
-    (SIGMA, SIGMA, PSI), (SIGMA, SIGMA, VACUUM),
-)
+    # a label is the tuple (kind, shift, is_alpha); see _kind_index
+    row = _R_INDEX.get((b[0], a[0], c[0], c[1] - b[1] - a[1]))
+    if row is None:
+        raise UnsupportedTriple(f"R[{b},{a};{c}] not tabulated")
+    return row(alpha_in(params, ns) + (b[1] + a[1]), ns, params.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +311,34 @@ def _inv_small(m: np.ndarray) -> np.ndarray:
     raise ValueError("only 1x1 and 2x2 blocks occur in the tabulated data")
 
 
+# every F family (b, c, d - a) for alpha-type a and d, as its rows, its
+# columns' shifts from a, its denominator's name (None: no denominator) and
+# its formula (x, Q = q^2x, q2 = q^2, ns) -> (denominator, unnormalized rows)
+_F_TABLE = {
+    (SIGMA, SIGMA, 0): ((VACUUM, PSI), (1, -1), "Ftilde[a,s,s;a]", lambda x, Q, q2, ns: (
+        _sqrt2(ns) * (Q - 1),
+        [[q_power(1, ns) * (Q + q2), -(Q - 1)], [Q - q2, q_power(1, ns) * (Q - 1)]])),
+    (SIGMA, SIGMA, 2): ((PSI,), (1,), None, lambda x, Q, q2, ns: (None, [[ns.one + 0 * ns.i]])),
+    (SIGMA, SIGMA, -2): ((PSI,), (-1,), None, lambda x, Q, q2, ns: (
+        None, [[(1.0 if ns.sin(ns.pi * x / 2) > 0 else -1.0) + 0 * ns.i]])),
+    (PSI, SIGMA, 1): ((SIGMA, S32), (0, 2), "Ftilde[a,psi,s;a+1]", lambda x, Q, q2, ns: (
+        Q + q2,
+        [[(q2 - 1) * (Q + q2), (q2 + 1) * (Q + 1)], [(q2 + 1) * (Q + q2), Q - q2]])),
+    (PSI, SIGMA, -1): ((SIGMA, S32), (0, -2), "Ftilde[a,psi,s;a-1]", lambda x, Q, q2, ns: (
+        Q - q2,
+        [[(q2 + 1) * (Q + q2), -2 * (Q - q2)], [Q + 1, q2 * (Q - q2)]])),
+    (SIGMA, PSI, 1): ((SIGMA, S32), (1, -1), "Ftilde[a,s,psi]", lambda x, Q, q2, ns: (
+        Q - 1,
+        [[q2 * (Q + 1), -q_power(1, ns) * (Q - 1)], [_sqrt2(ns) * (Q - q2), q2 * (Q - 1)]])),
+    (SIGMA, PSI, -1): ((SIGMA, S32), (1, -1), "Ftilde[a,s,psi]", lambda x, Q, q2, ns: (
+        Q - 1,
+        [[q_power(1, ns) * (q2 + 1) * (Q + q2), -(Q - 1)], [Q + 1, q_power(1, ns) * (Q - 1)]])),
+}
+
+# every tabulated F family as (a, b, c, d), at the base alpha
+_F_FAMILIES = tuple((ALPHA, b, c, ALPHA.shifted(dd)) for b, c, dd in _F_TABLE)
+
+
 def f_channels(a: QLabel, b: QLabel, c: QLabel, d: QLabel):
     """(rows, cols) of F[a,b,c;d], or None when the family is not tabulated.
 
@@ -352,18 +351,10 @@ def f_channels(a: QLabel, b: QLabel, c: QLabel, d: QLabel):
         return (b,), (d,)
     if a == VACUUM:
         return (d,), (b,)
-    if not (a.is_alpha and d.is_alpha):
+    family = _F_TABLE.get((b, c, d.shift - a.shift)) if a.is_alpha and d.is_alpha else None
+    if family is None:
         return None
-    A, k, dd = ALPHA.shifted, a.shift, d.shift - a.shift
-    if (b, c) == (SIGMA, SIGMA) and dd in (-2, 2):
-        return (PSI,), (A(k + dd // 2),)
-    if (b, c) == (SIGMA, SIGMA) and dd == 0:
-        return (VACUUM, PSI), (A(k + 1), A(k - 1))
-    if (b, c) == (PSI, SIGMA) and dd in (-1, 1):
-        return (SIGMA, S32), (A(k), A(k + 2 * dd))
-    if (b, c) == (SIGMA, PSI) and dd in (-1, 1):
-        return (SIGMA, S32), (A(k + 1), A(k - 1))
-    return None
+    return family[0], tuple(a.shifted(k) for k in family[1])
 
 
 def _ftilde(a: QLabel, b: QLabel, c: QLabel, d: QLabel, params: ModelParams, ns):
@@ -371,55 +362,20 @@ def _ftilde(a: QLabel, b: QLabel, c: QLabel, d: QLabel, params: ModelParams, ns)
     channels = f_channels(a, b, c, d)
     if channels is None or VACUUM in (a, b, c):
         raise UnsupportedFamily(f"F[{a},{b},{c};{d}] not tabulated")
-    al, tol = alpha_in(params, ns), params.tol
-    x = a.value(al)
-    dd = d.shift - a.shift
-    qp = lambda v: q_power(v, ns)
-    Q = qp(2 * x)
-    q2 = qp(2)
-
-    def arr(rows):
-        return np.array(rows, dtype=ns.dtype)
-
-    if (b, c) == (SIGMA, SIGMA):
-        if dd == 2:
-            mat = arr([[ns.one + 0 * ns.i]])
-        elif dd == -2:
-            mat = arr([[(1.0 if ns.sin(ns.pi * x / 2) > 0 else -1.0) + 0 * ns.i]])
-        else:
-            den = _sqrt2(ns) * (Q - 1)
-            _guard(den, tol, "Ftilde[a,s,s;a]")
-            mat = arr([[qp(1) * (Q + q2), -(Q - 1)],
-                       [Q - q2, qp(1) * (Q - 1)]]) / den
-    elif (b, c) == (PSI, SIGMA):
-        if dd == 1:
-            den = Q + q2
-            _guard(den, tol, "Ftilde[a,psi,s;a+1]")
-            mat = arr([[(q2 - 1) * (Q + q2), (q2 + 1) * (Q + 1)],
-                       [(q2 + 1) * (Q + q2), Q - q2]]) / den
-        else:
-            den = Q - q2
-            _guard(den, tol, "Ftilde[a,psi,s;a-1]")
-            mat = arr([[(q2 + 1) * (Q + q2), -2 * (Q - q2)],
-                       [Q + 1, q2 * (Q - q2)]]) / den
-    else:
-        den = Q - 1
-        _guard(den, tol, "Ftilde[a,s,psi]")
-        if dd == 1:
-            mat = arr([[q2 * (Q + 1), -qp(1) * (Q - 1)],
-                       [_sqrt2(ns) * (Q - q2), q2 * (Q - 1)]]) / den
-        else:
-            mat = arr([[qp(1) * (q2 + 1) * (Q + q2), -(Q - 1)],
-                       [Q + 1, qp(1) * (Q - 1)]]) / den
+    _, _, what, formula = _F_TABLE[b, c, d.shift - a.shift]
+    x = a.value(alpha_in(params, ns))
+    den, rows = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
+    mat = np.array(rows, dtype=ns.dtype)
+    if what is not None:
+        mat = mat / _guard(den, params.tol, what)
     return (mat,) + channels
 
 
 def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
              params: ModelParams, ns=FLOAT_NS) -> FBlock:
-    """Normalized F-matrix for the tabulated families (plus vacuum-leg units).
+    """Normalized F-matrix for the :data:`_F_TABLE` families (plus vacuum-leg units).
 
-    Tabulated: (x, s, s; x), (x, s, s; x+-2), (x, psi, s; x+-1) and
-    (x, s, psi; x+-1) for any alpha-type x.  Normalization multiplies each
+    Each family holds for any alpha-type a.  Normalization multiplies each
     entry by sqrt(B^{a n}_d) sqrt(B^{b c}_n) / (sqrt(B^{m c}_d) sqrt(B^{a b}_m))
     with principal square roots; only then are the matrices pseudo-unitary.
     A vacuum in any slot gives the unit coefficient 1.
@@ -428,7 +384,7 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
         return FBlock(np.array([[ns.one + 0 * ns.i]], dtype=ns.dtype),
                       *f_channels(a, b, c, d))
     ft, rows, cols = _ftilde(a, b, c, d, params, ns)
-    if (b, c) == (SIGMA, SIGMA) and d.shift != a.shift:
+    if ft.shape == (1, 1):
         return FBlock(ft, rows, cols)  # the one-dimensional data are already normalized
     # each row's numerator and column's denominator once, in the order a
     # per-entry loop first evaluates them (so a guard raises the same error)
@@ -442,15 +398,6 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
     out = np.array([[nu / de * f for de, f in zip(dens, row)] for nu, row in zip(nums, ft)],
                    dtype=ns.dtype)
     return FBlock(out, rows, cols)
-
-
-# every tabulated F family as (a, b, c, d), at the base alpha
-_F_FAMILIES = (
-    (ALPHA, SIGMA, SIGMA, ALPHA), (ALPHA, SIGMA, SIGMA, ALPHA.shifted(2)),
-    (ALPHA, SIGMA, SIGMA, ALPHA.shifted(-2)),
-    (ALPHA, PSI, SIGMA, ALPHA.shifted(1)), (ALPHA, PSI, SIGMA, ALPHA.shifted(-1)),
-    (ALPHA, SIGMA, PSI, ALPHA.shifted(1)), (ALPHA, SIGMA, PSI, ALPHA.shifted(-1)),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +416,9 @@ class PentagonReport:
             self.skip_reasons = {}
 
 
-def pentagon_sweep(params: ModelParams, shifts=(-1, 0, 1)) -> PentagonReport:
-    """Check every pentagon instance whose five F-symbols are all tabulated.
+def pentagon_sweep(params: ModelParams) -> PentagonReport:
+    """Check every pentagon instance whose five F-symbols are all tabulated,
+    with the first label alpha-1, alpha, alpha+1 or a non-alpha type.
 
     Instances requiring unlisted symbols (anything with an S3/2 or P2 leg, or
     a non-alpha first slot such as F[s,s,s]) are skipped and counted, with
@@ -483,7 +431,7 @@ def pentagon_sweep(params: ModelParams, shifts=(-1, 0, 1)) -> PentagonReport:
             = sum_t F[a,b,c;m]_{t p} * F[a,t,d;e]_{r m} * F[b,c,d;r]_{l t}
     """
     rep = PentagonReport()
-    pool_a = [ALPHA.shifted(s) for s in shifts] + [VACUUM, SIGMA, PSI]
+    pool_a = [ALPHA.shifted(s) for s in (-1, 0, 1)] + [VACUUM, SIGMA, PSI]
     pool_bcd = [VACUUM, SIGMA, PSI]
 
     # each symbol, fusion and skip-reason key once per sweep
@@ -560,18 +508,9 @@ def model_dump(params: ModelParams) -> dict:
         "R": {},
         "F": {},
     }
-    a = ALPHA
-    bubbles = [
-        (a, VACUUM, a), (a, SIGMA, a.shifted(1)), (a, SIGMA, a.shifted(-1)),
-        (a, PSI, a.shifted(2)), (a, PSI, a), (a, PSI, a.shifted(-2)),
-        (a, S32, a.shifted(1)), (a, S32, a.shifted(-1)),
-        (SIGMA, SIGMA, VACUUM), (SIGMA, SIGMA, PSI),
-        (PSI, SIGMA, SIGMA), (PSI, SIGMA, S32),
-        (SIGMA, PSI, SIGMA), (SIGMA, PSI, S32),
-    ]
-    for (x, y, z) in bubbles:
+    for (x, y, z) in ((ALPHA, VACUUM, ALPHA),) + tuple(_B_TABLE):
         out["B"][f"B[{x},{y};{z}]"] = bubble_pop(x, y, z, params)
-    for (x, y, z) in _R_ROWS:
+    for (x, y, z) in _R_TABLE:
         out["R"][f"R[{x},{y};{z}]"] = r_symbol(x, y, z, params)
     for fam in _F_FAMILIES:
         blk = f_matrix(*fam, params)

@@ -262,16 +262,16 @@ class BraidMatrix:
         return pseudo_unitarity_defect(self.matrix, self.space)
 
 
-def generator_matrix(space: IndefSpace, gen, power: int = 1,
+def generator_matrix(space: IndefSpace, tok: str, power: int = 1,
                      global_phase: Optional[complex] = None,
                      ns=FLOAT_NS) -> BraidMatrix:
-    """Matrix of a single generator power on the given basis.
+    """Matrix of a single generator power (token ``x``, ``h1`` or ``b{i}``)
+    on the given basis.
 
     Raises LeakyPermutation when the letter at that power permutes the leaf
     labeling, so the basis is not preserved.  No phase is applied unless the
     caller passes one; it is recorded on the result.
     """
-    tok = ("x" if gen == 1 else f"b{gen}") if isinstance(gen, int) else str(gen).lower()
     word = BraidWord(((tok, power),))
     if word.permuted_leaves(space.leaves) != space.leaves:
         raise LeakyPermutation(f"{tok}^{power} does not preserve {space.leaves}")

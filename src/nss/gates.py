@@ -20,7 +20,7 @@ import numpy as np
 
 from .anyon import FLOAT_NS, _inv_small, mp_namespace
 from .braids import (BraidMatrix, BraidWord, block_decompose, evaluate_word,
-                     letter_matrix)
+                     evaluate_word_open)
 from .errors import NotBlockDiagonal, PrecisionExhausted
 from .labels import ALPHA, PSI, SIGMA, VACUUM, ModelParams
 from .spaces import IndefSpace, control_basis_transform
@@ -30,6 +30,9 @@ VAC_LEAVES = (ALPHA, VACUUM, SIGMA, SIGMA)
 
 W_WORD = BraidWord.parse("b2^2 x b2^2 x b2^-2")
 D_WORD = BraidWord.parse("x^2")
+
+# largest relative fifth-power-law defect a recursion step may show
+_LAW_TOL = 1e-3
 
 # canonical representative of the word family found by the exhaustive search
 # at <= 11 syllables whose leakage norms are ~0.2859 and ~0.2848 (the only
@@ -194,14 +197,13 @@ def _rel_defect(measured: float, predicted: float) -> float:
 
 
 def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
-                      extended: bool = False, dps: int = 120,
-                      law_tol: float = 1e-3) -> list[LeakageReport]:
+                      extended: bool = False, dps: int = 120) -> list[LeakageReport]:
     """Iterate the recursion k times starting from the given braid word.
 
     Returns reports for iterations 0..k.  ``extended`` switches the whole
     evaluation to mpmath arbitrary precision, needed when an off-diagonal
     falls below the double-precision cancellation floor (~1e-16); without
-    it, a fifth-power-law violation beyond ``law_tol`` raises
+    it, a fifth-power-law violation beyond ``_LAW_TOL`` raises
     PrecisionExhausted.
     """
     if k > 4 and not extended:
@@ -225,7 +227,7 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
             if step > 0:
                 ld2 = float(_rel_defect(mags[0], prev_mags[0] ** 5))
                 ld11 = float(_rel_defect(mags[1], prev_mags[1] ** 5))
-                if max(ld2, ld11) > law_tol:
+                if max(ld2, ld11) > _LAW_TOL:
                     raise PrecisionExhausted(
                         f"fifth-power law defect {max(ld2, ld11):.2e} at k={step}; "
                         + ("rerun with a larger dps" if extended
@@ -265,15 +267,10 @@ def _letter_pool(params: ModelParams, max_power: int):
     pool = {}
     for si, leaves in enumerate(arrangements):
         for tok in ("x", "b2"):
-            for p in range(1, max_power + 1):
-                for sgn in (1, -1):
-                    m = None
-                    cur = leaves
-                    for _ in range(p):
-                        lm, cur = letter_matrix(params, cur, tok, sgn)
-                        m = lm if m is None else lm @ m
-                    entries = tuple(complex(z) for z in _blocks(m).ravel())
-                    pool[(si, tok, sgn * p)] = (entries, arrangements.index(cur))
+            for p in _syllable_powers(max_power):
+                m, cur = evaluate_word_open(params, leaves, BraidWord(((tok, p),)))
+                entries = tuple(complex(z) for z in _blocks(m).ravel())
+                pool[(si, tok, p)] = (entries, arrangements.index(cur))
     return pool
 
 

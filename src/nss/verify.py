@@ -208,7 +208,7 @@ def _chk_r_unit_modulus(params, rng):
     worst = 0.0
     for al in _sample_alphas(rng, 100):
         p = ModelParams(float(al), params.tol)
-        for (b, a, c) in anyon._R_ROWS:
+        for (b, a, c) in anyon._R_TABLE:
             worst = max(worst, abs(abs(r_symbol(b, a, c, p)) - 1.0))
     return _result("r-unit-modulus", worst, params.tol, "all table rows at 100 alphas")
 

@@ -1,5 +1,6 @@
 """Tabulated-data tests: fusion, dimensions, bubbles, signs, R and F."""
 import cmath
+import itertools
 import math
 
 import mpmath as mp
@@ -11,8 +12,8 @@ from nss import (ALPHA, P2, PSI, S32, SIGMA, VACUUM, IntegerAlpha, ModelParams,
                  bubble_pop, f_matrix, fuse, modified_dimension,
                  pentagon_sweep, q_power, r_symbol, s_sign, t_sign)
 from nss import anyon
-from nss.anyon import (_F_FAMILIES, FLOAT_NS, _ftilde, computational_bubbles,
-                       mp_namespace)
+from nss.anyon import (_B_TABLE, _F_FAMILIES, _R_TABLE, FLOAT_NS, _ftilde,
+                       computational_bubbles, f_channels, mp_namespace)
 from nss.errors import ModelError
 
 RNG = np.random.default_rng(7)
@@ -174,16 +175,9 @@ def test_r_symbol_examples():
 
 
 def test_r_symbol_unit_modulus():
-    rows = [(ALPHA, PSI, ALPHA.shifted(2)), (PSI, ALPHA, ALPHA.shifted(2)),
-            (ALPHA, SIGMA, ALPHA.shifted(1)), (SIGMA, ALPHA, ALPHA.shifted(1)),
-            (ALPHA, PSI, ALPHA), (PSI, ALPHA, ALPHA),
-            (ALPHA, SIGMA, ALPHA.shifted(-1)), (SIGMA, ALPHA, ALPHA.shifted(-1)),
-            (ALPHA, PSI, ALPHA.shifted(-2)), (PSI, ALPHA, ALPHA.shifted(-2)),
-            (PSI, SIGMA, S32), (SIGMA, PSI, S32), (PSI, SIGMA, SIGMA),
-            (SIGMA, PSI, SIGMA), (SIGMA, SIGMA, PSI), (SIGMA, SIGMA, VACUUM)]
     for al in sample_alphas(100):
         p = ModelParams(float(al))
-        for b, a, c in rows:
+        for b, a, c in _R_TABLE:
             assert abs(abs(r_symbol(b, a, c, p)) - 1) < 1e-12
 
 
@@ -191,6 +185,60 @@ def test_r_symbol_unsupported():
     p = ModelParams(2.4)
     with pytest.raises(UnsupportedTriple):
         r_symbol(SIGMA, SIGMA, SIGMA, p)
+
+
+# ---------------------------------------------------------------------------
+# lookups read the tables and nothing else
+# ---------------------------------------------------------------------------
+
+LABEL_GRID = [VACUUM, SIGMA, PSI, S32, P2] + [ALPHA.shifted(k) for k in range(-3, 4)]
+GRID_SHIFTS = range(-6, 7)
+
+
+def _at_shift(labels, k):
+    """The labels with every alpha-type one shifted by k."""
+    return tuple(x.shifted(k) if x.is_alpha else x for x in labels)
+
+
+def _check_table_only(fn, table, is_unit):
+    """fn gives a value exactly on a unit triple or a table row at any shift;
+    a row shifted by k gives its value at alpha + k.  Every other triple of
+    the label grid raises UnsupportedTriple."""
+    p = ModelParams(2.4)
+    rows = {_at_shift(row, k): (row, k) for row in table for k in GRID_SHIFTS}
+    for triple in itertools.product(LABEL_GRID, repeat=3):
+        if triple in rows:
+            row, k = rows[triple]
+            assert fn(*triple, p) == fn(*row, ModelParams(2.4 + k))
+        elif is_unit(*triple):
+            fn(*triple, p)
+        else:
+            with pytest.raises(UnsupportedTriple):
+                fn(*triple, p)
+
+
+def test_r_symbol_is_the_vacuum_rule_plus_the_table():
+    _check_table_only(r_symbol, _R_TABLE, lambda b, a, c: VACUUM in (b, a))
+
+
+def test_bubble_pop_is_the_unit_rules_plus_the_table():
+    _check_table_only(bubble_pop, _B_TABLE,
+                      lambda a, b, c: (b == VACUUM and a == c) or (a == VACUUM and b == c))
+
+
+def test_f_channels_are_the_vacuum_legs_plus_the_table():
+    families = {_at_shift(fam, k): k for fam in _F_FAMILIES for k in GRID_SHIFTS}
+    base = {fam: f_channels(*fam) for fam in _F_FAMILIES}
+    for a, b, c, d in itertools.product(LABEL_GRID, repeat=4):
+        got = f_channels(a, b, c, d)
+        if VACUUM in (a, b, c):
+            assert got is not None
+        elif (a, b, c, d) in families:
+            k = families[a, b, c, d]
+            rows, cols = base[_at_shift((a, b, c, d), -k)]
+            assert got == (rows, _at_shift(cols, k))
+        else:
+            assert got is None
 
 
 # ---------------------------------------------------------------------------

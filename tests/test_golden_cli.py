@@ -3,7 +3,9 @@
 The files under tests/golden/ hold each command's stdout byte for byte.
 ``search`` runs serially here; its output equals ``--jobs 4`` (CI diffs
 the parallel run against the same file).  ``verify_near2`` pins the
-verify defects at a second input, 0.01 from the integer end.
+verify defects at a second input, 0.01 from the integer end;
+``model_11_2`` pins the model where s, t and F[a,s,s;a-2] take the other
+sign from 12/5.
 """
 import contextlib
 import io
@@ -26,7 +28,8 @@ README_COMMANDS = {
     "verify": ["verify", "--alpha", "2.4", "--seed", "0"],
 }
 GOLDEN_COMMANDS = {**README_COMMANDS,
-                   "verify_near2": ["verify", "--alpha", "2.01", "--seed", "7"]}
+                   "verify_near2": ["verify", "--alpha", "2.01", "--seed", "7"],
+                   "model_11_2": ["model", "--alpha", "11/2"]}
 
 
 def run_cli(args):

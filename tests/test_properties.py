@@ -1,10 +1,11 @@
-"""Property tests over random alpha: F-move identities and the integer ends;
-over random words: the search's rank text.
+"""Property tests over random alpha: F-move identities, the integer ends and
+double against mpmath precision; over random words: the search's rank text.
 
 Deterministic (derandomized, no example database) with fixed example counts.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nss import (ALPHA, SIGMA, BraidWord, IntegerAlpha, ModelParams,  # noqa: E402
                  SingularParameter, bubble_pop, evaluate_word, f_matrix, r_symbol)
-from nss.anyon import _F_FAMILIES, _R_ROWS  # noqa: E402
+from nss.anyon import _B_TABLE, _F_FAMILIES, _R_TABLE, mp_namespace  # noqa: E402
 from nss.gates import _syllable_powers, _word_text  # noqa: E402
 
 FAMILIES_2X2 = [f for f in _F_FAMILIES if f_matrix(*f, ModelParams(2.4)).matrix.shape == (2, 2)]
@@ -54,11 +55,27 @@ def test_near_integer_alpha_raises_or_stays_finite(end, offset):
     try:
         p = ModelParams(end + offset)
         values = [f_matrix(*fam, p).matrix for fam in _F_FAMILIES]
-        values.append(np.array([r_symbol(*row, p) for row in _R_ROWS]))
+        values.append(np.array([r_symbol(*row, p) for row in _R_TABLE]))
         values.append(evaluate_word(p, (ALPHA, SIGMA, SIGMA), BraidWord.parse("x b2 x^-1 b2^2")))
     except (IntegerAlpha, SingularParameter):
         return
     assert all(np.all(np.isfinite(v)) for v in values)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(alpha=alphas)
+def test_float_symbols_match_mpmath(alpha):
+    # every table row in double precision against mpmath at 50 digits; the
+    # F rows lose most (~1e-11) near the ends of (2, 3)
+    p = ModelParams(alpha)
+    with mpmath.workdps(50):
+        ns = mp_namespace()
+        pairs = [(bubble_pop(*row, p), bubble_pop(*row, p, ns)) for row in _B_TABLE]
+        pairs += [(r_symbol(*row, p), r_symbol(*row, p, ns)) for row in _R_TABLE]
+        for fam in _F_FAMILIES:
+            pairs += zip(f_matrix(*fam, p).matrix.flat, f_matrix(*fam, p, ns).matrix.flat)
+        for fl, exact in pairs:
+            assert abs(fl - complex(exact)) <= 1e-10 * max(1.0, abs(exact))
 
 
 @PROPERTY
