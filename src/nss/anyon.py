@@ -265,7 +265,7 @@ def r_symbol(b: QLabel, a: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS):
     yields R^{ba}_c times the state split as (b, a).  Unit modulus for every
     tabulated row; rows with an alpha-type label shift with it.
     """
-    if b == VACUUM or a == VACUUM:
+    if (b == VACUUM and a == c) or (a == VACUUM and b == c):
         return ns.one + 0 * ns.i
     # a label is the tuple (kind, shift, is_alpha); see _kind_index
     row = _R_INDEX.get((b[0], a[0], c[0], c[1] - b[1] - a[1]))
@@ -289,6 +289,7 @@ class FBlock:
     matrix: np.ndarray
     rows: tuple[QLabel, ...]
     cols: tuple[QLabel, ...]
+    norms: tuple = ()  # 2x2: (row numerators, column denominators) of f_matrix
 
     def entry(self, n: QLabel, m: QLabel):
         """Coefficient for channel pair (n, m); 0 when a channel is inadmissible."""
@@ -339,18 +340,27 @@ _F_TABLE = {
 _F_FAMILIES = tuple((ALPHA, b, c, ALPHA.shifted(dd)) for b, c, dd in _F_TABLE)
 
 
+def _admits(x: QLabel, y: QLabel, d: QLabel) -> bool:
+    """False only when the fusion table lists x x y and d is not an outcome."""
+    outcomes = _outcomes(x, y)
+    return not outcomes or d in outcomes
+
+
 def f_channels(a: QLabel, b: QLabel, c: QLabel, d: QLabel):
     """(rows, cols) of F[a,b,c;d], or None when the family is not tabulated.
+
+    A vacuum leg gives a unit block unless the fusion table excludes d from
+    the other two legs' product (F[a,1,s;psi] is None: a x s has no psi).
 
     The channels do not depend on alpha, so letter plans read them without
     evaluating a symbol; :func:`f_matrix` returns its blocks in this order.
     """
     if b == VACUUM:
-        return (c,), (a,)
+        return ((c,), (a,)) if _admits(a, c, d) else None
     if c == VACUUM:
-        return (b,), (d,)
+        return ((b,), (d,)) if _admits(a, b, d) else None
     if a == VACUUM:
-        return (d,), (b,)
+        return ((d,), (b,)) if _admits(b, c, d) else None
     family = _F_TABLE.get((b, c, d.shift - a.shift)) if a.is_alpha and d.is_alpha else None
     if family is None:
         return None
@@ -378,11 +388,11 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
     Each family holds for any alpha-type a.  Normalization multiplies each
     entry by sqrt(B^{a n}_d) sqrt(B^{b c}_n) / (sqrt(B^{m c}_d) sqrt(B^{a b}_m))
     with principal square roots; only then are the matrices pseudo-unitary.
-    A vacuum in any slot gives the unit coefficient 1.
+    A vacuum leg gives the unit coefficient 1 (see :func:`f_channels`).
     """
-    if VACUUM in (a, b, c):
-        return FBlock(np.array([[ns.one + 0 * ns.i]], dtype=ns.dtype),
-                      *f_channels(a, b, c, d))
+    channels = VACUUM in (a, b, c) and f_channels(a, b, c, d)
+    if channels:  # an admitted vacuum leg; _ftilde raises for the others
+        return FBlock(np.array([[ns.one + 0 * ns.i]], dtype=ns.dtype), *channels)
     ft, rows, cols = _ftilde(a, b, c, d, params, ns)
     if ft.shape == (1, 1):
         return FBlock(ft, rows, cols)  # the one-dimensional data are already normalized
@@ -397,7 +407,7 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
     nums = [first] + [num(n) for n in rows[1:]]
     out = np.array([[nu / de * f for de, f in zip(dens, row)] for nu, row in zip(nums, ft)],
                    dtype=ns.dtype)
-    return FBlock(out, rows, cols)
+    return FBlock(out, rows, cols, (tuple(nums), tuple(dens)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +424,10 @@ class PentagonReport:
     def __post_init__(self):
         if self.skip_reasons is None:
             self.skip_reasons = {}
+
+
+# a vacuum-leg family the fusion rules exclude: no channels, every entry 0
+_EMPTY = FBlock(np.zeros((0, 0)), (), ())
 
 
 def pentagon_sweep(params: ModelParams) -> PentagonReport:
@@ -441,7 +455,10 @@ def pentagon_sweep(params: ModelParams) -> PentagonReport:
 
     def get(*fam):
         if fam not in blocks:
-            blocks[fam] = f_matrix(*fam, params) if f_channels(*fam) else None
+            if f_channels(*fam):
+                blocks[fam] = f_matrix(*fam, params)
+            else:
+                blocks[fam] = _EMPTY if VACUUM in fam[:3] else None
         return blocks[fam]
 
     def outcomes(a, b):

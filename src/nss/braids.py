@@ -367,30 +367,6 @@ class OrderResult:
     scalar: Optional[complex] = None
 
 
-_ORDER_CHUNK = 256  # powers tested together with array operations
-
-
-def _power_tests(m: np.ndarray, max_n: int, tol: float):
-    """(k0, defect, lam, unit scalar?, identity?) arrays for M^k, k = k0, k0+1, ...
-
-    The powers come from the sequential product acc @ m, written in place by
-    ndarray.dot (the same BLAS call, bit for bit); the tests run a chunk of
-    powers at a time.
-    """
-    n = m.shape[0]
-    acc = np.eye(n, dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for k0 in range(1, max_n + 1, _ORDER_CHUNK):
-        powers = np.empty((min(_ORDER_CHUNK, max_n + 1 - k0), n, n), dtype=complex)
-        for power in powers:
-            acc = acc.dot(m, out=power)
-        lam = np.trace(powers, axis1=1, axis2=2) / n
-        defect = np.max(np.abs(powers - lam[:, None, None] * eye), axis=(1, 2))
-        unit_scalar = (defect < tol) & (np.abs(np.abs(lam) - 1) < tol)
-        identity = np.max(np.abs(powers - eye), axis=(1, 2)) < tol
-        yield k0, defect, lam, unit_scalar, identity
-
-
 def matrix_order(matrix, max_n: int, tol: float = 1e-10) -> OrderResult:
     """Least k <= max_n with M^k a unit scalar (projective) or identity (strict).
 
@@ -399,28 +375,22 @@ def matrix_order(matrix, max_n: int, tol: float = 1e-10) -> OrderResult:
     """
     m = np.asarray(matrix, dtype=complex)
     n = m.shape[0]
-    projective = strict = None
+    acc = eye = np.eye(n, dtype=complex)
+    projective = strict = scalar = None
     best_defect = math.inf
-    scalar = None
-    for k0, defect, lam, unit_scalar, identity in _power_tests(m, max_n, tol):
-        last = k0 + len(defect) - 1
-        if not ((projective is None and unit_scalar.any())
-                or (strict is None and identity.any())
-                or (projective is not None and last >= projective * n * 8)):
-            # no exit in this chunk; fmin skips a NaN defect as min() does
-            best_defect = float(np.fmin(best_defect, np.fmin.reduce(defect)))
-            continue
-        for k, d, lm, unit, ident in zip(range(k0, last + 1), defect.tolist(), lam.tolist(),
-                                         unit_scalar.tolist(), identity.tolist()):
-            best_defect = min(best_defect, d)
-            if projective is None and unit:
-                projective = k
-                scalar = lm
-            if strict is None and ident:
-                strict = k
-            # strict order, when finite, divides a small multiple of projective
-            if projective is not None and (strict is not None or k >= projective * n * 8):
-                return OrderResult(projective, strict, max_n, best_defect, scalar)
+    for k in range(1, max_n + 1):
+        acc = acc @ m
+        lam = np.trace(acc) / n
+        defect = float(np.max(np.abs(acc - lam * eye)))
+        best_defect = min(best_defect, defect)
+        if projective is None and defect < tol and abs(abs(lam) - 1) < tol:
+            projective = k
+            scalar = complex(lam)
+        if strict is None and float(np.max(np.abs(acc - eye))) < tol:
+            strict = k
+        # strict order, when finite, divides a small multiple of projective
+        if projective is not None and (strict is not None or k >= projective * n * 8):
+            break
     return OrderResult(projective, strict, max_n, best_defect, scalar)
 
 

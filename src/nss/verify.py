@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import anyon, braids, gates
-from .anyon import (bubble_pop, f_matrix, pentagon_sweep, r_symbol,
-                    s_sign, t_sign)
+from .anyon import f_matrix, pentagon_sweep, r_symbol, s_sign, t_sign
 from .braids import (BraidWord, evaluate_word, matrix_order,
                      pseudo_unitarity_defect, two_qubit_block_form,
                      wrap_closed_form, exchange_closed_form,
@@ -123,16 +122,27 @@ def _chk_infinite_order_word(params, rng):
     space = qubit_space(p, 1)
     x = braids.generator_matrix(space, "x", 1, SPECIAL_UNITARY_PHASES["x"]).matrix
     b = braids.generator_matrix(space, "b2", 1, SPECIAL_UNITARY_PHASES["b2"]).matrix
-    m = b @ x @ b @ b
-    res = matrix_order(m, 10_000, 1e-8)
-    tr = complex(np.trace(m))
-    roots = (math.sqrt(3 - math.sqrt(5)), math.sqrt(3 + math.sqrt(5)))
-    match = min(abs(abs(tr) - r) for r in roots)
-    ok = res.projective is None and match < 1e-9
-    detail = (f"no projective order <= 1e4; |trace| = {abs(tr):.12f} matches "
-              f"quartic root {min(roots, key=lambda r: abs(abs(tr) - r)):.12f}")
-    return CheckResult("infinite-order-word", "pass" if ok else "fail",
-                       res.defect if res.projective else match, detail)
+    return _infinite_order(b @ x @ b @ b)
+
+
+def _infinite_order(m):
+    """Prove that the 2x2 matrix m has infinite projective order.
+
+    A special unitary m has trace 2 cos theta.  If a power of m were scalar,
+    theta would be a rational multiple of pi and the trace a sum of two roots
+    of unity, whose conjugates all lie in [-2, 2] (Kronecker).  But |trace|
+    sqrt(3 - sqrt 5) is a root of the irreducible x^4 - 6x^2 + 4, whose
+    conjugate sqrt(3 + sqrt 5) exceeds 2.  So only the hypotheses are tested.
+    """
+    unitary = max(abs(np.linalg.det(m) - 1),
+                  float(np.max(np.abs(m.conj().T @ m - np.eye(2)))))
+    tr = abs(complex(np.trace(m)))
+    root = math.sqrt(3 - math.sqrt(5))
+    match = abs(tr - root)
+    return _result("infinite-order-word", max(unitary, match), 1e-9,
+                   f"special unitary, |trace| = {tr:.12f} matches the root {root:.12f} "
+                   f"of x^4 - 6x^2 + 4; its conjugate {math.sqrt(3 + math.sqrt(5)):.12f} "
+                   "exceeds 2, so no power is a scalar (Kronecker)")
 
 
 def _chk_wrap_square_diagonal(params, rng):
@@ -213,29 +223,28 @@ def _chk_r_unit_modulus(params, rng):
     return _result("r-unit-modulus", worst, params.tol, "all table rows at 100 alphas")
 
 
+def _metric_signs(blk):
+    """Per-channel norm signs of the two tree shapes a 2x2 F block relates:
+    each of ``blk.norms`` is a product of principal roots of real bubbles,
+    each root exactly real or exactly imaginary, so its square is real with
+    the sign of the bubbles' product."""
+    return [[math.copysign(1.0, (z * z).real) for z in zs] for zs in blk.norms]
+
+
 def _chk_f_pseudo_unitarity(params, rng):
     fams = [f for f in anyon._F_FAMILIES if len(anyon.f_channels(*f)[0]) == 2]
-    mats, invs, jrs, jcs = [], [], [], []
+    mats, invs, signs = [], [], []
     for al in _sample_alphas(rng, 100):
         p = ModelParams(float(al), params.tol)
-        bubbles = {}  # each sign bubble once per alpha
-
-        def bubble(*t):
-            if t not in bubbles:
-                bubbles[t] = bubble_pop(*t, p)
-            return bubbles[t]
-
-        for (a, b, c, d) in fams:
-            blk = f_matrix(a, b, c, d, p)
+        for fam in fams:
+            blk = f_matrix(*fam, p)
             mats.append(blk.matrix)
             invs.append(blk.inverse())
-            # per-channel norm signs of the two tree shapes related by the move
-            jrs.append([math.copysign(1.0, bubble(b, c, n) * bubble(a, n, d)) for n in blk.rows])
-            jcs.append([math.copysign(1.0, bubble(a, b, mm) * bubble(mm, c, d))
-                        for mm in blk.cols])
+            signs.append(_metric_signs(blk))
     m = np.array(mats, dtype=complex)
+    signs = np.array(signs)  # (block, rows then columns, channel)
     jr, jc = np.zeros((2,) + m.shape)
-    jr[:, (0, 1), (0, 1)], jc[:, (0, 1), (0, 1)] = jrs, jcs
+    jr[:, (0, 1), (0, 1)], jc[:, (0, 1), (0, 1)] = signs[:, 0], signs[:, 1]
     pu = np.max(np.abs(m.conj().transpose(0, 2, 1) @ jr @ m - jc), axis=(1, 2))
     inv = np.max(np.abs(m @ np.array(invs) - np.eye(2)), axis=(1, 2))
     # fmax skips a NaN block, as max(worst, x) does in a loop over blocks

@@ -218,12 +218,25 @@ def _check_table_only(fn, table, is_unit):
 
 
 def test_r_symbol_is_the_vacuum_rule_plus_the_table():
-    _check_table_only(r_symbol, _R_TABLE, lambda b, a, c: VACUUM in (b, a))
+    _check_table_only(r_symbol, _R_TABLE,
+                      lambda b, a, c: (b == VACUUM and a == c) or (a == VACUUM and b == c))
 
 
 def test_bubble_pop_is_the_unit_rules_plus_the_table():
     _check_table_only(bubble_pop, _B_TABLE,
                       lambda a, b, c: (b == VACUUM and a == c) or (a == VACUUM and b == c))
+
+
+def _fusion_admits(legs, d):
+    """d is an outcome of the legs' product with vacuums dropped, or that
+    product is not tabulated."""
+    legs = [x for x in legs if x != VACUUM] or [VACUUM]
+    if len(legs) == 1:
+        return d == legs[0]
+    try:
+        return d in fuse(*legs)
+    except UnsupportedPair:
+        return True
 
 
 def test_f_channels_are_the_vacuum_legs_plus_the_table():
@@ -232,7 +245,7 @@ def test_f_channels_are_the_vacuum_legs_plus_the_table():
     for a, b, c, d in itertools.product(LABEL_GRID, repeat=4):
         got = f_channels(a, b, c, d)
         if VACUUM in (a, b, c):
-            assert got is not None
+            assert (got is not None) == _fusion_admits((a, b, c), d), (a, b, c, d)
         elif (a, b, c, d) in families:
             k = families[a, b, c, d]
             rows, cols = base[_at_shift((a, b, c, d), -k)]
@@ -362,6 +375,20 @@ def test_f_vacuum_legs_are_units():
     assert blk.matrix[0, 0] == pytest.approx(1.0)
     blk = f_matrix(VACUUM, SIGMA, SIGMA, PSI, p)
     assert blk.matrix[0, 0] == pytest.approx(1.0)
+    assert blk.norms == ()
+
+
+def test_vacuum_rules_check_the_channel():
+    p = ModelParams(2.4)
+    with pytest.raises(UnsupportedTriple):
+        r_symbol(VACUUM, SIGMA, PSI, p)
+    with pytest.raises(UnsupportedTriple):
+        r_symbol(SIGMA, VACUUM, S32, p)
+    assert r_symbol(VACUUM, SIGMA, SIGMA, p) == 1
+    with pytest.raises(UnsupportedFamily):
+        f_matrix(ALPHA, VACUUM, SIGMA, PSI, p)   # a x s has no psi
+    with pytest.raises(UnsupportedFamily):
+        f_matrix(VACUUM, SIGMA, SIGMA, SIGMA, p)  # s x s = 1 + psi
 
 
 def test_f_unsupported_family():

@@ -362,14 +362,14 @@ def _order_cases():
         for phase in (SPECIAL_UNITARY_PHASES["b2"], None, cmath.exp(1j)):
             m = generator_matrix(space, "b2", 1, phase).matrix
             cases += [(m, 16, 1e-10), (m, 1_000, 1e-10)]
-    # exits at and across the edges of the 256-power chunks
+    # exits at k = 257 and k = 256 (strict) after long scans
     cases.append((np.diag([1, cmath.exp(2j * math.pi / 257)]), 600, 1e-10))
     cases.append((cmath.exp(1j) * np.diag([1, cmath.exp(2j * math.pi / 256)]), 5_000, 1e-10))
-    # projective at 100 in the first chunk, strict at 300 in the second
+    # projective at 100, strict at 300
     cases.append((cmath.exp(2j * math.pi / 300) * np.diag([1, cmath.exp(2j * math.pi / 100)]),
                   1_000, 1e-10))
-    # projective at 32 in the first chunk; its cap, 8 * 2 * 32 = 512, ends the
-    # second chunk, and k = 513 (not covered) would have the best defect
+    # projective at 32; its cap, 8 * 2 * 32 = 512, ends the scan, and k = 513
+    # (not covered) would have the best defect
     cases.append((cmath.exp(1j) * np.diag([1, cmath.exp(2j * math.pi * 16 / 513)]), 1_000, 0.01))
     # every defect is NaN, which min() never takes over inf
     cases.append((np.array([[1, math.nan], [0, 1]]), 600, 1e-10))

@@ -1,15 +1,19 @@
 """Verify-suite behavior and the command-line interface."""
+import cmath
 import json
 import math
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from nss import IntegerAlpha, ModelParams, bubble_pop, f_matrix, failures, run_all, verify
-from nss.anyon import _F_FAMILIES
+from nss.anyon import _F_FAMILIES, FLOAT_NS, f_channels, mp_namespace
+from nss.braids import SPECIAL_UNITARY_PHASES, generator_matrix, matrix_order
 from nss.cli import main
+from nss.spaces import qubit_space
 
 
 def run_cli(*args):
@@ -53,21 +57,40 @@ def test_skips_carry_reason_outside_definite_window():
     assert by_name["two-qubit-signature"].detail
 
 
+def _bubble_sign_oracle(p, ns=FLOAT_NS):
+    """The F check's metric signs as products of popped bubbles, each bubble
+    popped once per alpha: (family, block) -> (row signs, column signs)."""
+    bubbles = {}
+
+    def bubble(*t):
+        if t not in bubbles:
+            bubbles[t] = bubble_pop(*t, p, ns)
+        return bubbles[t]
+
+    def signs(fam, blk):
+        # .real: an mpmath bubble may be an mpc with zero imaginary part
+        a, b, c, d = fam
+        return ([math.copysign(1.0, (bubble(b, c, n) * bubble(a, n, d)).real)
+                 for n in blk.rows],
+                [math.copysign(1.0, (bubble(a, b, mm) * bubble(mm, c, d)).real)
+                 for mm in blk.cols])
+    return signs
+
+
 def _f_pseudo_unitarity_oracle(params, rng):
-    """The f-pseudo-unitarity check as one loop over alphas and families."""
+    """The f-pseudo-unitarity check as one loop over alphas and families,
+    with its signs from :func:`_bubble_sign_oracle`."""
     worst_pu = 0.0
     worst_inv = 0.0
     for al in verify._sample_alphas(rng, 100):
         p = ModelParams(float(al), params.tol)
-        for (a, b, c, d) in _F_FAMILIES:
-            blk = f_matrix(a, b, c, d, p)
+        signs = _bubble_sign_oracle(p)
+        for fam in _F_FAMILIES:
+            blk = f_matrix(*fam, p)
             if len(blk.rows) != 2:
                 continue
             m = np.asarray(blk.matrix, dtype=complex)
-            jr = np.diag([math.copysign(1.0, bubble_pop(b, c, n, p) * bubble_pop(a, n, d, p))
-                          for n in blk.rows])
-            jc = np.diag([math.copysign(1.0, bubble_pop(a, b, mm, p) * bubble_pop(mm, c, d, p))
-                          for mm in blk.cols])
+            jr, jc = (np.diag(s) for s in signs(fam, blk))
             worst_pu = max(worst_pu, float(np.max(np.abs(m.conj().T @ jr @ m - jc))))
             worst_inv = max(worst_inv, float(np.max(np.abs(m @ blk.inverse() - np.eye(len(blk.rows))))))
     return verify._result("f-pseudo-unitarity", max(worst_pu, worst_inv), 1e-9,
@@ -80,6 +103,67 @@ def test_f_pseudo_unitarity_check_matches_per_block_loop():
         params = ModelParams(alpha, tol=1e-12 if seed == 3 else 1e-10)
         got = verify._chk_f_pseudo_unitarity(params, np.random.default_rng(seed))
         assert got == _f_pseudo_unitarity_oracle(params, np.random.default_rng(seed))
+
+
+FAMILIES_2X2 = [f for f in _F_FAMILIES if len(f_channels(*f)[0]) == 2]
+
+
+def test_f_signs_from_norms_match_bubble_signs():
+    assert len(FAMILIES_2X2) == 5
+    seen = set()
+    for al in np.linspace(2.0005, 2.9995, 201):
+        p = ModelParams(float(al))
+        signs = _bubble_sign_oracle(p)
+        for fam in FAMILIES_2X2:
+            blk = f_matrix(*fam, p)
+            got = verify._metric_signs(blk)
+            assert got == list(signs(fam, blk)), (al, fam)
+            seen.update(got[0] + got[1])
+    assert seen == {-1.0, 1.0}
+
+
+def test_f_signs_from_mp_norms_match_bubble_signs():
+    with mp.workdps(30):
+        ns = mp_namespace()
+        for al in np.linspace(2.0005, 2.9995, 51):
+            p = ModelParams(float(al))
+            signs = _bubble_sign_oracle(p, ns)
+            for fam in FAMILIES_2X2:
+                blk = f_matrix(*fam, p, ns)
+                assert verify._metric_signs(blk) == list(signs(fam, blk)), (al, fam)
+
+
+def _word_12_5():
+    """The phased x and b2 at 12/5 and the word b2 x b2^2."""
+    space = qubit_space(ModelParams.from_string("12/5"), 1)
+    x = generator_matrix(space, "x", 1, SPECIAL_UNITARY_PHASES["x"]).matrix
+    b = generator_matrix(space, "b2", 1, SPECIAL_UNITARY_PHASES["b2"]).matrix
+    return b, b @ x @ b @ b
+
+
+def test_infinite_order_proof_passes_on_the_word():
+    _, word = _word_12_5()
+    res = verify._infinite_order(word)
+    assert res.status == "pass"
+    assert res.defect == abs(abs(np.trace(word)) - math.sqrt(3 - math.sqrt(5)))
+
+
+def test_infinite_order_proof_fails_on_mutations():
+    b, word = _word_12_5()
+    root = math.sqrt(3 - math.sqrt(5))
+    # a finite-order special unitary with the wrong trace
+    assert matrix_order(b, 16, 1e-10).projective == 4
+    theta = 2 * math.pi / 7
+    finite = [b, np.diag([cmath.exp(1j * theta), cmath.exp(-1j * theta)])]
+    # the right |trace| without the hypotheses: not unitary (det 1), or
+    # unitary with det != 1
+    s = np.diag([1 + 1e-6, 1.0])
+    skewed = [s @ word @ np.linalg.inv(s), cmath.exp(0.1j) * word]
+    for m in skewed:
+        assert abs(abs(np.trace(m)) - root) < 1e-12
+    for m in finite + skewed + [word * (1 + 1e-6)]:
+        res = verify._infinite_order(m)
+        assert res.status == "fail" and res.defect >= 1e-9
 
 
 def test_integer_alpha_rejected_at_construction():
