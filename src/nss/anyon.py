@@ -16,6 +16,7 @@ evaluated in double precision (default) or in mpmath arbitrary precision.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -199,26 +200,39 @@ def _kind_index(table):
 _B_INDEX = _kind_index(_B_TABLE)
 
 
+def _b_unit(x, ns, tol):
+    return ns.one
+
+
+def _b_row(a: QLabel, b: QLabel, c: QLabel):
+    """B^{ab}_c as (row, shift), its value at alpha being row(alpha + shift, ns, tol);
+    an untabulated triple gives a row that raises where it is evaluated."""
+    if (b == VACUUM and a == c) or (a == VACUUM and b == c):
+        return _b_unit, 0
+    # a label is the tuple (kind, shift, is_alpha); see _kind_index
+    row = _B_INDEX.get((a[0], b[0], c[0], c[1] - a[1] - b[1]))
+    if row is None:
+        def row(x, ns, tol):
+            raise UnsupportedTriple(f"B[{a},{b};{c}] not tabulated")
+    return row, a[1]
+
+
 def bubble_pop(a: QLabel, b: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS):
     """The scalar B^{ab}_c removed when a split (a,b)->c is closed by its merge.
 
     Real for every tabulated triple; its sign feeds the metric.  Alpha-type
     rows shift: the first label's value is the `alpha' of the table row.
     """
-    if b == VACUUM and a == c:
-        return ns.one
-    if a == VACUUM and b == c:
-        return ns.one
-    # a label is the tuple (kind, shift, is_alpha); see _kind_index
-    row = _B_INDEX.get((a[0], b[0], c[0], c[1] - a[1] - b[1]))
-    if row is None:
-        raise UnsupportedTriple(f"B[{a},{b};{c}] not tabulated")
-    return row(alpha_in(params, ns) + a[1], ns, params.tol)
+    row, shift = _b_row(a, b, c)
+    return row(alpha_in(params, ns) + shift, ns, params.tol)
+
+
+_SQRT2 = math.sqrt(2)  # == cmath.sqrt(2).real
 
 
 def _sqrt2(ns):
-    val = ns.sqrt(2 * ns.one)
-    return val.real if isinstance(val, complex) else val
+    """sqrt(2): real in double precision, an mpc under mpmath."""
+    return _SQRT2 if ns is FLOAT_NS else ns.sqrt(2 * ns.one)
 
 
 def computational_bubbles(params: ModelParams, ns=FLOAT_NS):
@@ -367,18 +381,36 @@ def f_channels(a: QLabel, b: QLabel, c: QLabel, d: QLabel):
     return family[0], tuple(a.shifted(k) for k in family[1])
 
 
+@functools.lru_cache(maxsize=None)
+def _f_plan(b: QLabel, c: QLabel, dd: int):
+    """The alpha-free part of the tabulated F[a,b,c;a+dd], for every alpha-type a:
+    its :data:`_F_TABLE` row and, for a 2x2 block, its eight normalising bubbles
+    as (row, shift, follows_a), in the order a per-entry loop first pops them (so
+    a guard raises the same error).  A bubble whose first label is alpha-type is
+    evaluated at alpha + (a.shift + shift), any other at alpha + shift."""
+    rows, shifts, what, formula = _F_TABLE[b, c, dd]
+    pops = ()
+    if len(rows) == 2:
+        a, d = ALPHA, ALPHA.shifted(dd)
+        (n0, n1), (m0, m1) = rows, [a.shifted(k) for k in shifts]
+        pops = tuple(_b_row(u, v, w) + (u[2],) for u, v, w in (
+            (a, n0, d), (b, c, n0), (m0, c, d), (a, b, m0),
+            (m1, c, d), (a, b, m1), (a, n1, d), (b, c, n1)))
+    return rows, shifts, what, formula, pops
+
+
 def _ftilde(a: QLabel, b: QLabel, c: QLabel, d: QLabel, params: ModelParams, ns):
     """Unnormalized F-matrix table. Returns (matrix, rows, cols)."""
-    channels = f_channels(a, b, c, d)
-    if channels is None or VACUUM in (a, b, c):
+    key = (b, c, d[1] - a[1])
+    if not (a[2] and d[2]) or key not in _F_TABLE:
         raise UnsupportedFamily(f"F[{a},{b},{c};{d}] not tabulated")
-    _, _, what, formula = _F_TABLE[b, c, d.shift - a.shift]
-    x = a.value(alpha_in(params, ns))
-    den, rows = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
-    mat = np.array(rows, dtype=ns.dtype)
+    rows, shifts, what, formula, _ = _f_plan(*key)
+    x = alpha_in(params, ns) + a[1]
+    den, ft = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
+    mat = np.array(ft, dtype=ns.dtype)
     if what is not None:
         mat = mat / _guard(den, params.tol, what)
-    return (mat,) + channels
+    return mat, rows, tuple(a.shifted(k) for k in shifts)
 
 
 def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
@@ -396,18 +428,13 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
     ft, rows, cols = _ftilde(a, b, c, d, params, ns)
     if ft.shape == (1, 1):
         return FBlock(ft, rows, cols)  # the one-dimensional data are already normalized
-    # each row's numerator and column's denominator once, in the order a
-    # per-entry loop first evaluates them (so a guard raises the same error)
-    def num(n):
-        return ns.sqrt(bubble_pop(a, n, d, params, ns)) * ns.sqrt(bubble_pop(b, c, n, params, ns))
-
-    first = num(rows[0])
-    dens = [ns.sqrt(bubble_pop(m, c, d, params, ns)) * ns.sqrt(bubble_pop(a, b, m, params, ns))
-            for m in cols]
-    nums = [first] + [num(n) for n in rows[1:]]
+    al, s, tol = alpha_in(params, ns), a[1], params.tol
+    r = [ns.sqrt(row(al + (s + k if follows_a else k), ns, tol))
+         for row, k, follows_a in _f_plan(b, c, d[1] - s)[4]]
+    nums, dens = (r[0] * r[1], r[6] * r[7]), (r[2] * r[3], r[4] * r[5])
     out = np.array([[nu / de * f for de, f in zip(dens, row)] for nu, row in zip(nums, ft)],
                    dtype=ns.dtype)
-    return FBlock(out, rows, cols, (tuple(nums), tuple(dens)))
+    return FBlock(out, rows, cols, (nums, dens))
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +447,11 @@ class PentagonReport:
     skipped: int = 0
     max_defect: float = 0.0
     skip_reasons: dict = None
+    vacuum_free: int = 0  # verified instances with no vacuum among (a, b, c, d)
 
     def __post_init__(self):
         if self.skip_reasons is None:
             self.skip_reasons = {}
-
-
-# a vacuum-leg family the fusion rules exclude: no channels, every entry 0
-_EMPTY = FBlock(np.zeros((0, 0)), (), ())
 
 
 def pentagon_sweep(params: ModelParams) -> PentagonReport:
@@ -443,69 +467,81 @@ def pentagon_sweep(params: ModelParams) -> PentagonReport:
 
         F[p,c,d;e]_{l m} * F[a,b,l;e]_{r p}
             = sum_t F[a,b,c;m]_{t p} * F[a,t,d;e]_{r m} * F[b,c,d;r]_{l t}
+
+    Which instances are verified or skipped does not depend on alpha: a sweep
+    evaluates the F blocks of :func:`_pentagon_plan` and replays its instances.
     """
-    rep = PentagonReport()
-    pool_a = [ALPHA.shifted(s) for s in (-1, 0, 1)] + [VACUUM, SIGMA, PSI]
-    pool_bcd = [VACUUM, SIGMA, PSI]
+    families, skipped, reasons, instances, vacuum_free = _pentagon_plan()
+    mats = [f_matrix(*fam, params).matrix for fam in families]
 
-    # each symbol, fusion and skip-reason key once per sweep
-    blocks = {}  # (a, b, c, d) -> FBlock, or None when not tabulated
-    fusions = {}
-    keys = {}
+    def entry(k, n, m):
+        return 0.0 if k is None else mats[k][n, m]
 
-    def get(*fam):
-        if fam not in blocks:
-            if f_channels(*fam):
-                blocks[fam] = f_matrix(*fam, params)
-            else:
-                blocks[fam] = _EMPTY if VACUUM in fam[:3] else None
-        return blocks[fam]
-
-    def outcomes(a, b):
-        if (a, b) not in fusions:
-            fusions[a, b] = _outcomes(a, b)
-        return fusions[a, b]
-
-    def skip(fam):
-        if fam not in keys:
-            keys[fam] = "F[{},{},{}]".format(*fam)
-        rep.skipped += 1
-        rep.skip_reasons[keys[fam]] = rep.skip_reasons.get(keys[fam], 0) + 1
-
-    for a, b, c, d in itertools.product(pool_a, pool_bcd, pool_bcd, pool_bcd):
-        ls = outcomes(c, d)
-        for p in outcomes(a, b):
-            for m in outcomes(p, c):
-                for e in outcomes(m, d):
-                    for l in ls:
-                        for r in outcomes(b, l):
-                            _pentagon_instance(rep, get, outcomes, skip,
-                                               a, b, c, d, e, p, m, l, r)
+    rep = PentagonReport(len(instances), skipped, 0.0, dict(reasons), vacuum_free)
+    for (e1, e2), terms in instances:
+        lhs = entry(*e1) * entry(*e2)
+        rhs = 0.0
+        for e3, e4, e5 in terms:
+            rhs += entry(*e3) * entry(*e4) * entry(*e5)
+        rep.max_defect = max(rep.max_defect, abs(lhs - rhs))
     return rep
 
 
-def _pentagon_instance(rep, get, outcomes, skip, a, b, c, d, e, p, m, l, r):
-    needed = [(p, c, d, e), (a, b, l, e), (a, b, c, m), (b, c, d, r)]
-    blocks = []
-    for fam in needed:
-        blk = get(*fam)
-        if blk is None:
-            return skip(fam[:3])
-        blocks.append(blk)
-    f_pcd, f_abl, f_abc, f_bcd = blocks
-    lhs = f_pcd.entry(l, m) * f_abl.entry(r, p)
-    rhs = 0.0
-    ts = outcomes(b, c)
-    if not ts:
-        return  # an untabulated b x c verifies nothing
-    for t in ts:
-        f_atd = get(a, t, d, e)
-        if f_atd is None:
-            return skip((a, t, d))
-        rhs += f_abc.entry(t, p) * f_atd.entry(r, m) * f_bcd.entry(l, t)
-    defect = abs(lhs - rhs)
-    rep.verified += 1
-    rep.max_defect = max(rep.max_defect, defect)
+def _pentagon_instances():
+    """(a, b, c, d, e, p, m, l, r) for every instance the sweep considers."""
+    pool_a = [ALPHA.shifted(s) for s in (-1, 0, 1)] + [VACUUM, SIGMA, PSI]
+    pool_bcd = [VACUUM, SIGMA, PSI]
+    outcomes = functools.lru_cache(maxsize=None)(_outcomes)
+    for a, b, c, d in itertools.product(pool_a, pool_bcd, pool_bcd, pool_bcd):
+        for p in outcomes(a, b):
+            for m in outcomes(p, c):
+                for e in outcomes(m, d):
+                    for l in outcomes(c, d):
+                        for r in outcomes(b, l):
+                            yield a, b, c, d, e, p, m, l, r
+
+
+@functools.lru_cache(maxsize=None)
+def _pentagon_plan():
+    """The pentagon walk, once per process: (families, skipped, skip reasons
+    as items, instances, vacuum_free).  ``families`` are the tabulated F
+    families in the order the walk first needs them.  A verified instance is
+    ((two left entries), (three right entries per channel t)), each entry
+    (family index, row, column), or (None, 0, 0) for a 0."""
+    channels = {}  # family -> (index or None, rows, cols), or None when untabulated
+    families, instances, reasons = [], [], {}
+    skipped = vacuum_free = 0
+
+    def get(fam):
+        if fam not in channels:
+            ch = f_channels(*fam)
+            if ch:
+                channels[fam] = (len(families),) + ch
+                families.append(fam)
+            else:
+                channels[fam] = (None, (), ()) if VACUUM in fam[:3] else None
+        return channels[fam]
+
+    def entry(fam, n, m):
+        k, rows, cols = channels[fam]
+        return (k, rows.index(n), cols.index(m)) if n in rows and m in cols else (None, 0, 0)
+
+    for a, b, c, d, e, p, m, l, r in _pentagon_instances():
+        needed = [(p, c, d, e), (a, b, l, e), (a, b, c, m), (b, c, d, r)]
+        ts = _outcomes(b, c)
+        missing = next((f for f in needed if get(f) is None), None)
+        if missing is None and ts:  # an untabulated b x c verifies nothing
+            missing = next((f for f in [(a, t, d, e) for t in ts] if get(f) is None), None)
+            if missing is None:
+                instances.append(((entry(needed[0], l, m), entry(needed[1], r, p)),
+                                  tuple((entry(needed[2], t, p), entry((a, t, d, e), r, m),
+                                         entry(needed[3], l, t)) for t in ts)))
+                vacuum_free += VACUUM not in (a, b, c, d)
+        if missing is not None:
+            skipped += 1
+            reasons[missing[:3]] = reasons.get(missing[:3], 0) + 1
+    reasons = tuple(("F[{},{},{}]".format(*fam), n) for fam, n in reasons.items())
+    return tuple(families), skipped, reasons, tuple(instances), vacuum_free
 
 
 # ---------------------------------------------------------------------------

@@ -353,20 +353,30 @@ def test_f_matrix_mp_matches_per_entry_normalisation():
 
 
 def test_f_matrix_pops_eight_bubbles_per_2x2_block(monkeypatch):
+    # f_matrix evaluates the bubble rows its family's plan resolved; count there
     calls = []
+    resolve = anyon._b_row
 
-    def counting(*args):
-        calls.append(args[:3])
-        return bubble_pop(*args)
+    def counting_row(*triple):
+        row, shift = resolve(*triple)
 
-    monkeypatch.setattr(anyon, "bubble_pop", counting)
-    p = ModelParams(2.4)
-    with mp.workdps(30):
-        for ns in (FLOAT_NS, mp_namespace()):
-            for fam in _shifted_families():
-                calls.clear()
-                blk = f_matrix(*fam, p, ns)
-                assert len(calls) == (8 if blk.matrix.shape == (2, 2) else 0)
+        def counted(*args):
+            calls.append(triple)
+            return row(*args)
+        return counted, shift
+
+    monkeypatch.setattr(anyon, "_b_row", counting_row)
+    anyon._f_plan.cache_clear()
+    try:
+        p = ModelParams(2.4)
+        with mp.workdps(30):
+            for ns in (FLOAT_NS, mp_namespace()):
+                for fam in _shifted_families():
+                    calls.clear()
+                    blk = f_matrix(*fam, p, ns)
+                    assert len(calls) == (8 if blk.matrix.shape == (2, 2) else 0)
+    finally:
+        anyon._f_plan.cache_clear()  # drop the plans that hold counting rows
 
 
 def test_f_vacuum_legs_are_units():
@@ -416,3 +426,96 @@ def test_pentagon_restricted_sweep():
     assert rep.max_defect < 1e-10
     # the skipped instances name the data the tables omit
     assert any("s,s,s" in k or "psi" in k for k in rep.skip_reasons)
+
+
+def _pentagon_sweep_oracle(params):
+    """pentagon_sweep walking its instances lazily, each F block at first need."""
+    rep = anyon.PentagonReport()
+    pool_a = [ALPHA.shifted(s) for s in (-1, 0, 1)] + [VACUUM, SIGMA, PSI]
+    pool_bcd = [VACUUM, SIGMA, PSI]
+    empty = anyon.FBlock(np.zeros((0, 0)), (), ())
+    blocks, fusions, keys = {}, {}, {}
+
+    def get(*fam):
+        if fam not in blocks:
+            if f_channels(*fam):
+                blocks[fam] = anyon.f_matrix(*fam, params)
+            else:
+                blocks[fam] = empty if VACUUM in fam[:3] else None
+        return blocks[fam]
+
+    def outcomes(a, b):
+        if (a, b) not in fusions:
+            fusions[a, b] = anyon._outcomes(a, b)
+        return fusions[a, b]
+
+    def skip(fam):
+        if fam not in keys:
+            keys[fam] = "F[{},{},{}]".format(*fam)
+        rep.skipped += 1
+        rep.skip_reasons[keys[fam]] = rep.skip_reasons.get(keys[fam], 0) + 1
+
+    def instance(a, b, c, d, e, p, m, l, r):
+        needed = [(p, c, d, e), (a, b, l, e), (a, b, c, m), (b, c, d, r)]
+        found = []
+        for fam in needed:
+            blk = get(*fam)
+            if blk is None:
+                return skip(fam[:3])
+            found.append(blk)
+        f_pcd, f_abl, f_abc, f_bcd = found
+        lhs = f_pcd.entry(l, m) * f_abl.entry(r, p)
+        rhs = 0.0
+        ts = outcomes(b, c)
+        if not ts:
+            return
+        for t in ts:
+            f_atd = get(a, t, d, e)
+            if f_atd is None:
+                return skip((a, t, d))
+            rhs += f_abc.entry(t, p) * f_atd.entry(r, m) * f_bcd.entry(l, t)
+        rep.verified += 1
+        rep.max_defect = max(rep.max_defect, abs(lhs - rhs))
+
+    for a, b, c, d in itertools.product(pool_a, pool_bcd, pool_bcd, pool_bcd):
+        ls = outcomes(c, d)
+        for p in outcomes(a, b):
+            for m in outcomes(p, c):
+                for e in outcomes(m, d):
+                    for l in ls:
+                        for r in outcomes(b, l):
+                            instance(a, b, c, d, e, p, m, l, r)
+    return rep
+
+
+def _pentagon_fields(rep):
+    d = rep.max_defect
+    return rep.verified, rep.skipped, list(rep.skip_reasons.items()), type(d), float(d).hex()
+
+
+def test_pentagon_sweep_matches_lazy_walk(monkeypatch):
+    alphas = [float(al) for al in np.random.default_rng(11).uniform(2, 3, 24)]
+    for al in alphas + [2.0005, 2.9995, 11 / 2, 0.5]:
+        p = ModelParams(al)
+        assert _pentagon_fields(pentagon_sweep(p)) == _pentagon_fields(_pentagon_sweep_oracle(p))
+    # near-integer alphas that pass validation at a tight tol raise the same error
+    for al in (2 + 3e-11, 4 - 5e-11, 5 + 2e-12, 1 + 7e-11):
+        p = ModelParams(al, tol=1e-12)
+        got = _outcome(lambda: _pentagon_fields(pentagon_sweep(p)))
+        assert got == _outcome(lambda: _pentagon_fields(_pentagon_sweep_oracle(p)))
+        assert issubclass(got[0], ModelError)
+    # the blocks the lazy walk evaluates, each once and in the same order
+    calls = []
+    real = anyon.f_matrix
+    monkeypatch.setattr(anyon, "f_matrix", lambda *args: calls.append(args[:4]) or real(*args))
+    pentagon_sweep(ModelParams(2.4))
+    swept = calls[:]
+    calls.clear()
+    _pentagon_sweep_oracle(ModelParams(2.4))
+    assert swept == calls and len(set(swept)) == 175
+
+
+def test_pentagon_has_no_vacuum_free_instance():
+    for al in ("12/5", "2.01", "2.99", "11/2"):
+        rep = pentagon_sweep(ModelParams.from_string(al))
+        assert (rep.verified, rep.skipped, rep.vacuum_free) == (345, 1126, 0)

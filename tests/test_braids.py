@@ -315,74 +315,56 @@ def test_infinite_order_word_and_eigenphase():
     assert abs(tr.real) == pytest.approx(math.sqrt(3 - math.sqrt(5)), abs=1e-10)
 
 
-def _matrix_order_oracle(matrix, max_n, tol=1e-10):
-    """matrix_order as a single loop testing one power per step."""
-    m = np.asarray(matrix, dtype=complex)
-    n = m.shape[0]
-    acc = np.eye(n, dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    projective = strict = None
-    best_defect = math.inf
-    scalar = None
-    for k in range(1, max_n + 1):
-        acc = acc @ m
-        lam = np.trace(acc) / n
-        defect = float(np.max(np.abs(acc - lam * eye)))
-        best_defect = min(best_defect, defect)
-        if projective is None and defect < tol and abs(abs(lam) - 1) < tol:
-            projective = k
-            scalar = complex(lam)
-        if strict is None and float(np.max(np.abs(acc - eye))) < tol:
-            strict = k
-        if projective is not None and strict is not None:
-            break
-        if projective is not None and k >= projective * n * 8:
-            break
-    return projective, strict, max_n, best_defect, scalar
-
-
 def _order_cases():
+    """(matrix, max_n, tol, projective, strict): each case with the orders it
+    is built to have."""
     p125 = ModelParams.from_string("12/5")
     s125 = qubit_space(p125, 1)
     x = generator_matrix(s125, "x", 1, SPECIAL_UNITARY_PHASES["x"]).matrix
     b = generator_matrix(s125, "b2", 1, SPECIAL_UNITARY_PHASES["b2"]).matrix
-    cases = [(b @ x @ b @ b, 10_000, 1e-8), (b @ x @ b @ b, 300, 1e-8),
-             (np.eye(2), 5, 1e-10), (-np.eye(2), 5, 1e-10),
-             (np.diag([1j, 1j]), 5, 1e-10), (cmath.exp(1j) * np.eye(2), 40, 1e-10)]
+    # b x b b has infinite order (test_infinite_order_word_and_eigenphase)
+    cases = [(b @ x @ b @ b, 300, 1e-8, None, None),
+             (np.eye(2), 5, 1e-10, 1, 1), (-np.eye(2), 5, 1e-10, 1, 2),
+             (np.diag([1j, 1j]), 5, 1e-10, 1, 4),
+             # exp(i) is no root of unity: scalar at k = 1, never the identity
+             (cmath.exp(1j) * np.eye(2), 40, 1e-10, 1, None)]
     rng = np.random.default_rng(5)
     u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
     two = qubit_space(ModelParams(2.4), 2)
-    cases += [(u, 300, 1e-10), (generator_matrix(two, "b2").matrix, 100, 1e-10)]
+    cases += [(u, 300, 1e-10, None, None),
+              (generator_matrix(two, "b2").matrix, 100, 1e-10, 4, 16)]
     # projective at k=5 within a loose tol, exit at 80; k=485 is closer still
     cases.append((cmath.exp(1j) * np.diag([1, cmath.exp(2j * math.pi * 98 / 485)]),
-                  1_000, 0.05))
-    # exp(i) is no root of unity: a projective order without a strict one
+                  1_000, 0.05, 5, None))
+    # b2^4 is a scalar whatever the phase; the phase sets the strict order
     for al in (2.15, 2.4, 2.85):
         space = qubit_space(ModelParams(al), 1)
-        for phase in (SPECIAL_UNITARY_PHASES["b2"], None, cmath.exp(1j)):
+        for phase, strict in ((SPECIAL_UNITARY_PHASES["b2"], 8), (None, 16),
+                              (cmath.exp(1j), None)):
             m = generator_matrix(space, "b2", 1, phase).matrix
-            cases += [(m, 16, 1e-10), (m, 1_000, 1e-10)]
-    # exits at k = 257 and k = 256 (strict) after long scans
-    cases.append((np.diag([1, cmath.exp(2j * math.pi / 257)]), 600, 1e-10))
-    cases.append((cmath.exp(1j) * np.diag([1, cmath.exp(2j * math.pi / 256)]), 5_000, 1e-10))
+            cases += [(m, 16, 1e-10, 4, strict), (m, 1_000, 1e-10, 4, strict)]
+    # exits at k = 257 (strict) and k = 4,096 (projective 256 times 2 * 8)
+    cases.append((np.diag([1, cmath.exp(2j * math.pi / 257)]), 600, 1e-10, 257, 257))
+    cases.append((cmath.exp(1j) * np.diag([1, cmath.exp(2j * math.pi / 256)]), 5_000, 1e-10,
+                  256, None))
     # projective at 100, strict at 300
     cases.append((cmath.exp(2j * math.pi / 300) * np.diag([1, cmath.exp(2j * math.pi / 100)]),
-                  1_000, 1e-10))
+                  1_000, 1e-10, 100, 300))
     # projective at 32; its cap, 8 * 2 * 32 = 512, ends the scan, and k = 513
     # (not covered) would have the best defect
-    cases.append((cmath.exp(1j) * np.diag([1, cmath.exp(2j * math.pi * 16 / 513)]), 1_000, 0.01))
+    cases.append((cmath.exp(1j) * np.diag([1, cmath.exp(2j * math.pi * 16 / 513)]), 1_000, 0.01,
+                  32, None))
     # every defect is NaN, which min() never takes over inf
-    cases.append((np.array([[1, math.nan], [0, 1]]), 600, 1e-10))
+    cases.append((np.array([[1, math.nan], [0, 1]]), 600, 1e-10, None, None))
     return cases
 
 
-def test_matrix_order_matches_stepwise_loop():
+def test_matrix_order_finds_the_built_orders():
     exits = set()
-    for m, max_n, tol in _order_cases():
+    for m, max_n, tol, projective, strict in _order_cases():
         res = matrix_order(m, max_n, tol)
-        want = _matrix_order_oracle(m, max_n, tol)
-        assert (res.projective, res.strict, res.max_checked, res.defect,
-                res.scalar) == want
+        assert (res.projective, res.strict, res.max_checked) == (projective, strict, max_n)
+        assert (res.defect < tol) == (projective is not None)
         assert res.scalar is None or type(res.scalar) is complex
         if res.strict is not None:
             exits.add("strict")
