@@ -91,12 +91,6 @@ class BraidWord:
         for tok, p in self.letters:
             yield from [(tok, 1 if p > 0 else -1)] * abs(p)
 
-    def permuted_leaves(self, leaves) -> tuple[QLabel, ...]:
-        cur = tuple(leaves)
-        for tok, sgn in self.unit_letters():
-            cur = apply_letter_to_leaves(cur, tok)
-        return cur
-
 
 def apply_letter_to_leaves(leaves, tok: str) -> tuple[QLabel, ...]:
     leaves = tuple(leaves)
@@ -272,10 +266,8 @@ def generator_matrix(space: IndefSpace, tok: str, power: int = 1,
     labeling, so the basis is not preserved.  No phase is applied unless the
     caller passes one; it is recorded on the result.
     """
-    word = BraidWord(((tok, power),))
-    if word.permuted_leaves(space.leaves) != space.leaves:
-        raise LeakyPermutation(f"{tok}^{power} does not preserve {space.leaves}")
-    m = evaluate_word(space.params, space.leaves, word, charge=space.charge, ns=ns)
+    m = evaluate_word(space.params, space.leaves, BraidWord(((tok, power),)),
+                      charge=space.charge, ns=ns)
     if global_phase is not None:
         m = m * (global_phase ** power)
     return BraidMatrix(m, space, global_phase)

@@ -46,13 +46,11 @@ def _jsonify(obj):
 
 
 def _emit(args, payload) -> None:
-    if args.format == "csv" and isinstance(payload, dict) and "csv" in payload:
+    if args.format == "csv":
         text = payload["csv"]
-    elif args.format == "pretty":
-        text = json.dumps(_jsonify(payload), indent=2)
     else:
         payload = {k: v for k, v in payload.items() if k != "csv"}
-        text = json.dumps(_jsonify(payload))
+        text = json.dumps(_jsonify(payload), indent=2 if args.format == "pretty" else None)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -65,11 +63,11 @@ def _params(args) -> ModelParams:
     return ModelParams.from_string(args.alpha, args.tol)
 
 
-def _add_common(sub):
+def _add_common(sub, formats=("json", "pretty")):
     sub.add_argument("--alpha", default="12/5", help="base parameter; fractions like 12/5 stay exact")
     # a string default: argparse converts it, so a bad NSS_TOL is a usage error
     sub.add_argument("--tol", type=float, default=os.environ.get("NSS_TOL", "1e-10"))
-    sub.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    sub.add_argument("--format", choices=formats, default="json")
     sub.add_argument("--out", default=None)
 
 
@@ -216,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_braid)
 
     p = sub.add_parser("reichardt", help="iterate the leakage-suppressing recursion")
-    _add_common(p)
+    _add_common(p, ("json", "csv", "pretty"))
     p.add_argument("--word", default=None, help="starting word (default: the W braid)")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--extended", action="store_true",

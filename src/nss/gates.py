@@ -206,6 +206,10 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
     it, a fifth-power-law violation beyond ``_LAW_TOL`` raises
     PrecisionExhausted.
     """
+    if k < 0:
+        raise ValueError("k must be at least 0")
+    if extended and dps < 1:
+        raise ValueError("dps must be at least 1")
     if k > 4 and not extended:
         raise PrecisionExhausted("k > 4 needs the extended-precision mode")
     if extended:

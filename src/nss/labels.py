@@ -101,7 +101,10 @@ def parse_label(token: str) -> QLabel:
 
 
 def parse_leaves(text: str) -> tuple[QLabel, ...]:
-    return tuple(parse_label(t) for t in text.split(",") if t.strip())
+    leaves = tuple(parse_label(t) for t in text.split(",") if t.strip())
+    if not leaves:
+        raise ValueError(f"no leaves in {text!r}")
+    return leaves
 
 
 @dataclass(frozen=True)
@@ -136,4 +139,8 @@ class ModelParams:
     @classmethod
     def from_string(cls, text: str, tol: float = 1e-10) -> "ModelParams":
         frac = Fraction(text.strip())
-        return cls(float(frac), tol, exact=frac)
+        try:
+            alpha = float(frac)
+        except OverflowError:
+            raise ValueError("alpha must be finite") from None
+        return cls(alpha, tol, exact=frac)

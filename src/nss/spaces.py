@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import anyon
-from .anyon import bubble_pop, f_matrix, fuse, modified_dimension
+from .anyon import bubble_pop, f_matrix, modified_dimension
 from .errors import EmptyBasis, UnsupportedTriple
 from .labels import ALPHA, PSI, SIGMA, VACUUM, ModelParams, QLabel, parse_label
 
@@ -190,27 +190,21 @@ def _effective_qubits(leaves) -> int:
     return int(n)
 
 
-def _metric_sign(vertices, leaves, root: QLabel, params: ModelParams) -> int:
-    """Norm sign of a tree with the given (in, in, out) fusion vertices.
+def tree_norm_sign(tree: FusionTree, params: ModelParams) -> int:
+    """Sign of <T, T> from the bubble-pop reduction of the left comb.
 
     Product of the signs of the bubble at every fusion vertex, times the
     sign of the modified dimension of the root, times the parity factor
     (-1)^(n+1) where n is the total q-spin of the braided leaves (the form
     is flipped for an even number of qubits).
     """
-    prod = 1.0
-    for (u, v, w) in vertices:
-        prod *= math.copysign(1.0, bubble_pop(u, v, w, params))
-    n = _effective_qubits(leaves)
-    d = modified_dimension(root.value(params.alpha), params.tol)
-    return int((-1) ** (n + 1) * math.copysign(1.0, d) * prod)
-
-
-def tree_norm_sign(tree: FusionTree, params: ModelParams) -> int:
-    """Sign of <T, T> from the bubble-pop reduction of the left comb."""
     ch = tree.chain
-    vertices = [(ch[i - 1], tree.leaves[i], ch[i]) for i in range(1, len(tree.leaves))]
-    return _metric_sign(vertices, tree.leaves, tree.root, params)
+    prod = 1.0
+    for i in range(1, len(tree.leaves)):
+        prod *= math.copysign(1.0, bubble_pop(ch[i - 1], tree.leaves[i], ch[i], params))
+    n = _effective_qubits(tree.leaves)
+    d = modified_dimension(tree.root.value(params.alpha), params.tol)
+    return int((-1) ** (n + 1) * math.copysign(1.0, d) * prod)
 
 
 @dataclass(frozen=True)
@@ -321,43 +315,13 @@ def qubit_space(params: ModelParams, n: int) -> IndefSpace:
 class ControlBasis:
     """The alternative basis fusing the first sigma pair, with its metric.
 
-    For five leaves the ordering is: the two vacuum-channel trees, then the
-    four psi-channel trees (the control sector).
+    Its rows are the comb bases of (a, 1, s, ...) and then (a, psi, s, ...),
+    each in enumerate_basis order; for five leaves, the two vacuum-channel
+    trees and then the four psi-channel trees (the control sector).
     """
 
-    labels: tuple[str, ...]
     matrix: np.ndarray          # coordinates: control = matrix @ comb
     metric_signs: np.ndarray
-
-
-def _control_trees(n_sigmas: int):
-    """(pair channel, remaining chain) tuples for (alpha, sigma^n_sigmas)."""
-    out = []
-    for x in (VACUUM, PSI):
-        for y in fuse(ALPHA, x):
-            if n_sigmas == 2:
-                if y == ALPHA:
-                    out.append((x, (y,)))
-                continue
-            for z in fuse(y, SIGMA):
-                if ALPHA in fuse(z, SIGMA):
-                    out.append((x, (y, z)))
-    def key(t):
-        x, rest = t
-        return (0 if x == VACUUM else 1,
-                tuple(_label_sort_key(l) for l in reversed(rest)))
-    out.sort(key=key)
-    return out
-
-
-def _control_tree_sign(pair_channel, rest, space: IndefSpace) -> int:
-    # vertices: (s,s)->x, (alpha,x)->rest[0], then sigma steps closing at alpha
-    vertices = [(SIGMA, SIGMA, pair_channel), (ALPHA, pair_channel, rest[0])]
-    for i in range(1, len(rest)):
-        vertices.append((rest[i - 1], SIGMA, rest[i]))
-    if len(rest) > 1:
-        vertices.append((rest[-1], SIGMA, ALPHA))
-    return _metric_sign(vertices, space.leaves, ALPHA, space.params)
 
 
 def control_basis_transform(space: IndefSpace) -> ControlBasis:
@@ -367,27 +331,23 @@ def control_basis_transform(space: IndefSpace) -> ControlBasis:
     pseudo-orthogonal with respect to the two metrics:
     T^dagger J_control T = J_comb.
     """
-    n_sig = len(space.leaves) - 1
+    n = len(space.leaves)
     if not (space.leaves[0] == ALPHA and all(l == SIGMA for l in space.leaves[1:])
-            and n_sig in (2, 4)):
+            and n in (3, 5)):
         raise UnsupportedTriple("control basis defined for (a,s,s) and (a,s,s,s,s)")
-    ctrees = _control_trees(n_sig)
-    labels = tuple(f"({t[0]};{','.join(str(x) for x in t[1])})" for t in ctrees)
-    signs = np.array([_control_tree_sign(x, rest, space) for x, rest in ctrees],
-                     dtype=int)
-    T = np.zeros((len(ctrees), space.dim), dtype=complex)
+    # Each pair-first tree's norm sign is its comb tree's in (a, x, s, ...)
+    # times the sign of the (s, s, x) bubble, which that comb lacks, and the
+    # two agree at every alpha: B[s,s;1] = -sqrt(2) < 0, and the vacuum lowers
+    # the braided q-spin by 1, which flips the parity factor; B[s,s;psi] = 1,
+    # and psi keeps the q-spin.
+    subs = {x: IndefSpace.build(space.params, (ALPHA, x) + (SIGMA,) * (n - 3))
+            for x in (VACUUM, PSI)}
+    rows = [(x, t.chain[1:]) for x, sub in subs.items() for t in sub.basis]
+    T = np.zeros((len(rows), space.dim), dtype=complex)
     for j, tree in enumerate(space.basis):
         ch = tree.chain
-        a1 = ch[1]
-        if n_sig == 2:
-            rest = (ch[-1],)
-            d = ch[-1]
-        else:
-            rest = (ch[2], ch[3])
-            d = ch[2]
-        blk = f_matrix(ALPHA, SIGMA, SIGMA, d, space.params)
-        for i, (x, crest) in enumerate(ctrees):
-            if crest != rest:
-                continue
-            T[i, j] = blk.entry(x, a1)
-    return ControlBasis(labels, T, signs)
+        blk = f_matrix(ALPHA, SIGMA, SIGMA, ch[2], space.params)
+        for i, (x, rest) in enumerate(rows):
+            if ch[2:] == rest:
+                T[i, j] = blk.entry(x, ch[1])
+    return ControlBasis(T, np.concatenate([sub.metric_signs for sub in subs.values()]))

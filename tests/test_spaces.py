@@ -8,8 +8,9 @@ from nss import (ALPHA, PSI, SIGMA, VACUUM, EmptyBasis, FusionTree, IndefSpace,
                  ModelParams, QubitCode, control_basis_transform,
                  enumerate_basis, f_matrix, modified_dimension, qubit_space,
                  tree_norm_sign)
+from nss.anyon import bubble_pop, fuse
 from nss.labels import parse_leaves
-from nss.spaces import _computational_flag
+from nss.spaces import _computational_flag, _effective_qubits, _label_sort_key
 
 RNG = np.random.default_rng(11)
 
@@ -241,3 +242,75 @@ def test_control_transform_metric_transport(alpha):
     lhs = t.conj().T @ np.diag(cb.metric_signs.astype(float)) @ t
     assert np.max(np.abs(lhs - space.J)) < 1e-9
     assert list(cb.metric_signs) == [1, 1, -1, 1, 1, 1]
+
+
+def _control_oracle(space):
+    """The pair-first basis built tree by tree from its own enumeration.
+
+    Rows are (pair channel x, remaining chain) sorted vacuum first, then by
+    the chain read right to left; each sign is the product of the bubble
+    signs of (s, s, x), (a, x, y) and the sigma steps back to a, times the
+    root's modified dimension sign and the q-spin parity of the comb space.
+    """
+    p = space.params
+    n_sig = len(space.leaves) - 1
+    ctrees = []
+    for x in (VACUUM, PSI):
+        for y in fuse(ALPHA, x):
+            if n_sig == 2:
+                if y == ALPHA:
+                    ctrees.append((x, (y,)))
+                continue
+            for z in fuse(y, SIGMA):
+                if ALPHA in fuse(z, SIGMA):
+                    ctrees.append((x, (y, z)))
+    ctrees.sort(key=lambda t: (0 if t[0] == VACUUM else 1,
+                               tuple(_label_sort_key(l) for l in reversed(t[1]))))
+    signs = []
+    for x, rest in ctrees:
+        vertices = [(SIGMA, SIGMA, x), (ALPHA, x, rest[0])]
+        vertices += [(rest[i - 1], SIGMA, rest[i]) for i in range(1, len(rest))]
+        if len(rest) > 1:
+            vertices.append((rest[-1], SIGMA, ALPHA))
+        prod = 1.0
+        for v in vertices:
+            prod *= math.copysign(1.0, bubble_pop(*v, p))
+        n = _effective_qubits(space.leaves)
+        d = modified_dimension(p.alpha, p.tol)
+        signs.append(int((-1) ** (n + 1) * math.copysign(1.0, d) * prod))
+    t = np.zeros((len(ctrees), space.dim), dtype=complex)
+    for j, tree in enumerate(space.basis):
+        ch = tree.chain
+        rest = (ch[-1],) if n_sig == 2 else (ch[2], ch[3])
+        blk = f_matrix(ALPHA, SIGMA, SIGMA, ch[2], p)
+        for i, (x, crest) in enumerate(ctrees):
+            if crest == rest:
+                t[i, j] = blk.entry(x, ch[1])
+    return t, np.array(signs, dtype=int)
+
+
+_CONTROL_ALPHAS = [a for a in np.random.default_rng(41).uniform(0, 8, 200)
+                   if abs(a - round(a)) > 1e-3]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_control_transform_matches_tree_oracle(n):
+    # the comb bases of (a, 1, s, ...) and (a, psi, s, ...) give the
+    # pair-first rows and signs of the tree-by-tree rule, bit for bit
+    assert len(_CONTROL_ALPHAS) == 200
+    for al in _CONTROL_ALPHAS:
+        space = qubit_space(ModelParams(float(al)), n)
+        cb = control_basis_transform(space)
+        want_t, want_signs = _control_oracle(space)
+        assert cb.matrix.tobytes() == want_t.tobytes(), al
+        assert cb.metric_signs.dtype == want_signs.dtype
+        assert list(cb.metric_signs) == list(want_signs), al
+
+
+@pytest.mark.parametrize("alpha", [1 + 1.1e-10, 5 + 1.1e-10])
+def test_control_transform_raises_like_tree_oracle(alpha):
+    # the (a, psi, a) bubble is singular here; the comb space is not
+    space = qubit_space(ModelParams(alpha, tol=1e-10), 1)
+    want = _signs_or_error(lambda: _control_oracle(space))
+    got = _signs_or_error(lambda: control_basis_transform(space))
+    assert isinstance(want, tuple) and got == want

@@ -293,6 +293,36 @@ def test_cli_search_rejects_bad_parameters(arg):
     assert json.loads(out)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("args", [
+    ("space", "--leaves", ""),
+    ("braid", "--system", "", "--word", "x"),
+    ("model", "--alpha", "1e400"),
+    ("reichardt", "--k", "-1"),
+    ("reichardt", "--extended", "--dps", "-5"),
+])
+def test_cli_bad_input_is_a_usage_error(args):
+    code, out = run_cli(*args)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("command", ["model", "space --leaves a,s,s", "braid --system a,s,s --word b2",
+                                     "search --max-len 2", "verify"])
+def test_cli_csv_only_on_reichardt(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command.split(), "--format", "csv")
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["model --alpha 12/5", "reichardt --k 1"])
+def test_cli_pretty_is_the_json_object(command):
+    _, plain = run_cli(*command.split())
+    _, pretty = run_cli(*command.split(), "--format", "pretty")
+    assert "\n  " in pretty
+    assert json.loads(pretty) == json.loads(plain)
+
+
 def test_cli_verify_exit_zero():
     code, out = run_cli("verify", "--alpha", "2.4", "--seed", "0")
     assert code == 0
