@@ -129,10 +129,10 @@ def _outcomes(a: QLabel, b: QLabel) -> tuple[QLabel, ...]:
 # modified dimension, sign functions
 # ---------------------------------------------------------------------------
 
-def modified_dimension(alpha: float, tol: float = 1e-10, ns=FLOAT_NS):
+def modified_dimension(alpha: float, tol: float = 1e-10):
     """Modified quantum dimension: -4 sin(pi a/4) / sin(pi a)."""
     check_noninteger(alpha, tol)
-    return -4 * ns.sin(ns.pi * alpha / 4) / ns.sin(ns.pi * alpha)
+    return -4 * math.sin(math.pi * alpha / 4) / math.sin(math.pi * alpha)
 
 
 def s_sign(alpha: float, tol: float = 1e-10) -> int:

@@ -242,15 +242,10 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
 
 @dataclass(frozen=True)
 class BraidMatrix:
-    """A braid operator on an IndefSpace, with any applied global phase."""
+    """A braid operator on an IndefSpace."""
 
     matrix: np.ndarray
     space: IndefSpace
-    phase: Optional[complex] = None
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
 
     def pseudo_unitarity_defect(self) -> float:
         return pseudo_unitarity_defect(self.matrix, self.space)
@@ -264,13 +259,13 @@ def generator_matrix(space: IndefSpace, tok: str, power: int = 1,
 
     Raises LeakyPermutation when the letter at that power permutes the leaf
     labeling, so the basis is not preserved.  No phase is applied unless the
-    caller passes one; it is recorded on the result.
+    caller passes one; the matrix is then multiplied by ``global_phase ** power``.
     """
     m = evaluate_word(space.params, space.leaves, BraidWord(((tok, power),)),
                       charge=space.charge, ns=ns)
     if global_phase is not None:
         m = m * (global_phase ** power)
-    return BraidMatrix(m, space, global_phase)
+    return BraidMatrix(m, space)
 
 
 def evaluate_word_open(params: ModelParams, leaves, word: BraidWord,

@@ -20,7 +20,7 @@ import numpy as np
 from . import anyon, gates, verify
 from .braids import BraidWord, evaluate_word, pseudo_unitarity_defect
 from .errors import ModelError
-from .labels import ModelParams, parse_label, parse_leaves
+from .labels import ALPHA, ModelParams, parse_label, parse_leaves
 from .spaces import FusionTree, IndefSpace, QubitCode
 
 EXIT_OK = 0
@@ -92,26 +92,19 @@ def _cmd_space(args) -> int:
         "scale": space.scale,
         "computational": space.computational_mask,
     }
-    n2 = len(leaves) - 1
-    if bool(space.computational_mask.any()) and all(l.token() == "s" for l in leaves[1:]):
-        code = QubitCode(n2 // 2)
-        payload["encodings"] = {
-            "".join(map(str, bits)): code.encode(bits).serialize()
-            for bits in _all_bits(n2 // 2)}
+    code = QubitCode.of(leaves, charge)
+    if code is not None:
+        payload["encodings"] = {"".join(map(str, bits)): code.encode(bits).serialize()
+                                for bits in code.bitstrings()}
+    if code is None and (args.encode is not None or args.decode is not None):
+        raise ValueError(f"{args.leaves} at charge {charge} is not a qubit register")
     if args.encode is not None:
-        code = QubitCode(len(args.encode))
-        payload["encode"] = code.encode([int(b) for b in args.encode]).serialize()
+        payload["encode"] = code.encode(args.encode).serialize()
     if args.decode is not None:
-        code = QubitCode(n2 // 2)
         bits = code.decode(FusionTree.deserialize(args.decode))
         payload["decode"] = "noncomputational" if bits is None else "".join(map(str, bits))
     _emit(args, payload)
     return EXIT_OK
-
-
-def _all_bits(n):
-    for i in range(2 ** n):
-        yield tuple((i >> j) & 1 for j in range(n))
 
 
 def _cmd_braid(args) -> int:
@@ -129,7 +122,7 @@ def _cmd_braid(args) -> int:
         "pseudo_unitarity_defect": pseudo_unitarity_defect(m, space),
         "det_modulus": float(abs(np.linalg.det(np.asarray(m, dtype=complex)))),
     }
-    if space.dim == 4 and tuple(l.token() for l in leaves) == ("a", "psi", "s", "s"):
+    if (leaves, charge) == (gates.PSI_LEAVES, ALPHA):
         su2, su11 = gates.leakage_norms(m)
         payload["leakage"] = {"su2": su2, "su11": su11}
     _emit(args, payload)

@@ -444,13 +444,13 @@ class ControlledGate:
     schmidt_rank: int
 
 
-def operator_schmidt_rank(block: np.ndarray, tol: float = 1e-9) -> int:
+def operator_schmidt_rank(block: np.ndarray) -> int:
     """Rank of the two-qubit operator over the product-operator basis."""
     b = np.asarray(block, dtype=complex).reshape(2, 2, 2, 2)
     # index (b1, b2, b1', b2') with the first qubit varying fastest
     m = b.transpose(0, 2, 1, 3).reshape(4, 4)
     sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > 1e-9 * sv[0]))
 
 
 def controlled_gate(two_qubit: IndefSpace, u_psi: np.ndarray,

@@ -68,38 +68,12 @@ def _tree_sort_key(tree: FusionTree):
     return tuple(_label_sort_key(l) for l in reversed(tree.chain[1:]))
 
 
-def _is_qubit_system(leaves, charge) -> bool:
-    return (len(leaves) >= 1 and leaves[0].is_alpha and charge == leaves[0]
-            and all(l == SIGMA for l in leaves[1:]) and len(leaves) % 2 == 1)
-
-
-def _bit_pattern(tree: FusionTree):
-    """Bits for a computational chain alternating alpha+-1 / alpha, else None."""
-    base = tree.leaves[0].shift
-    bits = []
-    ch = tree.chain
-    for i, lbl in enumerate(ch[1:], start=1):
-        if not lbl.is_alpha:
-            return None
-        d = lbl.shift - base
-        if i % 2 == 1:
-            if d == 1:
-                bits.append(0)
-            elif d == -1:
-                bits.append(1)
-            else:
-                return None
-        elif d != 0:
-            return None
-    return tuple(bits)
-
-
 def enumerate_basis(leaves, charge) -> tuple[FusionTree, ...]:
     """All admissible left-comb labelings, deterministically ordered.
 
     Trees sort by their internal chain read right-to-left with higher
-    alpha-shifts first; on qubit systems (alpha followed by an even number
-    of sigmas at total charge alpha) computational trees come first, which
+    alpha-shifts first; on qubit registers (see QubitCode.of: an alpha-type
+    b, 2n sigmas, total charge b) computational trees come first, which
     reproduces the two-qubit listing order with the noncomputational
     vectors last.  The basis does not depend on alpha, so each (leaves,
     charge) is enumerated once per process and the same tuple returned.
@@ -171,10 +145,9 @@ def _enumerate_trees(leaves: tuple, charge) -> tuple[FusionTree, ...]:
     if not chains:
         raise EmptyBasis(f"no admissible labeling for {leaves} at charge {charge}")
     trees = [FusionTree(leaves, ch[1:-1], ch[-1]) for ch in chains]
-    if _is_qubit_system(leaves, charge):
-        trees.sort(key=lambda t: (_bit_pattern(t) is None, _tree_sort_key(t)))
-    else:
-        trees.sort(key=_tree_sort_key)
+    code = QubitCode.of(leaves, charge)
+    trees.sort(key=lambda t: (code is not None and code.decode(t) is None,
+                              _tree_sort_key(t)))
     return tuple(trees)
 
 
@@ -255,15 +228,14 @@ class IndefSpace:
 
 
 def _computational_flag(tree: FusionTree) -> bool:
-    if _is_qubit_system(tree.leaves, tree.root):
-        return _bit_pattern(tree) is not None
-    # control sector (alpha, psi, s, s): computational trees keep the first
-    # internal edge at the base alpha
-    if (len(tree.leaves) == 4 and tree.leaves[0].is_alpha
-            and tree.leaves[1] == PSI and tree.leaves[2] == SIGMA
-            and tree.leaves[3] == SIGMA and tree.root.is_alpha):
-        return tree.internal[0].shift == tree.leaves[0].shift
-    return False
+    code = QubitCode.of(tree.leaves, tree.root)
+    if code is not None:
+        return code.decode(tree) is not None
+    # control sector (b, psi, s, s) at charge b: computational trees keep the
+    # first internal edge at b
+    b = tree.leaves[0]
+    return (b.is_alpha and tree.leaves[1:] == (PSI, SIGMA, SIGMA)
+            and tree.root == b and tree.internal[0] == b)
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +244,31 @@ def _computational_flag(tree: FusionTree) -> bool:
 
 @dataclass(frozen=True)
 class QubitCode:
-    """Bitstring <-> tree map for the (alpha, sigma^{2n}) spaces.
+    """Bitstring <-> tree map for the qubit registers (b, sigma^{2n}) at charge b.
 
-    Bit 0 steps the charge up (alpha+1), bit 1 steps it down (alpha-1), and
-    every second fusion returns to alpha.
+    b is any alpha-type base.  Bit 0 steps the charge up (b+1), bit 1 steps
+    it down (b-1), and every second fusion returns to b.
     """
 
     n: int
     base: QLabel = ALPHA
 
+    @classmethod
+    def of(cls, leaves, charge) -> "QubitCode | None":
+        """The code of a qubit register, or None for any other system."""
+        leaves = tuple(leaves)
+        if (leaves and leaves[0].is_alpha and charge == leaves[0]
+                and len(leaves) % 2 == 1 and all(l == SIGMA for l in leaves[1:])):
+            return cls(len(leaves) // 2, charge)
+        return None
+
     @property
     def leaves(self) -> tuple[QLabel, ...]:
         return (self.base,) + (SIGMA,) * (2 * self.n)
+
+    def bitstrings(self):
+        """Every n-bit tuple in listing order: the first bit varies fastest."""
+        return [tuple((i >> j) & 1 for j in range(self.n)) for i in range(2 ** self.n)]
 
     def encode(self, bits) -> FusionTree:
         bits = tuple(int(b) for b in bits)
@@ -297,10 +282,24 @@ class QubitCode:
         return FusionTree(self.leaves, tuple(inner), self.base)
 
     def decode(self, tree: FusionTree):
-        """Bits of a computational tree, or None for a noncomputational one."""
+        """Bits of a computational tree, or None for a noncomputational one.
+
+        Raises ValueError for a tree of another system.
+        """
         if tree.leaves != self.leaves or tree.root != self.base:
-            return None
-        return _bit_pattern(tree)
+            raise ValueError(f"{tree.serialize()} is not a tree of the "
+                             f"{self.n}-qubit register on {self.base}")
+        bits = []
+        for i, lbl in enumerate(tree.chain[1:], start=1):
+            d = lbl.shift - self.base.shift if lbl.is_alpha else None
+            if i % 2 == 0:
+                if d != 0:
+                    return None
+            elif d in (1, -1):
+                bits.append((1 - d) // 2)
+            else:
+                return None
+        return tuple(bits)
 
 
 def qubit_space(params: ModelParams, n: int) -> IndefSpace:
@@ -331,10 +330,9 @@ def control_basis_transform(space: IndefSpace) -> ControlBasis:
     pseudo-orthogonal with respect to the two metrics:
     T^dagger J_control T = J_comb.
     """
+    if QubitCode.of(space.leaves, space.charge) not in (QubitCode(1), QubitCode(2)):
+        raise UnsupportedTriple("control basis defined for (a,s,s) and (a,s,s,s,s) at charge a")
     n = len(space.leaves)
-    if not (space.leaves[0] == ALPHA and all(l == SIGMA for l in space.leaves[1:])
-            and n in (3, 5)):
-        raise UnsupportedTriple("control basis defined for (a,s,s) and (a,s,s,s,s)")
     # Each pair-first tree's norm sign is its comb tree's in (a, x, s, ...)
     # times the sign of the (s, s, x) bubble, which that comb lacks, and the
     # two agree at every alpha: B[s,s;1] = -sqrt(2) < 0, and the vacuum lowers
@@ -344,10 +342,10 @@ def control_basis_transform(space: IndefSpace) -> ControlBasis:
             for x in (VACUUM, PSI)}
     rows = [(x, t.chain[1:]) for x, sub in subs.items() for t in sub.basis]
     T = np.zeros((len(rows), space.dim), dtype=complex)
-    for j, tree in enumerate(space.basis):
-        ch = tree.chain
-        blk = f_matrix(ALPHA, SIGMA, SIGMA, ch[2], space.params)
+    blocks = {c: f_matrix(ALPHA, SIGMA, SIGMA, c, space.params)
+              for c in dict.fromkeys(t.chain[2] for t in space.basis)}
+    for j, ch in enumerate(t.chain for t in space.basis):
         for i, (x, rest) in enumerate(rows):
             if ch[2:] == rest:
-                T[i, j] = blk.entry(x, ch[1])
+                T[i, j] = blocks[ch[2]].entry(x, ch[1])
     return ControlBasis(T, np.concatenate([sub.metric_signs for sub in subs.values()]))

@@ -35,8 +35,8 @@ class CheckResult:
                 "defect": self.defect, "detail": self.detail}
 
 
-def _sample_alphas(rng, count, lo=2.0, hi=3.0, guard=1e-3):
-    return lo + guard + (hi - lo - 2 * guard) * rng.random(count)
+def _sample_alphas(rng, count, lo=2.0, hi=3.0):
+    return lo + 1e-3 + (hi - lo - 2e-3) * rng.random(count)
 
 
 def _result(name, defect, tol, detail=""):
@@ -290,8 +290,7 @@ def _chk_encode_decode(params, rng):
     bad = 0
     for n in range(1, 5):
         code = QubitCode(n)
-        for i in range(2 ** n):
-            bits = tuple((i >> j) & 1 for j in range(n))
+        for bits in code.bitstrings():
             if code.decode(code.encode(bits)) != bits:
                 bad += 1
     return _result("encode-decode", float(bad), 0.5, "round trip for n=1..4")

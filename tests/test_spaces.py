@@ -1,4 +1,5 @@
 """Fusion-tree bases, metric signatures and qubit encodings."""
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,10 @@ from nss import (ALPHA, PSI, SIGMA, VACUUM, EmptyBasis, FusionTree, IndefSpace,
                  enumerate_basis, f_matrix, modified_dimension, qubit_space,
                  tree_norm_sign)
 from nss.anyon import bubble_pop, fuse
+from nss.errors import ModelError, UnsupportedTriple
 from nss.labels import parse_leaves
-from nss.spaces import _computational_flag, _effective_qubits, _label_sort_key
+from nss.spaces import (_computational_flag, _effective_qubits, _label_sort_key,
+                        _space_plan, _tree_sort_key)
 
 RNG = np.random.default_rng(11)
 
@@ -170,7 +173,6 @@ def test_plan_signs_are_fresh_and_mask_read_only():
 
 
 def test_metric_rejects_non_alpha_charge():
-    from nss.errors import UnsupportedTriple
     with pytest.raises(UnsupportedTriple):
         IndefSpace.build(ModelParams(2.4), (ALPHA, SIGMA), ALPHA.shifted(1))
 
@@ -200,6 +202,103 @@ def test_roundtrip_all_bitstrings():
             assert code.decode(code.encode(bits)) == bits
 
 
+def test_bitstrings_are_the_listing_order():
+    assert QubitCode(2).bitstrings() == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    for n in range(4):
+        code = QubitCode(n)
+        basis = enumerate_basis(code.leaves, ALPHA)
+        assert [code.decode(t) for t in basis[:2 ** n]] == code.bitstrings()
+
+
+def test_decode_rejects_a_tree_of_another_system():
+    for tree in (QubitCode(2).encode((0, 1)), QubitCode(1, ALPHA.shifted(1)).encode((0,)),
+                 enumerate_basis((ALPHA, PSI, SIGMA, SIGMA), ALPHA)[1]):
+        with pytest.raises(ValueError):
+            QubitCode(1).decode(tree)
+
+
+# ---------------------------------------------------------------------------
+# register classification
+# ---------------------------------------------------------------------------
+
+def _is_qubit_system(leaves, charge) -> bool:
+    # the register rule before QubitCode.of owned it, kept as the reference
+    return (len(leaves) >= 1 and leaves[0].is_alpha and charge == leaves[0]
+            and all(l == SIGMA for l in leaves[1:]) and len(leaves) % 2 == 1)
+
+
+def _bit_pattern(tree: FusionTree):
+    """Bits for a computational chain alternating alpha+-1 / alpha, else None."""
+    base = tree.leaves[0].shift
+    bits = []
+    ch = tree.chain
+    for i, lbl in enumerate(ch[1:], start=1):
+        if not lbl.is_alpha:
+            return None
+        d = lbl.shift - base
+        if i % 2 == 1:
+            if d == 1:
+                bits.append(0)
+            elif d == -1:
+                bits.append(1)
+            else:
+                return None
+        elif d != 0:
+            return None
+    return tuple(bits)
+
+
+def _reference_flag(tree: FusionTree) -> bool:
+    if _is_qubit_system(tree.leaves, tree.root):
+        return _bit_pattern(tree) is not None
+    if (len(tree.leaves) == 4 and tree.leaves[0].is_alpha
+            and tree.leaves[1] == PSI and tree.leaves[2] == SIGMA
+            and tree.leaves[3] == SIGMA and tree.root.is_alpha):
+        return tree.internal[0].shift == tree.leaves[0].shift
+    return False
+
+
+_GRID_LEAVES = [(first,) + rest
+                for first in (ALPHA, ALPHA.shifted(-1), ALPHA.shifted(1), SIGMA, PSI)
+                for k in range(7) for rest in itertools.product((SIGMA, PSI), repeat=k)]
+_GRID_CHARGES = [ALPHA.shifted(k) for k in (0, -1, 1, -2, 2)]
+
+
+def test_register_classification_matches_reference():
+    built, registers, control_off_charge = 0, 0, 0
+    for leaves, charge in itertools.product(_GRID_LEAVES, _GRID_CHARGES):
+        code = QubitCode.of(leaves, charge)
+        reg = _is_qubit_system(leaves, charge)
+        assert (code is not None) == reg, (leaves, charge)
+        try:
+            basis = enumerate_basis(leaves, charge)
+        except ModelError:
+            continue
+        built += 1
+        assert basis == tuple(sorted(basis, key=lambda t: (
+            reg and _bit_pattern(t) is None, _tree_sort_key(t))))
+        if code is not None:
+            registers += 1
+            assert (code.leaves, code.base) == (leaves, charge)
+            assert [code.decode(t) for t in basis] == [_bit_pattern(t) for t in basis]
+        mask = list(_space_plan(leaves, charge).computational_mask)
+        if leaves[1:] == (PSI, SIGMA, SIGMA) and charge != leaves[0]:
+            control_off_charge += 1
+            assert not any(mask), (leaves, charge)
+        else:
+            assert mask == [_reference_flag(t) for t in basis], (leaves, charge)
+    # registers (b, s^2n) for b = a, a-1, a+1 and n = 0..3
+    assert registers == 12
+    assert built > 100 and control_off_charge > 0
+
+
+@pytest.mark.parametrize("shift", [2, -2])
+def test_control_sector_needs_charge_at_its_base(shift):
+    space = IndefSpace.build(ModelParams(2.4), (ALPHA, PSI, SIGMA, SIGMA),
+                             ALPHA.shifted(shift))
+    assert space.dim > 0 and not space.computational_mask.any()
+
+
 def test_zero_qubit_encode():
     code = QubitCode(0)
     t = code.encode(())
@@ -223,6 +322,13 @@ def test_control_transform_single_qubit_is_f_matrix():
     cb = control_basis_transform(space)
     blk = f_matrix(ALPHA, SIGMA, SIGMA, ALPHA, p)
     assert np.allclose(cb.matrix, np.asarray(blk.matrix, dtype=complex), atol=1e-12)
+
+
+@pytest.mark.parametrize("leaves", ["a,s,s", "a,s,s,s,s"])
+def test_control_transform_rejects_charge_off_the_base(leaves):
+    space = IndefSpace.build(ModelParams(2.4), parse_leaves(leaves), ALPHA.shifted(2))
+    with pytest.raises(UnsupportedTriple):
+        control_basis_transform(space)
 
 
 def test_control_transform_invertible():

@@ -263,6 +263,22 @@ def test_cli_space_decode():
     assert data["decode"] == "noncomputational"
 
 
+@pytest.mark.parametrize("args, want_code", [
+    (("--alpha", "2.4", "--leaves", "a+1,s,s", "--charge", "a+1"), 0),
+    (("--leaves", "a,s,s", "--encode", "101"), 2),
+    (("--leaves", "a,psi,s,s", "--decode", "(a,s,s|a+1|a)"), 2),
+    (("--leaves", "a,s,s", "--decode", "(a,s,s,s,s|a+1,a,a-1|a)"), 2),
+])
+def test_cli_space_encodes_only_its_own_register(args, want_code):
+    code, out = run_cli("space", *args)
+    data = json.loads(out)
+    assert code == want_code
+    if code == 0:
+        assert list(data["encodings"].values()) == data["basis"]
+    else:
+        assert data["error"] == "ValueError"
+
+
 def test_cli_reichardt_csv():
     code, out = run_cli("reichardt", "--alpha", "12/5", "--k", "1",
                         "--format", "csv")
