@@ -13,10 +13,9 @@ from .anyon import (bubble_pop, f_matrix, fuse, model_dump,
 from .spaces import (ControlBasis, FusionTree, IndefSpace, QubitCode,
                      control_basis_transform, enumerate_basis, qubit_space,
                      tree_norm_sign)
-from .braids import (BraidMatrix, BraidWord, block_decompose, evaluate,
-                     evaluate_word, generator_matrix, matrix_order,
-                     pseudo_unitarity_defect, wrap_closed_form,
-                     exchange_closed_form, SPECIAL_UNITARY_PHASES)
+from .braids import (BraidMatrix, BraidWord, block_decompose, evaluate_word,
+                     generator_matrix, matrix_order, pseudo_unitarity_defect,
+                     wrap_closed_form, exchange_closed_form, SPECIAL_UNITARY_PHASES)
 from .gates import (LOW_LEAKAGE_WORD, W_WORD, D_WORD, LeakageReport,
                     SearchHit, build_D, build_W, controlled_gate,
                     leakage_norms, operator_schmidt_rank, psi_sector,

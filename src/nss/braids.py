@@ -39,33 +39,50 @@ SPECIAL_UNITARY_PHASES = {
 # braid words
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"^(x|h1|b(\d+))(\^(-?\d+))?$")
+_LETTER_RE = re.compile(r"x|h1|b([2-9]|[1-9]\d+)")
+_SYLLABLE_RE = re.compile(r"([a-z]+)(\d*)(?:\^(-?\d+))?")
+
+
+def _strand(tok) -> int:
+    """The one definition of a letter: x, h1, b2, b3, ... spelled canonically.
+
+    Returns the first strand it acts on (0 for x and h1, i-1 for b{i}).
+    """
+    m = _LETTER_RE.fullmatch(tok) if isinstance(tok, str) else None
+    if m is None:
+        raise ValueError(f"unknown letter {tok!r}")
+    return int(m.group(1)) - 1 if m.group(1) else 0
 
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A sequence of (generator token, integer power) syllables."""
+    """(token, nonzero power) syllables; the bare constructor checks nothing."""
 
     letters: tuple[tuple[str, int], ...]
 
     @classmethod
     def parse(cls, text: str) -> "BraidWord":
+        """Read ``tok^p`` syllables; case and an index's leading zeros are read away."""
         letters = []
         for raw in text.split():
-            m = _TOKEN_RE.match(raw.lower())
+            m = _SYLLABLE_RE.fullmatch(raw.lower())
             if not m:
                 raise ValueError(f"bad braid token {raw!r}")
-            tok = m.group(1)
-            if tok.startswith("b") and int(m.group(2)) < 2:
-                raise ValueError(f"exchange index must be >= 2 in {raw!r}")
-            power = int(m.group(4)) if m.group(4) else 1
-            if power != 0:
-                letters.append((tok, power))
-        return cls(tuple(letters))
+            name, index, power = m.groups()
+            letters.append((name + (str(int(index)) if index else ""), int(power or 1)))
+        return cls.from_letters(letters)
 
     @classmethod
     def from_letters(cls, letters) -> "BraidWord":
-        return cls(tuple((str(t), int(p)) for t, p in letters))
+        """A word of (token, power) pairs; zero powers are dropped."""
+        out = []
+        for tok, p in letters:
+            _strand(tok)  # raises unless tok is a letter
+            if not isinstance(p, (int, np.integer)):
+                raise ValueError(f"power {p!r} of {tok} is not an integer")
+            if p:
+                out.append((tok, int(p)))
+        return cls(tuple(out))
 
     def __str__(self) -> str:
         return " ".join(t if p == 1 else f"{t}^{p}" for t, p in self.letters)
@@ -87,18 +104,14 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return BraidWord(tuple((t, -p) for t, p in reversed(self.letters)))
 
-    def unit_letters(self):
-        for tok, p in self.letters:
-            yield from [(tok, 1 if p > 0 else -1)] * abs(p)
-
 
 def apply_letter_to_leaves(leaves, tok: str) -> tuple[QLabel, ...]:
     leaves = tuple(leaves)
-    if tok == "x":
-        return leaves
-    i = 0 if tok == "h1" else int(tok[1:]) - 1
+    i = _strand(tok)
     if i + 1 >= len(leaves):
         raise ValueError(f"letter {tok} needs strand {i + 2}")
+    if tok == "x":
+        return leaves
     out = list(leaves)
     out[i], out[i + 1] = out[i + 1], out[i]
     return tuple(out)
@@ -131,11 +144,7 @@ class _LetterPlan:
 
 @functools.lru_cache(maxsize=256)  # plans are alpha-free; the bound stops growth
 def _letter_plan(leaves: tuple, charge: QLabel, tok: str) -> _LetterPlan:
-    if tok.startswith("b") and int(tok[1:]) < 2:
-        raise ValueError("exchange index must be >= 2")
-    if tok not in ("x", "h1") and not tok.startswith("b"):
-        raise ValueError(f"unknown letter {tok!r}")
-    new_leaves = apply_letter_to_leaves(leaves, tok)
+    new_leaves, i = apply_letter_to_leaves(leaves, tok), _strand(tok)
     basis = enumerate_basis(leaves, charge)
     idx = {t.chain: k for k, t in enumerate(enumerate_basis(new_leaves, charge))}
     blocks, labels, amps, entries = {}, {}, {}, []
@@ -157,7 +166,6 @@ def _letter_plan(leaves: tuple, charge: QLabel, tok: str) -> _LetterPlan:
             entries.append((idx[(new_leaves[0],) + ch[1:]], j, label(*triples)))
             continue
         # half-exchange of leaves i, i+1 via F^-1 R F at their vertex
-        i = int(tok[1:]) - 1
         P, Q = leaves[i], leaves[i + 1]
         sb, s_rows, s_cols = block((ch[i - 1], P, Q, ch[i + 1]))
         tb, t_rows, t_cols = block((ch[i - 1], Q, P, ch[i + 1]))
@@ -247,21 +255,17 @@ class BraidMatrix:
     matrix: np.ndarray
     space: IndefSpace
 
-    def pseudo_unitarity_defect(self) -> float:
-        return pseudo_unitarity_defect(self.matrix, self.space)
-
 
 def generator_matrix(space: IndefSpace, tok: str, power: int = 1,
                      global_phase: Optional[complex] = None,
                      ns=FLOAT_NS) -> BraidMatrix:
-    """Matrix of a single generator power (token ``x``, ``h1`` or ``b{i}``)
-    on the given basis.
+    """Matrix of a single generator power on the space's basis.
 
     Raises LeakyPermutation when the letter at that power permutes the leaf
     labeling, so the basis is not preserved.  No phase is applied unless the
     caller passes one; the matrix is then multiplied by ``global_phase ** power``.
     """
-    m = evaluate_word(space.params, space.leaves, BraidWord(((tok, power),)),
+    m = evaluate_word(space.params, space.leaves, BraidWord.from_letters([(tok, power)]),
                       charge=space.charge, ns=ns)
     if global_phase is not None:
         m = m * (global_phase ** power)
@@ -282,9 +286,10 @@ def evaluate_word_open(params: ModelParams, leaves, word: BraidWord,
     m = np.zeros((len(enumerate_basis(leaves, charge)),) * 2, dtype=ns.dtype)
     np.fill_diagonal(m, ns.one + 0 * ns.i)
     symbols = {}  # this call's F blocks and R symbols, by argument tuple
-    for tok, sgn in word.unit_letters():
-        lm, cur = letter_matrix(params, cur, tok, sgn, charge, ns, symbols)
-        m = lm @ m
+    for tok, p in word.letters:
+        for _ in range(abs(p)):
+            lm, cur = letter_matrix(params, cur, tok, 1 if p > 0 else -1, charge, ns, symbols)
+            m = lm @ m
     return m, cur
 
 
@@ -296,14 +301,6 @@ def evaluate_word(params: ModelParams, leaves, word: BraidWord,
     if cur != leaves:
         raise LeakyPermutation(f"word leaves the system as {cur}")
     return m
-
-
-def evaluate(space: IndefSpace, word, ns=FLOAT_NS) -> BraidMatrix:
-    """Evaluate a braid word (or its text form) as an operator on the space."""
-    if isinstance(word, str):
-        word = BraidWord.parse(word)
-    m = evaluate_word(space.params, space.leaves, word, charge=space.charge, ns=ns)
-    return BraidMatrix(m, space)
 
 
 # ---------------------------------------------------------------------------

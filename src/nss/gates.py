@@ -21,9 +21,9 @@ import numpy as np
 from .anyon import FLOAT_NS, _inv_small, mp_namespace
 from .braids import (BraidMatrix, BraidWord, block_decompose, evaluate_word,
                      evaluate_word_open)
-from .errors import NotBlockDiagonal, PrecisionExhausted
+from .errors import NotBlockDiagonal, PrecisionExhausted, UnsupportedTriple
 from .labels import ALPHA, PSI, SIGMA, VACUUM, ModelParams
-from .spaces import IndefSpace, control_basis_transform
+from .spaces import IndefSpace, QubitCode, control_basis_transform
 
 PSI_LEAVES = (ALPHA, PSI, SIGMA, SIGMA)
 VAC_LEAVES = (ALPHA, VACUUM, SIGMA, SIGMA)
@@ -457,12 +457,16 @@ def controlled_gate(two_qubit: IndefSpace, u_psi: np.ndarray,
                     leak_tol: float = 1e-6) -> ControlledGate:
     """Conjugate a control-sector gate back to the two-qubit comb basis.
 
-    ``u_psi`` acts on the four control-sector vectors and the identity on the
-    two vacuum-channel vectors; the result is expressed on the basis
-    |00>,|10>,|01>,|11>,NC1,NC2.  Raises NotBlockDiagonal when the gate
-    couples the computational block to the noncomputational pair beyond
-    ``leak_tol``.
+    The 4x4 ``u_psi`` acts on the four control-sector vectors and the identity
+    on the two vacuum-channel vectors of (a,s,s,s,s) at charge a; the result
+    is on the basis |00>,|10>,|01>,|11>,NC1,NC2.  Raises NotBlockDiagonal
+    when the gate couples the computational block to the noncomputational
+    pair beyond ``leak_tol``.
     """
+    if QubitCode.of(two_qubit.leaves, two_qubit.charge) != QubitCode(2):
+        raise UnsupportedTriple("controlled_gate needs the two-qubit space (a,s,s,s,s) at charge a")
+    if np.shape(u_psi) != (4, 4):
+        raise ValueError(f"u_psi must be 4x4, not of shape {np.shape(u_psi)}")
     cb = control_basis_transform(two_qubit)
     op = np.eye(6, dtype=complex)
     op[2:, 2:] = np.asarray(u_psi, dtype=complex)

@@ -138,9 +138,9 @@ class ModelParams:
 
     @classmethod
     def from_string(cls, text: str, tol: float = 1e-10) -> "ModelParams":
-        frac = Fraction(text.strip())
         try:
+            frac = Fraction(text.strip())
             alpha = float(frac)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise ValueError("alpha must be finite") from None
         return cls(alpha, tol, exact=frac)

@@ -1,6 +1,7 @@
 """Braid-engine tests: closed forms, relations, blocks, orders."""
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,7 @@ import pytest
 
 from nss import (ALPHA, PSI, SIGMA, BraidWord, LeakyPermutation, ModelParams,
                  NotBlockDiagonal, SPECIAL_UNITARY_PHASES, block_decompose,
-                 evaluate, evaluate_word, generator_matrix, matrix_order,
+                 evaluate_word, generator_matrix, matrix_order,
                  pseudo_unitarity_defect, q_power, qubit_space,
                  wrap_closed_form, exchange_closed_form)
 from nss import braids
@@ -44,6 +45,46 @@ def test_word_parse_rejects_garbage():
         BraidWord.parse("b1")
     with pytest.raises(ValueError):
         BraidWord.parse("y^2")
+
+
+def _unknown(tok):
+    return ValueError(f"unknown letter {tok!r}")
+
+
+@pytest.mark.parametrize("call, expected", [
+    # parse reads case and leading zeros away, so these syllables cancel
+    pytest.param(lambda: BraidWord.parse("b2 b02^-1").free_reduce(), BraidWord(()),
+                 id="b02-cancels-b2"),
+    pytest.param(lambda: BraidWord.parse("B02^-1 X"), BraidWord.parse("b2^-1 x"),
+                 id="case-and-zeros"),
+    pytest.param(lambda: str(BraidWord.parse("b02 H01^2")), "b2 h1^2", id="prints-canonical"),
+    # from_letters checks each token and power and drops zero powers
+    pytest.param(lambda: BraidWord.from_letters([("b1", 1)]), _unknown("b1"), id="b1"),
+    pytest.param(lambda: BraidWord.from_letters([("y", 1)]), _unknown("y"), id="y"),
+    pytest.param(lambda: BraidWord.from_letters([("B2", 1)]), _unknown("B2"), id="B2"),
+    pytest.param(lambda: BraidWord.from_letters([("x2", 1)]), _unknown("x2"), id="x2"),
+    pytest.param(lambda: BraidWord.from_letters([("b2", 1.5)]),
+                 ValueError("power 1.5 of b2 is not an integer"), id="power-1.5"),
+    pytest.param(lambda: BraidWord.from_letters([("b2", 0), ("x", np.int64(2))]),
+                 BraidWord((("x", 2),)), id="zero-power-dropped"),
+    # every letter reaches the leaves through the same rule
+    pytest.param(lambda: apply_letter_to_leaves(H1 + (SIGMA,), "y2"), _unknown("y2"),
+                 id="leaves-y2"),
+    pytest.param(lambda: apply_letter_to_leaves(H1, "bx"), _unknown("bx"), id="leaves-bx"),
+    pytest.param(lambda: generator_matrix(qubit_space(ModelParams(2.4), 1), "b02"), _unknown("b02"),
+                 id="generator-b02"),
+    # x, like h1, needs two strands
+    pytest.param(lambda: apply_letter_to_leaves((ALPHA,), "x"),
+                 ValueError("letter x needs strand 2"), id="leaves-x-one-strand"),
+    pytest.param(lambda: letter_matrix(ModelParams(2.4), (ALPHA,), "x", 1),
+                 ValueError("letter x needs strand 2"), id="letter-x-one-strand"),
+])
+def test_one_letter_grammar(call, expected):
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected))}$"):
+            call()
+    else:
+        assert call() == expected
 
 
 def test_word_free_reduce_and_inverse():
@@ -194,7 +235,7 @@ def test_j4_acts_trivially_on_first_qubit():
     # the first qubit
     p = ModelParams(2.4)
     space = qubit_space(p, 2)
-    m = evaluate(space, J4_WORD).matrix
+    m = evaluate_word(p, space.leaves, J4_WORD)
     blocks = block_decompose(m, space)
     comp = blocks.computational
     # basis 00,10,01,11: first qubit fast; fix first qubit = 0 and 1
@@ -247,7 +288,7 @@ def test_generator_pseudo_unitarity():
         space = qubit_space(p, (len(leaves) - 1) // 2)
         for g in gens:
             bm = generator_matrix(space, g, 1)
-            assert bm.pseudo_unitarity_defect() < 1e-12
+            assert pseudo_unitarity_defect(bm.matrix, space) < 1e-12
             assert abs(abs(np.linalg.det(bm.matrix)) - 1) < 1e-12
 
 
@@ -273,7 +314,7 @@ def test_generator_matrix_rejects_open_letter():
     with pytest.raises(LeakyPermutation):
         generator_matrix(psi_space, "b2", 1)
     with pytest.raises(LeakyPermutation):
-        evaluate(psi_space, "b2 x b2^2")
+        evaluate_word(p, psi_space.leaves, BraidWord.parse("b2 x b2^2"))
 
 
 def test_half_exchange_letter_closes_at_even_count():

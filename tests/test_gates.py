@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from nss import (ALPHA, PSI, SIGMA, BraidWord, LOW_LEAKAGE_WORD, ModelParams,
-                 NotBlockDiagonal, PrecisionExhausted, W_WORD, build_D,
-                 build_W, controlled_gate, leakage_norms,
+                 NotBlockDiagonal, PrecisionExhausted, UnsupportedTriple, W_WORD,
+                 build_D, build_W, controlled_gate, leakage_norms,
                  operator_schmidt_rank, psi_sector, q_power,
                  reichardt_iterate, reichardt_step, search_low_leakage,
                  vacuum_sector_matrix, qubit_space)
 from nss.anyon import mp_namespace
-from nss.braids import evaluate_word
+from nss.braids import evaluate_word, pseudo_unitarity_defect
 from nss import gates
 from nss.gates import D_WORD, PSI_LEAVES, LeakageReport, SearchHit, step_word
 
@@ -63,7 +63,7 @@ def test_build_W_leakage_norms():
     su2, su11 = leakage_norms(w.matrix)
     assert su2 == pytest.approx(0.832, abs=1e-3)
     assert su11 == pytest.approx(0.904, abs=1e-3)
-    assert w.pseudo_unitarity_defect() < 1e-12
+    assert pseudo_unitarity_defect(w.matrix, w.space) < 1e-12
 
 
 def test_candidate_exchange_square_exceeds_unity():
@@ -525,6 +525,16 @@ def test_controlled_gate_rejects_leaky_action():
     u[0, 1] = 0.5   # large coupling between control-sector vectors
     with pytest.raises(NotBlockDiagonal):
         controlled_gate(space, u, leak_tol=1e-6)
+
+
+def test_controlled_gate_needs_the_two_qubit_space():
+    with pytest.raises(UnsupportedTriple, match="needs the two-qubit space"):
+        controlled_gate(qubit_space(P, 1), np.eye(4))
+
+
+def test_controlled_gate_needs_a_4x4_control_sector_gate():
+    with pytest.raises(ValueError, match=r"^u_psi must be 4x4, not of shape \(3, 3\)$"):
+        controlled_gate(qubit_space(P, 2), np.eye(3))
 
 
 def test_low_leakage_word_not_vacuum_trivial():

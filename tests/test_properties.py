@@ -88,3 +88,21 @@ def test_search_rank_text_is_the_word_text(max_power, length, data):
     text = _word_text(syllables)
     assert [text(w) for w in words] == [str(BraidWord(w)) for w in words]
     assert sorted(words, key=text) == sorted(words, key=lambda w: str(BraidWord(w)))
+
+
+LETTERS = ["x", "h1", "b2", "b3", "b10"]
+
+
+@PROPERTY
+@given(letters=st.lists(st.tuples(
+    st.sampled_from(LETTERS + ["B2", "b02", "X", "H1", "b1", "b0", "h2", "x2", "y", "bx", ""]),
+    st.integers(-3, 3)), max_size=8))
+def test_checked_words_print_and_parse_back(letters):
+    # the one letter rule: canonical tokens only, zero powers dropped
+    if any(tok not in LETTERS for tok, _ in letters):
+        with pytest.raises(ValueError):
+            BraidWord.from_letters(letters)
+        return
+    w = BraidWord.from_letters(letters)
+    assert w.letters == tuple((t, p) for t, p in letters if p)
+    assert BraidWord.parse(str(w)) == w == BraidWord.from_letters(w.letters)

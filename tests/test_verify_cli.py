@@ -315,11 +315,21 @@ def test_cli_search_rejects_bad_parameters(arg):
     ("model", "--alpha", "1e400"),
     ("reichardt", "--k", "-1"),
     ("reichardt", "--extended", "--dps", "-5"),
+    ("model", "--alpha", "2/0"),
 ])
 def test_cli_bad_input_is_a_usage_error(args):
     code, out = run_cli(*args)
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("word, message", [("x", "letter x needs strand 2"),
+                                           ("b2 y", "unknown letter 'y'"),
+                                           ("b2^", "bad braid token 'b2^'")])
+def test_cli_braid_bad_letter_is_a_usage_error(word, message):
+    code, out = run_cli("braid", "--system", "a", "--word", word)
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("command", ["model", "space --leaves a,s,s", "braid --system a,s,s --word b2",
