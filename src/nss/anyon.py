@@ -19,7 +19,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -200,21 +200,23 @@ def _kind_index(table):
 _B_INDEX = _kind_index(_B_TABLE)
 
 
-def _b_unit(x, ns, tol):
-    return ns.one
-
-
-def _b_row(a: QLabel, b: QLabel, c: QLabel):
-    """B^{ab}_c as (row, shift), its value at alpha being row(alpha + shift, ns, tol);
-    an untabulated triple gives a row that raises where it is evaluated."""
-    if (b == VACUUM and a == c) or (a == VACUUM and b == c):
-        return _b_unit, 0
+def _row(index, unit, what, u: QLabel, v: QLabel, w: QLabel):
+    """The B or R symbol what[u,v;w] as (row, shift), its value at alpha being
+    row(alpha + shift, ns, tol): ``unit`` on a vacuum pair, else the ``index``
+    row at u.shift + v.shift; an untabulated triple gives a row that raises
+    where it is evaluated."""
+    if (v == VACUUM and u == w) or (u == VACUUM and v == w):
+        return unit, 0
     # a label is the tuple (kind, shift, is_alpha); see _kind_index
-    row = _B_INDEX.get((a[0], b[0], c[0], c[1] - a[1] - b[1]))
+    row = index.get((u[0], v[0], w[0], w[1] - u[1] - v[1]))
     if row is None:
         def row(x, ns, tol):
-            raise UnsupportedTriple(f"B[{a},{b};{c}] not tabulated")
-    return row, a[1]
+            raise UnsupportedTriple(f"{what}[{u},{v};{w}] not tabulated")
+    return row, u[1] + v[1]
+
+
+def _b_unit(x, ns, tol):
+    return ns.one
 
 
 def bubble_pop(a: QLabel, b: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS):
@@ -223,7 +225,7 @@ def bubble_pop(a: QLabel, b: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS
     Real for every tabulated triple; its sign feeds the metric.  Alpha-type
     rows shift: the first label's value is the `alpha' of the table row.
     """
-    row, shift = _b_row(a, b, c)
+    row, shift = _row(_B_INDEX, _b_unit, "B", a, b, c)
     return row(alpha_in(params, ns) + shift, ns, params.tol)
 
 
@@ -235,11 +237,10 @@ def _sqrt2(ns):
     return _SQRT2 if ns is FLOAT_NS else ns.sqrt(2 * ns.one)
 
 
-def computational_bubbles(params: ModelParams, ns=FLOAT_NS):
+def computational_bubbles(params: ModelParams):
     """(B_{+}, B_{-}): bubble coefficients of the up/down single-qubit channels."""
-    b_plus = bubble_pop(ALPHA.shifted(1), SIGMA, ALPHA, params, ns)
-    b_minus = bubble_pop(ALPHA, SIGMA, ALPHA.shifted(-1), params, ns)
-    return b_plus, b_minus
+    return (bubble_pop(ALPHA.shifted(1), SIGMA, ALPHA, params),
+            bubble_pop(ALPHA, SIGMA, ALPHA.shifted(-1), params))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +273,10 @@ _R_TABLE = {
 _R_INDEX = _kind_index(_R_TABLE)
 
 
+def _r_unit(x, ns, tol):
+    return ns.one + 0 * ns.i
+
+
 def r_symbol(b: QLabel, a: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS):
     """R^{ba}_c: the phase exchanging a pair split from channel c.
 
@@ -279,13 +284,8 @@ def r_symbol(b: QLabel, a: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS):
     yields R^{ba}_c times the state split as (b, a).  Unit modulus for every
     tabulated row; rows with an alpha-type label shift with it.
     """
-    if (b == VACUUM and a == c) or (a == VACUUM and b == c):
-        return ns.one + 0 * ns.i
-    # a label is the tuple (kind, shift, is_alpha); see _kind_index
-    row = _R_INDEX.get((b[0], a[0], c[0], c[1] - b[1] - a[1]))
-    if row is None:
-        raise UnsupportedTriple(f"R[{b},{a};{c}] not tabulated")
-    return row(alpha_in(params, ns) + (b[1] + a[1]), ns, params.tol)
+    row, shift = _row(_R_INDEX, _r_unit, "R", b, a, c)
+    return row(alpha_in(params, ns) + shift, ns, params.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +375,7 @@ def f_channels(a: QLabel, b: QLabel, c: QLabel, d: QLabel):
         return ((b,), (d,)) if _admits(a, b, d) else None
     if a == VACUUM:
         return ((d,), (b,)) if _admits(b, c, d) else None
-    family = _F_TABLE.get((b, c, d.shift - a.shift)) if a.is_alpha and d.is_alpha else None
+    family = _F_TABLE.get((b, c, d[1] - a[1])) if a[2] and d[2] else None
     if family is None:
         return None
     return family[0], tuple(a.shifted(k) for k in family[1])
@@ -384,33 +384,19 @@ def f_channels(a: QLabel, b: QLabel, c: QLabel, d: QLabel):
 @functools.lru_cache(maxsize=None)
 def _f_plan(b: QLabel, c: QLabel, dd: int):
     """The alpha-free part of the tabulated F[a,b,c;a+dd], for every alpha-type a:
-    its :data:`_F_TABLE` row and, for a 2x2 block, its eight normalising bubbles
-    as (row, shift, follows_a), in the order a per-entry loop first pops them (so
-    a guard raises the same error).  A bubble whose first label is alpha-type is
-    evaluated at alpha + (a.shift + shift), any other at alpha + shift."""
+    its denominator's name and formula from :data:`_F_TABLE` and, for a 2x2
+    block, its eight normalising bubbles as (row, shift), each evaluated at
+    alpha + (a.shift + shift), in the order a per-entry loop first pops them
+    (so a guard raises the same error)."""
     rows, shifts, what, formula = _F_TABLE[b, c, dd]
     pops = ()
     if len(rows) == 2:
         a, d = ALPHA, ALPHA.shifted(dd)
         (n0, n1), (m0, m1) = rows, [a.shifted(k) for k in shifts]
-        pops = tuple(_b_row(u, v, w) + (u[2],) for u, v, w in (
+        pops = tuple(_row(_B_INDEX, _b_unit, "B", u, v, w) for u, v, w in (
             (a, n0, d), (b, c, n0), (m0, c, d), (a, b, m0),
             (m1, c, d), (a, b, m1), (a, n1, d), (b, c, n1)))
-    return rows, shifts, what, formula, pops
-
-
-def _ftilde(a: QLabel, b: QLabel, c: QLabel, d: QLabel, params: ModelParams, ns):
-    """Unnormalized F-matrix table. Returns (matrix, rows, cols)."""
-    key = (b, c, d[1] - a[1])
-    if not (a[2] and d[2]) or key not in _F_TABLE:
-        raise UnsupportedFamily(f"F[{a},{b},{c};{d}] not tabulated")
-    rows, shifts, what, formula, _ = _f_plan(*key)
-    x = alpha_in(params, ns) + a[1]
-    den, ft = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
-    mat = np.array(ft, dtype=ns.dtype)
-    if what is not None:
-        mat = mat / _guard(den, params.tol, what)
-    return mat, rows, tuple(a.shifted(k) for k in shifts)
+    return what, formula, pops
 
 
 def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
@@ -422,19 +408,25 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
     with principal square roots; only then are the matrices pseudo-unitary.
     A vacuum leg gives the unit coefficient 1 (see :func:`f_channels`).
     """
-    channels = VACUUM in (a, b, c) and f_channels(a, b, c, d)
-    if channels:  # an admitted vacuum leg; _ftilde raises for the others
+    channels = f_channels(a, b, c, d)
+    if channels is None:
+        raise UnsupportedFamily(f"F[{a},{b},{c};{d}] not tabulated")
+    if VACUUM in (a, b, c):
         return FBlock(np.array([[ns.one + 0 * ns.i]], dtype=ns.dtype), *channels)
-    ft, rows, cols = _ftilde(a, b, c, d, params, ns)
-    if ft.shape == (1, 1):
-        return FBlock(ft, rows, cols)  # the one-dimensional data are already normalized
+    what, formula, pops = _f_plan(b, c, d[1] - a[1])
     al, s, tol = alpha_in(params, ns), a[1], params.tol
-    r = [ns.sqrt(row(al + (s + k if follows_a else k), ns, tol))
-         for row, k, follows_a in _f_plan(b, c, d[1] - s)[4]]
+    x = al + s
+    den, ft = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
+    ft = np.array(ft, dtype=ns.dtype)
+    if what is not None:
+        ft = ft / _guard(den, tol, what)
+    if not pops:
+        return FBlock(ft, *channels)  # the one-dimensional data are already normalized
+    r = [ns.sqrt(row(al + (s + k), ns, tol)) for row, k in pops]
     nums, dens = (r[0] * r[1], r[6] * r[7]), (r[2] * r[3], r[4] * r[5])
     out = np.array([[nu / de * f for de, f in zip(dens, row)] for nu, row in zip(nums, ft)],
                    dtype=ns.dtype)
-    return FBlock(out, rows, cols, (nums, dens))
+    return FBlock(out, *channels, (nums, dens))
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +438,8 @@ class PentagonReport:
     verified: int = 0
     skipped: int = 0
     max_defect: float = 0.0
-    skip_reasons: dict = None
+    skip_reasons: dict = field(default_factory=dict)
     vacuum_free: int = 0  # verified instances with no vacuum among (a, b, c, d)
-
-    def __post_init__(self):
-        if self.skip_reasons is None:
-            self.skip_reasons = {}
 
 
 def pentagon_sweep(params: ModelParams) -> PentagonReport:

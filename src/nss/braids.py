@@ -257,8 +257,7 @@ class BraidMatrix:
 
 
 def generator_matrix(space: IndefSpace, tok: str, power: int = 1,
-                     global_phase: Optional[complex] = None,
-                     ns=FLOAT_NS) -> BraidMatrix:
+                     global_phase: Optional[complex] = None) -> BraidMatrix:
     """Matrix of a single generator power on the space's basis.
 
     Raises LeakyPermutation when the letter at that power permutes the leaf
@@ -266,7 +265,7 @@ def generator_matrix(space: IndefSpace, tok: str, power: int = 1,
     caller passes one; the matrix is then multiplied by ``global_phase ** power``.
     """
     m = evaluate_word(space.params, space.leaves, BraidWord.from_letters([(tok, power)]),
-                      charge=space.charge, ns=ns)
+                      charge=space.charge)
     if global_phase is not None:
         m = m * (global_phase ** power)
     return BraidMatrix(m, space)
@@ -299,7 +298,7 @@ def evaluate_word(params: ModelParams, leaves, word: BraidWord,
     leaves = tuple(leaves)
     m, cur = evaluate_word_open(params, leaves, word, charge, ns)
     if cur != leaves:
-        raise LeakyPermutation(f"word leaves the system as {cur}")
+        raise LeakyPermutation(f"word leaves the system as {','.join(map(str, cur))}")
     return m
 
 

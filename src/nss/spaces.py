@@ -143,7 +143,8 @@ def _enumerate_trees(leaves: tuple, charge) -> tuple[FusionTree, ...]:
 
     extend([leaves[0]])
     if not chains:
-        raise EmptyBasis(f"no admissible labeling for {leaves} at charge {charge}")
+        raise EmptyBasis(f"no admissible labeling for {','.join(map(str, leaves))} "
+                         f"at charge {charge}")
     trees = [FusionTree(leaves, ch[1:-1], ch[-1]) for ch in chains]
     code = QubitCode.of(leaves, charge)
     trees.sort(key=lambda t: (code is not None and code.decode(t) is None,
@@ -252,6 +253,10 @@ class QubitCode:
 
     n: int
     base: QLabel = ALPHA
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ValueError(f"a qubit register needs an int n >= 0, not {self.n!r}")
 
     @classmethod
     def of(cls, leaves, charge) -> "QubitCode | None":

@@ -12,9 +12,9 @@ from nss import (ALPHA, P2, PSI, S32, SIGMA, VACUUM, IntegerAlpha, ModelParams,
                  bubble_pop, f_matrix, fuse, modified_dimension,
                  pentagon_sweep, q_power, r_symbol, s_sign, t_sign)
 from nss import anyon
-from nss.anyon import (_B_TABLE, _F_FAMILIES, _R_TABLE, FLOAT_NS, _ftilde,
+from nss.anyon import (_B_TABLE, _F_FAMILIES, _F_TABLE, _R_TABLE, FLOAT_NS, alpha_in,
                        computational_bubbles, f_channels, mp_namespace)
-from nss.errors import ModelError
+from nss.errors import ModelError, SingularParameter
 
 RNG = np.random.default_rng(7)
 
@@ -240,10 +240,18 @@ def _fusion_admits(legs, d):
 
 
 def test_f_channels_are_the_vacuum_legs_plus_the_table():
+    # f_matrix returns a block on exactly these channels and raises elsewhere
     families = {_at_shift(fam, k): k for fam in _F_FAMILIES for k in GRID_SHIFTS}
     base = {fam: f_channels(*fam) for fam in _F_FAMILIES}
+    p = ModelParams(2.4)
     for a, b, c, d in itertools.product(LABEL_GRID, repeat=4):
         got = f_channels(a, b, c, d)
+        if got is None:
+            want = (UnsupportedFamily, f"F[{a},{b},{c};{d}] not tabulated")
+            assert _outcome(f_matrix, a, b, c, d, p) == want
+        else:
+            blk = f_matrix(a, b, c, d, p)
+            assert (blk.rows, blk.cols) == got
         if VACUUM in (a, b, c):
             assert (got is not None) == _fusion_admits((a, b, c), d), (a, b, c, d)
         elif (a, b, c, d) in families:
@@ -267,11 +275,24 @@ def test_f_one_dimensional_values():
     assert dn.matrix[0, 0] == pytest.approx(math.copysign(1.0, math.sin(math.pi * 2.4 / 2)))
 
 
+def _unnormalised_f(a, b, c, d, params, ns=FLOAT_NS):
+    """The tabulated family's raw block, read straight off _F_TABLE: its formula
+    at alpha + a.shift divided by the guarded denominator, and its channels."""
+    rows, shifts, what, formula = _F_TABLE[b, c, d.shift - a.shift]
+    x = alpha_in(params, ns) + a.shift
+    den, ft = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
+    ft = np.array(ft, dtype=ns.dtype)
+    if what is not None:
+        if abs(den) < min(params.tol, 1e-10):
+            raise SingularParameter(f"{what}: denominator ~ 0")
+        ft = ft / den
+    return ft, rows, tuple(a.shifted(k) for k in shifts)
+
+
 def test_f_unnormalized_top_right_entry():
     # the (vacuum, a-1) slot of the raw table is -1/sqrt(2) after factoring
-    from nss.anyon import _ftilde
     p = ModelParams(2.4)
-    ft, rows, cols = _ftilde(ALPHA, SIGMA, SIGMA, ALPHA, p, __import__("nss.anyon", fromlist=["FLOAT_NS"]).FLOAT_NS)
+    ft, rows, cols = _unnormalised_f(ALPHA, SIGMA, SIGMA, ALPHA, p)
     assert rows.index(VACUUM) == 0
     assert ft[0, 1] == pytest.approx(-1 / math.sqrt(2))
 
@@ -295,7 +316,7 @@ def test_f_inverse_and_pseudo_unitarity():
 
 def _f_matrix_oracle(a, b, c, d, params, ns=FLOAT_NS):
     """f_matrix normalising entry by entry: four bubbles and roots per entry."""
-    ft, rows, cols = _ftilde(a, b, c, d, params, ns)
+    ft, rows, cols = _unnormalised_f(a, b, c, d, params, ns)
     if (b, c) == (SIGMA, SIGMA) and d.shift != a.shift:
         return ft, rows, cols
     out = np.empty_like(ft)
@@ -355,17 +376,17 @@ def test_f_matrix_mp_matches_per_entry_normalisation():
 def test_f_matrix_pops_eight_bubbles_per_2x2_block(monkeypatch):
     # f_matrix evaluates the bubble rows its family's plan resolved; count there
     calls = []
-    resolve = anyon._b_row
+    resolve = anyon._row
 
-    def counting_row(*triple):
-        row, shift = resolve(*triple)
+    def counting_row(*args):
+        row, shift = resolve(*args)
 
-        def counted(*args):
-            calls.append(triple)
-            return row(*args)
+        def counted(*x):
+            calls.append(args[3:])
+            return row(*x)
         return counted, shift
 
-    monkeypatch.setattr(anyon, "_b_row", counting_row)
+    monkeypatch.setattr(anyon, "_row", counting_row)
     anyon._f_plan.cache_clear()
     try:
         p = ModelParams(2.4)

@@ -305,6 +305,15 @@ def test_zero_qubit_encode():
     assert t.leaves == (ALPHA,) and t.root == ALPHA
 
 
+@pytest.mark.parametrize("n", [-1, -3, 1.0, "2", None])
+def test_qubit_code_needs_a_nonnegative_int(n):
+    # QubitCode(-1).leaves would be the 0-qubit register's, a 1-dim space
+    with pytest.raises(ValueError, match="n >= 0"):
+        QubitCode(n)
+    with pytest.raises(ValueError, match="n >= 0"):
+        qubit_space(ModelParams(2.4), n)
+
+
 def test_serialization_roundtrip():
     trees = enumerate_basis((ALPHA, PSI, SIGMA, SIGMA), ALPHA)
     for t in trees:

@@ -323,6 +323,19 @@ def test_cli_bad_input_is_a_usage_error(args):
     assert json.loads(out)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("args, error, message", [
+    (("space", "--leaves", "a,s32"), "EmptyBasis", "no admissible labeling for a,s32 at charge a"),
+    (("space", "--leaves", "a-2,s,s32,1"), "EmptyBasis",
+     "no admissible labeling for a-2,s,s32,1 at charge a-2"),
+    (("braid", "--system", "a,s,s", "--word", "h1"), "LeakyPermutation",
+     "word leaves the system as s,a,s"),
+], ids=["space", "space-shifted", "braid"])
+def test_cli_model_errors_spell_systems_as_leaves(args, error, message):
+    code, out = run_cli(*args)
+    assert code == 3
+    assert json.loads(out) == {"error": error, "message": message}
+
+
 @pytest.mark.parametrize("word, message", [("x", "letter x needs strand 2"),
                                            ("b2 y", "unknown letter 'y'"),
                                            ("b2^", "bad braid token 'b2^'")])
