@@ -11,7 +11,9 @@ All q-powers mean ``q^x = exp(i pi x / 4)`` for real x.  Square roots of
 negative bubble coefficients use the principal branch (``+i sqrt|B|``).
 
 The formula kernels accept a math namespace so the same expressions can be
-evaluated in double precision (default) or in mpmath arbitrary precision.
+evaluated in double precision (default), in mpmath arbitrary precision or,
+for the 2x2 F blocks, over an array of alphas bit for bit with double
+precision (:func:`_f_blocks`).
 """
 from __future__ import annotations
 
@@ -28,6 +30,16 @@ from .errors import (IntegerAlpha, SingularParameter, UnsupportedFamily,
                      UnsupportedPair, UnsupportedTriple)
 from .labels import ALPHA, P2, PSI, S32, SIGMA, VACUUM, ModelParams, QLabel
 
+
+def _guard(den, tol, what):
+    # formulas are regular for non-integer alpha; the guard catches near-integer
+    # evaluations that slip past parameter validation.  Its bound does not grow
+    # with a loose tol, which would call regular points (0.19 at 12/5) singular.
+    if abs(den) < min(tol, 1e-10):
+        raise SingularParameter(f"{what}: denominator ~ 0")
+    return den
+
+
 FLOAT_NS = SimpleNamespace(
     pi=math.pi,
     sin=math.sin,
@@ -39,6 +51,7 @@ FLOAT_NS = SimpleNamespace(
     i=1j,
     dtype=complex,
     number=float,
+    guard=_guard,
 )
 
 
@@ -63,7 +76,129 @@ def mp_namespace():
         i=mp.mpc(0, 1),
         dtype=object,
         number=number,
+        guard=_guard,
     )
+
+
+class _CArray:
+    """Complex numbers as float64 arrays of real and imaginary parts, with
+    CPython's complex arithmetic, so each element rounds as a Python complex
+    would (numpy's native complex * and / differ in the last bit).
+
+    A real or int operand is taken as complex(x, 0.0); * is ``_Py_c_prod``
+    and / is ``_Py_c_quot`` with both of its branches, but without its NaN
+    and infinity recovery.  The parts are float64 arrays or floats that
+    broadcast together.
+    """
+
+    __array_ufunc__ = None  # numpy operands defer to the reflected methods
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def of(z):
+        if isinstance(z, _CArray):
+            return z
+        if isinstance(z, complex):
+            return _CArray(z.real, z.imag)
+        return _CArray(z, 0.0)
+
+    def array(self) -> np.ndarray:
+        """The values as a numpy complex array."""
+        re, im = np.broadcast_arrays(self.re, self.im)
+        out = np.empty(re.shape, dtype=complex)
+        out.real, out.imag = re, im
+        return out
+
+    def __add__(self, other):
+        o = _CArray.of(other)
+        return _CArray(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, other):
+        o = _CArray.of(other)
+        return _CArray(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return _CArray.of(other) - self
+
+    def __mul__(self, other):
+        o = _CArray.of(other)
+        return _CArray(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __radd__, __rmul__ = __add__, __mul__  # IEEE + and * commute bit for bit
+
+    def __truediv__(self, other):
+        return self._quot(self, _CArray.of(other))
+
+    def __rtruediv__(self, other):
+        return self._quot(_CArray.of(other), self)
+
+    def __neg__(self):
+        return _CArray(-self.re, -self.im)
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
+
+    @staticmethod
+    def _quot(a, b):
+        # divide through by the larger of |b.re| and |b.im|; both branches
+        # are formed everywhere, each from finite ratios
+        first = abs(b.re) >= abs(b.im)
+        big, small = np.where(first, b.re, b.im), np.where(first, b.im, b.re)
+        if not np.all(big):
+            raise ZeroDivisionError("complex division by zero")
+        ratio = small / big
+        denom = big + small * ratio
+        return _CArray(np.where(first, a.re + a.im * ratio, a.re * ratio + a.im) / denom,
+                       np.where(first, a.im - a.re * ratio, a.im * ratio - a.re) / denom)
+
+
+def _elementwise(fn, dtype):
+    """fn (from math or cmath) applied to every element.  numpy's own
+    versions are SIMD code chosen per CPU; on AVX-512, np.tan differed from
+    math.tan in the last bit for about 0.5% of arguments."""
+    each = np.frompyfunc(fn, 1, 1)
+    return lambda x: np.asarray(each(x), dtype=dtype)
+
+
+def _sqrt_of_real(x):
+    """cmath.sqrt of each real x: sqrt|x| on the real axis for x >= 0, else
+    on the imaginary axis, with a +0.0 other part."""
+    root, up = np.sqrt(np.abs(x)), x >= 0
+    return _CArray(np.where(up, root, 0.0), np.where(up, 0.0, root))
+
+
+def _guard_min(den, tol, what):
+    """:func:`_guard` over an array: raises when any element would."""
+    _guard(np.min(abs(den)), tol, what)
+    return den
+
+
+_cexp = _elementwise(cmath.exp, complex)
+
+
+def _exp_each(z):
+    """cmath.exp of each element of a _CArray."""
+    w = _cexp(z.array())
+    return _CArray(w.real, w.imag)
+
+
+# FLOAT_NS over float64 arrays of alphas (F blocks only): transcendental
+# functions run element by element, complex arithmetic in _CArray, and real
+# arithmetic in numpy's IEEE + - * /, which equal Python's float operations
+_ARRAY_NS = SimpleNamespace(
+    pi=math.pi,
+    sin=_elementwise(math.sin, float),
+    cos=_elementwise(math.cos, float),
+    tan=_elementwise(math.tan, float),
+    sqrt=_sqrt_of_real,       # every bubble is real in double precision
+    exp=_exp_each,
+    one=1.0,
+    i=_CArray(0.0, 1.0),
+    number=float,
+    guard=_guard_min,
+)
 
 
 def alpha_in(params: ModelParams, ns=FLOAT_NS):
@@ -153,33 +288,24 @@ def t_sign(alpha: float, tol: float = 1e-10) -> int:
 # bubble pops
 # ---------------------------------------------------------------------------
 
-def _guard(den, tol, what):
-    # formulas are regular for non-integer alpha; the guard catches near-integer
-    # evaluations that slip past parameter validation.  Its bound does not grow
-    # with a loose tol, which would call regular points (0.19 at 12/5) singular.
-    if abs(den) < min(tol, 1e-10):
-        raise SingularParameter(f"{what}: denominator ~ 0")
-    return den
-
-
 def _b_s32_down(x, ns, tol):
-    t = _guard(ns.tan(ns.pi * x / 4), tol, "B[a,s32,a-1] cot")
-    return (2 + 2 * t) / _guard(-1 + 1 / t, tol, "B[a,s32,a-1]")
+    t = ns.guard(ns.tan(ns.pi * x / 4), tol, "B[a,s32,a-1] cot")
+    return (2 + 2 * t) / ns.guard(-1 + 1 / t, tol, "B[a,s32,a-1]")
 
 
 # every non-unit bubble row (a, b, c) at the base alpha, as a function of
 # (x, ns, tol) with x the value of the alpha-type label a
 _B_TABLE = {
     (ALPHA, SIGMA, ALPHA.shifted(1)): lambda x, ns, tol: ns.one,
-    (ALPHA, SIGMA, ALPHA.shifted(-1)): lambda x, ns, tol: _sqrt2(ns) / _guard(
-        -1 + 1 / _guard(ns.tan(ns.pi * x / 4), tol, "B[a,s,a-1] cot"), tol, "B[a,s,a-1]"),
+    (ALPHA, SIGMA, ALPHA.shifted(-1)): lambda x, ns, tol: _sqrt2(ns) / ns.guard(
+        -1 + 1 / ns.guard(ns.tan(ns.pi * x / 4), tol, "B[a,s,a-1] cot"), tol, "B[a,s,a-1]"),
     (ALPHA, PSI, ALPHA.shifted(2)): lambda x, ns, tol: ns.one,
-    (ALPHA, PSI, ALPHA): lambda x, ns, tol: _sqrt2(ns) * ns.cos(ns.pi * x / 2) / _guard(
+    (ALPHA, PSI, ALPHA): lambda x, ns, tol: _sqrt2(ns) * ns.cos(ns.pi * x / 2) / ns.guard(
         1 - ns.sin(ns.pi * x / 2), tol, "B[a,psi,a]"),
     (ALPHA, PSI, ALPHA.shifted(-2)):
-        lambda x, ns, tol: 2 / _guard(ns.tan(ns.pi * (x - 2) / 4), tol, "B[a,psi,a-2]"),
+        lambda x, ns, tol: 2 / ns.guard(ns.tan(ns.pi * (x - 2) / 4), tol, "B[a,psi,a-2]"),
     (ALPHA, S32, ALPHA.shifted(1)):
-        lambda x, ns, tol: _sqrt2(ns) / _guard(1 - ns.tan(ns.pi * x / 4), tol, "B[a,s32,a+1]"),
+        lambda x, ns, tol: _sqrt2(ns) / ns.guard(1 - ns.tan(ns.pi * x / 4), tol, "B[a,s32,a+1]"),
     (ALPHA, S32, ALPHA.shifted(-1)): _b_s32_down,
     (SIGMA, SIGMA, VACUUM): lambda x, ns, tol: -_sqrt2(ns),
     (SIGMA, SIGMA, PSI): lambda x, ns, tol: ns.one,
@@ -233,8 +359,9 @@ _SQRT2 = math.sqrt(2)  # == cmath.sqrt(2).real
 
 
 def _sqrt2(ns):
-    """sqrt(2): real in double precision, an mpc under mpmath."""
-    return _SQRT2 if ns is FLOAT_NS else ns.sqrt(2 * ns.one)
+    """sqrt(2): real in double precision (a complex root would give a negative
+    bubble's root the sign of -0.0), an mpc under mpmath."""
+    return _SQRT2 if ns.number is float else ns.sqrt(2 * ns.one)
 
 
 def computational_bubbles(params: ModelParams):
@@ -303,7 +430,6 @@ class FBlock:
     matrix: np.ndarray
     rows: tuple[QLabel, ...]
     cols: tuple[QLabel, ...]
-    norms: tuple = ()  # 2x2: (row numerators, column denominators) of f_matrix
 
     def entry(self, n: QLabel, m: QLabel):
         """Coefficient for channel pair (n, m); 0 when a channel is inadmissible."""
@@ -419,14 +545,48 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
     den, ft = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
     ft = np.array(ft, dtype=ns.dtype)
     if what is not None:
-        ft = ft / _guard(den, tol, what)
+        ft = ft / ns.guard(den, tol, what)
     if not pops:
         return FBlock(ft, *channels)  # the one-dimensional data are already normalized
+    out, _, _ = _f_normalised(ft, pops, al, s, tol, ns)
+    return FBlock(np.array(out, dtype=ns.dtype), *channels)
+
+
+def _f_normalised(ft, pops, al, s, tol, ns):
+    """(rows, nums, dens): entry (n, m) of ft times nums[n] / dens[m], each
+    the product of two of the plan's bubble roots."""
     r = [ns.sqrt(row(al + (s + k), ns, tol)) for row, k in pops]
     nums, dens = (r[0] * r[1], r[6] * r[7]), (r[2] * r[3], r[4] * r[5])
-    out = np.array([[nu / de * f for de, f in zip(dens, row)] for nu, row in zip(nums, ft)],
-                   dtype=ns.dtype)
-    return FBlock(out, *channels, (nums, dens))
+    return [[nu / de * f for de, f in zip(dens, row)] for nu, row in zip(nums, ft)], nums, dens
+
+
+def _f_blocks(family, alphas: np.ndarray, tol: float):
+    """:func:`f_matrix` of a tabulated 2x2 family at each of an array of
+    alphas, bit for bit, with :meth:`FBlock.inverse` and the metric signs of
+    the two tree shapes, as three arrays stacked on a first axis.
+
+    ``signs[k, 0]`` are the rows' and ``signs[k, 1]`` the columns' signs.
+    Each row numerator and column denominator is a product of principal
+    roots of real bubbles, each root exactly real or exactly imaginary, so
+    its square is real with the sign of the bubbles' product.  A guard that
+    fires at any alpha raises; the error scalar calls in alpha order would
+    meet first may be another one.
+    """
+    a, b, c, d = family
+    what, formula, pops = _f_plan(b, c, d[1] - a[1])
+    ns, s = _ARRAY_NS, a[1]
+    x = alphas + s
+    den, ft = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
+    # numpy's own complex divide, as f_matrix divides its block by den
+    ft = np.array([[f.array() for f in row] for row in ft]) / ns.guard(den, tol, what).array()
+    out, nums, dens = _f_normalised([[_CArray(f.real, f.imag) for f in row] for row in ft],
+                                    pops, alphas, s, tol, ns)
+    (m00, m01), (m10, m11) = [[f.array() for f in row] for row in out]
+    det = (out[0][0] * out[1][1] - out[0][1] * out[1][0]).array()
+    signs = [np.broadcast_to(np.copysign(1.0, (z * z).re), alphas.shape)
+             for zs in (nums, dens) for z in zs]
+    return tuple(np.stack(v, -1).reshape(-1, 2, 2) for v in (
+        (m00, m01, m10, m11), (m11 / det, -m01 / det, -m10 / det, m00 / det), signs))
 
 
 # ---------------------------------------------------------------------------

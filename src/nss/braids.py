@@ -41,6 +41,9 @@ SPECIAL_UNITARY_PHASES = {
 
 _LETTER_RE = re.compile(r"x|h1|b([2-9]|[1-9]\d+)")
 _SYLLABLE_RE = re.compile(r"([a-z]+)(\d*)(?:\^(-?\d+))?")
+# a word costs one letter matrix per unit of power; words with more unit
+# letters are refused before any letter is built
+_MAX_UNIT_LETTERS = 100_000
 
 
 def _strand(tok) -> int:
@@ -276,8 +279,13 @@ def evaluate_word_open(params: ModelParams, leaves, word: BraidWord,
     """Like evaluate_word but permits a net permutation.
 
     Returns (matrix, final_leaves); the matrix maps the initial basis to the
-    basis of the permuted system.
+    basis of the permuted system.  Raises ValueError when the powers' absolute
+    values sum to more than 100,000 unit letters.
     """
+    units = sum(abs(p) for _, p in word.letters)
+    if units > _MAX_UNIT_LETTERS:
+        raise ValueError(f"word has {units} unit letters, more than the "
+                         f"{_MAX_UNIT_LETTERS} a word may have")
     leaves = tuple(leaves)
     if charge is None:
         charge = leaves[0]

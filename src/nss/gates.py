@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .anyon import FLOAT_NS, _inv_small, mp_namespace
-from .braids import (BraidMatrix, BraidWord, block_decompose, evaluate_word,
-                     evaluate_word_open)
+from .braids import (_MAX_UNIT_LETTERS, BraidMatrix, BraidWord, block_decompose,
+                     evaluate_word, evaluate_word_open)
 from .errors import NotBlockDiagonal, PrecisionExhausted, UnsupportedTriple
 from .labels import ALPHA, PSI, SIGMA, VACUUM, ModelParams
 from .spaces import IndefSpace, QubitCode, control_basis_transform
@@ -354,11 +354,15 @@ def search_low_leakage(params: ModelParams, max_len: int, threshold: float,
     Words are enumerated in free-reduced form (alternating generators);
     results equal up to a global phase are merged, keeping the first in
     (leakage, length, text) order.  Deterministic for fixed arguments.
-    Raises ValueError when max_len, max_power or jobs is below 1 or the
-    threshold is not finite; a threshold <= 0 gives no results.
+    Raises ValueError when max_len, max_power or jobs is below 1, max_power
+    is above the 100,000 unit letters a word may have or the threshold is
+    not finite; a threshold <= 0 gives no results.
     """
     if max_len < 1 or max_power < 1 or jobs < 1:
         raise ValueError("max_len, max_power and jobs must be at least 1")
+    if max_power > _MAX_UNIT_LETTERS:
+        raise ValueError(f"max_power {max_power} is above the {_MAX_UNIT_LETTERS} "
+                         "unit letters a word may have")
     if not math.isfinite(threshold):
         raise ValueError("threshold must be a finite number")
     if threshold <= 0:

@@ -2,8 +2,8 @@
 
 Every check returns a CheckResult rather than raising; the suite is
 deterministic for a fixed (params, seed) and reports are ordered by name.
-Sampled alphas are drawn from (2, 3) with a guard band of 1e-3 around the
-integer endpoints.
+Sampled alphas are drawn from (2, 3), or from (0, 8) for st-periodicity,
+with a guard band of 1e-3 at both ends.
 """
 from __future__ import annotations
 
@@ -223,30 +223,26 @@ def _chk_r_unit_modulus(params, rng):
     return _result("r-unit-modulus", worst, params.tol, "all table rows at 100 alphas")
 
 
-def _metric_signs(blk):
-    """Per-channel norm signs of the two tree shapes a 2x2 F block relates:
-    each of ``blk.norms`` is a product of principal roots of real bubbles,
-    each root exactly real or exactly imaginary, so its square is real with
-    the sign of the bubbles' product."""
-    return [[math.copysign(1.0, (z * z).real) for z in zs] for zs in blk.norms]
-
-
 def _chk_f_pseudo_unitarity(params, rng):
     fams = [f for f in anyon._F_FAMILIES if len(anyon.f_channels(*f)[0]) == 2]
-    mats, invs, signs = [], [], []
-    for al in _sample_alphas(rng, 100):
-        p = ModelParams(float(al), params.tol)
-        for fam in fams:
-            blk = f_matrix(*fam, p)
-            mats.append(blk.matrix)
-            invs.append(blk.inverse())
-            signs.append(_metric_signs(blk))
-    m = np.array(mats, dtype=complex)
-    signs = np.array(signs)  # (block, rows then columns, channel)
+    alphas = _sample_alphas(rng, 100)
+    try:
+        for al in alphas:  # a loose tol may call a sampled alpha integral
+            ModelParams(float(al), params.tol)
+        m, invs, signs = map(np.concatenate, zip(*(
+            anyon._f_blocks(fam, alphas, params.tol) for fam in fams)))
+    except ModelError:
+        # raise the error a per-block loop in sample order meets first
+        for al in alphas:
+            p = ModelParams(float(al), params.tol)
+            for fam in fams:
+                f_matrix(*fam, p)
+        raise
+    # signs: (block, rows then columns, channel)
     jr, jc = np.zeros((2,) + m.shape)
     jr[:, (0, 1), (0, 1)], jc[:, (0, 1), (0, 1)] = signs[:, 0], signs[:, 1]
     pu = np.max(np.abs(m.conj().transpose(0, 2, 1) @ jr @ m - jc), axis=(1, 2))
-    inv = np.max(np.abs(m @ np.array(invs) - np.eye(2)), axis=(1, 2))
+    inv = np.max(np.abs(m @ invs - np.eye(2)), axis=(1, 2))
     # fmax skips a NaN block, as max(worst, x) does in a loop over blocks
     worst = max(np.fmax.reduce(pu, initial=0.0), np.fmax.reduce(inv, initial=0.0))
     return _result("f-pseudo-unitarity", worst, 1e-9,

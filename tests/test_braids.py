@@ -317,6 +317,21 @@ def test_generator_matrix_rejects_open_letter():
         evaluate_word(p, psi_space.leaves, BraidWord.parse("b2 x b2^2"))
 
 
+def test_word_unit_letters_are_capped_before_any_letter_is_built(monkeypatch):
+    p = ModelParams(2.4)
+    space = qubit_space(p, 1)
+
+    def no_letter(*args, **kwargs):
+        raise AssertionError("a letter was built")
+
+    monkeypatch.setattr(braids, "letter_matrix", no_letter)
+    for word in ("b2^100001", "b2^60000 x^-40001", "b2^999999999"):
+        with pytest.raises(ValueError, match="unit letters"):
+            evaluate_word_open(p, space.leaves, BraidWord.parse(word))
+    with pytest.raises(ValueError, match="100001 unit letters"):
+        generator_matrix(space, "x", -100001)
+
+
 def test_half_exchange_letter_closes_at_even_count():
     p = ModelParams(2.4)
     m = evaluate_word(p, (ALPHA, PSI, SIGMA, SIGMA), BraidWord.parse("h1^2"))

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from nss import IntegerAlpha, ModelParams, bubble_pop, f_matrix, failures, run_all, verify
-from nss.anyon import _F_FAMILIES, FLOAT_NS, f_channels, mp_namespace
+from nss.anyon import _F_FAMILIES, FLOAT_NS, _f_blocks, f_channels, mp_namespace
 from nss.braids import SPECIAL_UNITARY_PHASES, generator_matrix, matrix_order
 from nss.cli import main
+from nss.errors import ModelError
 from nss.spaces import qubit_space
 
 
@@ -110,27 +111,88 @@ FAMILIES_2X2 = [f for f in _F_FAMILIES if len(f_channels(*f)[0]) == 2]
 
 def test_f_signs_from_norms_match_bubble_signs():
     assert len(FAMILIES_2X2) == 5
+    alphas = np.linspace(2.0005, 2.9995, 201)
     seen = set()
-    for al in np.linspace(2.0005, 2.9995, 201):
-        p = ModelParams(float(al))
-        signs = _bubble_sign_oracle(p)
-        for fam in FAMILIES_2X2:
-            blk = f_matrix(*fam, p)
-            got = verify._metric_signs(blk)
-            assert got == list(signs(fam, blk)), (al, fam)
-            seen.update(got[0] + got[1])
+    for fam in FAMILIES_2X2:
+        _, _, got = _f_blocks(fam, alphas, 1e-10)
+        for al, sg in zip(alphas, got.tolist()):
+            p = ModelParams(float(al))
+            assert sg == list(_bubble_sign_oracle(p)(fam, f_matrix(*fam, p))), (al, fam)
+            seen.update(sg[0] + sg[1])
     assert seen == {-1.0, 1.0}
 
 
-def test_f_signs_from_mp_norms_match_bubble_signs():
+def test_f_block_signs_match_mp_bubble_signs():
+    alphas = np.linspace(2.0005, 2.9995, 51)
+    signs = [_f_blocks(fam, alphas, 1e-10)[2].tolist() for fam in FAMILIES_2X2]
     with mp.workdps(30):
         ns = mp_namespace()
-        for al in np.linspace(2.0005, 2.9995, 51):
+        for k, al in enumerate(alphas):
             p = ModelParams(float(al))
-            signs = _bubble_sign_oracle(p, ns)
-            for fam in FAMILIES_2X2:
-                blk = f_matrix(*fam, p, ns)
-                assert verify._metric_signs(blk) == list(signs(fam, blk)), (al, fam)
+            oracle = _bubble_sign_oracle(p, ns)
+            for fam, sg in zip(FAMILIES_2X2, signs):
+                assert sg[k] == list(oracle(fam, f_matrix(*fam, p, ns))), (al, fam)
+
+
+def test_f_blocks_match_f_matrix_bit_for_bit():
+    # 128 alphas in each unit interval mod 8, each shifted by a random
+    # multiple of 8 in [-16, 16], none nearer than 1e-3 to an integer
+    rng = np.random.default_rng(17)
+    alphas = np.concatenate([k + 8 * rng.integers(-2, 3, 128) + 1e-3 + 0.998 * rng.random(128)
+                             for k in range(8)])
+    assert sorted(set((alphas // 1 % 8).tolist())) == list(range(8))
+    for fam in FAMILIES_2X2:
+        blocks, invs, signs = _f_blocks(fam, alphas, 1e-10)
+        assert blocks.shape == invs.shape == signs.shape == (1024, 2, 2)
+        for al, m, inv, sg in zip(alphas, blocks, invs, signs.tolist()):
+            p = ModelParams(float(al))
+            blk = f_matrix(*fam, p)
+            assert m.tobytes() == blk.matrix.tobytes(), (al, fam)
+            assert inv.tobytes() == blk.inverse().tobytes(), (al, fam)
+            assert sg == list(_bubble_sign_oracle(p)(fam, blk)), (al, fam)
+
+
+def _outcome(check, params, seed):
+    try:
+        return check(params, np.random.default_rng(seed))
+    except ModelError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_f_pseudo_unitarity_error_is_the_loops_first():
+    # a loose tol makes ModelParams reject a sampled alpha near 2
+    params = ModelParams(2.4, tol=0.3)
+    for seed in range(3):
+        got = _outcome(verify._chk_f_pseudo_unitarity, params, seed)
+        assert got[0] == "IntegerAlpha"
+        assert got == _outcome(_f_pseudo_unitarity_oracle, params, seed)
+    by_name = {r.name: r for r in run_all(params, seed=0)}
+    assert by_name["f-pseudo-unitarity"].detail.startswith(
+        "IntegerAlpha: alpha = 2.010934651685677 ")
+
+
+@pytest.mark.parametrize("near, error", [
+    ((3 - 5e-13,), "IntegerAlpha"),
+    ((3 + 1.1e-12,), "SingularParameter"),
+    ((3 - 1.1e-12, 3 - 5e-13), "SingularParameter"),
+    ((3 + 5e-13, 3 + 1.1e-12), "IntegerAlpha"),
+    # the first family a guard stops differs between the two alphas
+    ((2 + 1e-7, 3 + 1.1e-12), "SingularParameter"),
+    ((3 - 3e-12, 3 + 4e-12), None),
+], ids=["rejected", "guard", "guard-first", "rejected-first", "family-order", "regular"])
+def test_f_pseudo_unitarity_near_integers_matches_the_loop(monkeypatch, near, error):
+    sample = verify._sample_alphas
+
+    def forced(rng, count, lo=2.0, hi=3.0):
+        alphas = sample(rng, count, lo, hi)
+        alphas[40:40 + len(near)] = near
+        return alphas
+
+    monkeypatch.setattr(verify, "_sample_alphas", forced)
+    params = ModelParams(2.4, tol=1e-12)
+    got = _outcome(verify._chk_f_pseudo_unitarity, params, 3)
+    assert got == _outcome(_f_pseudo_unitarity_oracle, params, 3)
+    assert (got[0] if isinstance(got, tuple) else None) == error
 
 
 def _word_12_5():
@@ -300,7 +362,8 @@ def test_cli_search_small():
 
 
 @pytest.mark.parametrize("arg", [
-    "--max-len=0", "--max-len=-3", "--max-power=0", "--jobs=0", "--top=-1",
+    "--max-len=0", "--max-len=-3", "--max-power=0", "--max-power=1000000000", "--jobs=0",
+    "--top=-1",
     "--threshold=nan", "--threshold=inf", "--threshold=-inf"])
 def test_cli_search_rejects_bad_parameters(arg):
     code, out = run_cli("search", "--alpha", "12/5", "--max-len", "3", arg)
@@ -316,6 +379,7 @@ def test_cli_search_rejects_bad_parameters(arg):
     ("reichardt", "--k", "-1"),
     ("reichardt", "--extended", "--dps", "-5"),
     ("model", "--alpha", "2/0"),
+    ("braid", "--system", "a,s,s", "--word", "b2^999999999"),
 ])
 def test_cli_bad_input_is_a_usage_error(args):
     code, out = run_cli(*args)
