@@ -80,122 +80,25 @@ def mp_namespace():
     )
 
 
-class _CArray:
-    """Complex numbers as float64 arrays of real and imaginary parts, with
-    CPython's complex arithmetic, so each element rounds as a Python complex
-    would (numpy's native complex * and / differ in the last bit).
-
-    A real or int operand is taken as complex(x, 0.0); * is ``_Py_c_prod``
-    and / is ``_Py_c_quot`` with both of its branches, but without its NaN
-    and infinity recovery.  The parts are float64 arrays or floats that
-    broadcast together.
-    """
-
-    __array_ufunc__ = None  # numpy operands defer to the reflected methods
-
-    def __init__(self, re, im):
-        self.re, self.im = re, im
-
-    @staticmethod
-    def of(z):
-        if isinstance(z, _CArray):
-            return z
-        if isinstance(z, complex):
-            return _CArray(z.real, z.imag)
-        return _CArray(z, 0.0)
-
-    def array(self) -> np.ndarray:
-        """The values as a numpy complex array."""
-        re, im = np.broadcast_arrays(self.re, self.im)
-        out = np.empty(re.shape, dtype=complex)
-        out.real, out.imag = re, im
-        return out
-
-    def __add__(self, other):
-        o = _CArray.of(other)
-        return _CArray(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, other):
-        o = _CArray.of(other)
-        return _CArray(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return _CArray.of(other) - self
-
-    def __mul__(self, other):
-        o = _CArray.of(other)
-        return _CArray(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __radd__, __rmul__ = __add__, __mul__  # IEEE + and * commute bit for bit
-
-    def __truediv__(self, other):
-        return self._quot(self, _CArray.of(other))
-
-    def __rtruediv__(self, other):
-        return self._quot(_CArray.of(other), self)
-
-    def __neg__(self):
-        return _CArray(-self.re, -self.im)
-
-    def __abs__(self):
-        return np.hypot(self.re, self.im)
-
-    @staticmethod
-    def _quot(a, b):
-        # divide through by the larger of |b.re| and |b.im|; both branches
-        # are formed everywhere, each from finite ratios
-        first = abs(b.re) >= abs(b.im)
-        big, small = np.where(first, b.re, b.im), np.where(first, b.im, b.re)
-        if not np.all(big):
-            raise ZeroDivisionError("complex division by zero")
-        ratio = small / big
-        denom = big + small * ratio
-        return _CArray(np.where(first, a.re + a.im * ratio, a.re * ratio + a.im) / denom,
-                       np.where(first, a.im - a.re * ratio, a.im * ratio - a.re) / denom)
-
-
-def _elementwise(fn, dtype):
-    """fn (from math or cmath) applied to every element.  numpy's own
-    versions are SIMD code chosen per CPU; on AVX-512, np.tan differed from
-    math.tan in the last bit for about 0.5% of arguments."""
-    each = np.frompyfunc(fn, 1, 1)
-    return lambda x: np.asarray(each(x), dtype=dtype)
-
-
-def _sqrt_of_real(x):
-    """cmath.sqrt of each real x: sqrt|x| on the real axis for x >= 0, else
-    on the imaginary axis, with a +0.0 other part."""
-    root, up = np.sqrt(np.abs(x)), x >= 0
-    return _CArray(np.where(up, root, 0.0), np.where(up, 0.0, root))
-
-
 def _guard_min(den, tol, what):
     """:func:`_guard` over an array: raises when any element would."""
     _guard(np.min(abs(den)), tol, what)
     return den
 
 
-_cexp = _elementwise(cmath.exp, complex)
-
-
-def _exp_each(z):
-    """cmath.exp of each element of a _CArray."""
-    w = _cexp(z.array())
-    return _CArray(w.real, w.imag)
-
-
-# FLOAT_NS over float64 arrays of alphas (F blocks only): transcendental
-# functions run element by element, complex arithmetic in _CArray, and real
-# arithmetic in numpy's IEEE + - * /, which equal Python's float operations
+# FLOAT_NS over object arrays of Python floats (F blocks only): math and
+# cmath run on each element and + - * / are the Python operators, so each
+# element rounds as the scalar formula does (numpy's own tan and complex *
+# and / are SIMD code chosen per CPU, and differ in the last bit)
 _ARRAY_NS = SimpleNamespace(
     pi=math.pi,
-    sin=_elementwise(math.sin, float),
-    cos=_elementwise(math.cos, float),
-    tan=_elementwise(math.tan, float),
-    sqrt=_sqrt_of_real,       # every bubble is real in double precision
-    exp=_exp_each,
+    sin=np.frompyfunc(math.sin, 1, 1),
+    cos=np.frompyfunc(math.cos, 1, 1),
+    tan=np.frompyfunc(math.tan, 1, 1),
+    sqrt=np.frompyfunc(cmath.sqrt, 1, 1),
+    exp=np.frompyfunc(cmath.exp, 1, 1),
     one=1.0,
-    i=_CArray(0.0, 1.0),
+    i=1j,
     number=float,
     guard=_guard_min,
 )
@@ -565,6 +468,11 @@ def _f_blocks(family, alphas: np.ndarray, tol: float):
     alphas, bit for bit, with :meth:`FBlock.inverse` and the metric signs of
     the two tree shapes, as three arrays stacked on a first axis.
 
+    The formulas run on object arrays of Python numbers, so every operation
+    is the one the scalar path makes; only where that path uses numpy's
+    complex divide (the block by its denominator, the inverse by its
+    determinant) does this one divide complex128 arrays.
+
     ``signs[k, 0]`` are the rows' and ``signs[k, 1]`` the columns' signs.
     Each row numerator and column denominator is a product of principal
     roots of real bubbles, each root exactly real or exactly imaginary, so
@@ -574,19 +482,17 @@ def _f_blocks(family, alphas: np.ndarray, tol: float):
     """
     a, b, c, d = family
     what, formula, pops = _f_plan(b, c, d[1] - a[1])
-    ns, s = _ARRAY_NS, a[1]
-    x = alphas + s
+    ns, s, al = _ARRAY_NS, a[1], alphas.astype(object)
+    x = al + s
     den, ft = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
-    # numpy's own complex divide, as f_matrix divides its block by den
-    ft = np.array([[f.array() for f in row] for row in ft]) / ns.guard(den, tol, what).array()
-    out, nums, dens = _f_normalised([[_CArray(f.real, f.imag) for f in row] for row in ft],
-                                    pops, alphas, s, tol, ns)
-    (m00, m01), (m10, m11) = [[f.array() for f in row] for row in out]
-    det = (out[0][0] * out[1][1] - out[0][1] * out[1][0]).array()
-    signs = [np.broadcast_to(np.copysign(1.0, (z * z).re), alphas.shape)
-             for zs in (nums, dens) for z in zs]
-    return tuple(np.stack(v, -1).reshape(-1, 2, 2) for v in (
-        (m00, m01, m10, m11), (m11 / det, -m01 / det, -m10 / det, m00 / det), signs))
+    ft = np.array(ft, dtype=complex) / ns.guard(den, tol, what).astype(complex)
+    out, nums, dens = _f_normalised(ft.astype(object), pops, al, s, tol, ns)
+    m = np.array(out, dtype=complex)
+    det = (out[0][0] * out[1][1] - out[0][1] * out[1][0]).astype(complex)
+    inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    squares = np.array([np.broadcast_to(z * z, alphas.shape) for z in nums + dens], dtype=complex)
+    signs = np.copysign(1.0, squares.real).reshape(2, 2, -1)
+    return tuple(np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in (m, inv, signs))
 
 
 # ---------------------------------------------------------------------------

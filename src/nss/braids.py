@@ -324,7 +324,6 @@ def pseudo_unitarity_defect(matrix, space: IndefSpace) -> float:
 @dataclass(frozen=True)
 class BlockDecomposition:
     computational: np.ndarray
-    noncomputational: np.ndarray
     leakage: float
 
 
@@ -338,15 +337,13 @@ def block_decompose(matrix, space: IndefSpace, tol: Optional[float] = None) -> B
     mask = space.computational_mask
     if tol is None:
         tol = space.params.tol
-    comp = np.ix_(mask, mask)
-    nonc = np.ix_(~mask, ~mask)
     off1 = m[np.ix_(mask, ~mask)]
     off2 = m[np.ix_(~mask, mask)]
     leak = float(max(np.max(np.abs(off1)) if off1.size else 0.0,
                      np.max(np.abs(off2)) if off2.size else 0.0))
     if leak > tol:
         raise NotBlockDiagonal(leak)
-    return BlockDecomposition(m[comp], m[nonc], leak)
+    return BlockDecomposition(m[np.ix_(mask, mask)], leak)
 
 
 @dataclass(frozen=True)

@@ -207,8 +207,9 @@ def _chk_pseudo_unitarity(params, rng):
 def _chk_two_qubit_blocks(params, rng):
     space = qubit_space(params, 2)
     worst = 0.0
-    for gen, word in (("x", "x"), ("b2", "b2"), ("b4", "b4"), ("j4", "b3 b2 x b2 b3")):
-        m = evaluate_word(params, space.leaves, BraidWord.parse(word))
+    for gen, word in (("x", BraidWord.parse("x")), ("b2", BraidWord.parse("b2")),
+                      ("b4", BraidWord.parse("b4")), ("j4", braids.J4_WORD)):
+        m = evaluate_word(params, space.leaves, word)
         worst = max(worst, float(np.max(np.abs(m - two_qubit_block_form(params, gen)))))
     return _result("two-qubit-blocks", worst, params.tol,
                    "x, b2, b4 and b3 b2 x b2 b3 match their block closed forms")

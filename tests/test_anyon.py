@@ -400,35 +400,6 @@ def test_f_matrix_pops_eight_bubbles_per_2x2_block(monkeypatch):
         anyon._f_plan.cache_clear()  # drop the plans that hold counting rows
 
 
-def test_complex_array_rounds_as_python_complex():
-    rng = np.random.default_rng(11)
-    re, im = rng.standard_normal((2, 2, 4000)) * np.exp(rng.uniform(-30, 30, (2, 2, 4000)))
-    im[:, :500] = 0.0       # real operands: both divide branches and zero signs
-    re[:, 500:1000] = -0.0  # imaginary ones
-    a, b = (anyon._CArray(r, i) for r, i in zip(re, im))
-    pa, pb = ([complex(r, i) for r, i in zip(r_, i_)] for r_, i_ in zip(re, im))
-
-    def same(got, want):
-        assert got.array().tobytes() == np.array(want, dtype=complex).tobytes()
-
-    same(a + b, [x + y for x, y in zip(pa, pb)])
-    same(a - b, [x - y for x, y in zip(pa, pb)])
-    same(a * b, [x * y for x, y in zip(pa, pb)])
-    same(a / b, [x / y for x, y in zip(pa, pb)])
-    same(-a, [-x for x in pa])
-    for k in (2, -2, 0.7, -0.0, 1j, complex(0.3, -1.1)):
-        same(a + k, [x + k for x in pa])
-        same(k - a, [k - x for x in pa])
-        same(a - k, [x - k for x in pa])
-        same(k * a, [k * x for x in pa])
-        same(k / a, [k / x for x in pa])
-        if k:
-            same(a / k, [x / k for x in pa])
-    assert np.array_equal(abs(a), [abs(x) for x in pa])
-    with pytest.raises(ZeroDivisionError):
-        a / 0
-
-
 def test_f_vacuum_legs_are_units():
     p = ModelParams(2.4)
     blk = f_matrix(ALPHA, VACUUM, SIGMA, ALPHA.shifted(1), p)

@@ -1,6 +1,6 @@
 """Property tests over random alpha: F-move identities, the integer ends and
-double against mpmath precision; over random words: the search's rank text
-and w w^-1 = 1.
+double against mpmath precision; over random words: the search's rank text,
+w w^-1 = 1 and double against mpmath precision.
 
 Deterministic (derandomized, no example database) with fixed example counts.
 """
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nss import (ALPHA, PSI, SIGMA, BraidWord, IntegerAlpha, ModelParams,  # noqa: E402
                  SingularParameter, bubble_pop, evaluate_word, f_matrix, r_symbol)
-from nss.braids import evaluate_word_open  # noqa: E402
+from nss.braids import evaluate_word_open, letter_matrix  # noqa: E402
 from nss.anyon import _B_TABLE, _F_FAMILIES, _R_TABLE, mp_namespace  # noqa: E402
 from nss.gates import _syllable_powers, _word_text  # noqa: E402
 
@@ -114,13 +114,14 @@ SYSTEMS = [(ALPHA, SIGMA, SIGMA), (ALPHA,) + (SIGMA,) * 4, (ALPHA, PSI, SIGMA, S
 
 
 @st.composite
-def system_words(draw):
-    """A working system and a word of up to 8 syllables over x and
-    b2..b{n-1}, each power in -3..3."""
+def system_words(draw, max_syllables=8, max_power=3):
+    """A working system and a word of up to max_syllables syllables over x
+    and b2..b{n-1}, each power in -max_power..max_power."""
     leaves = draw(st.sampled_from(SYSTEMS))
     letters = ["x"] + [f"b{i}" for i in range(2, len(leaves))]
-    syllables = draw(st.lists(st.tuples(st.sampled_from(letters), st.integers(-3, 3)),
-                              min_size=1, max_size=8))
+    syllables = draw(st.lists(st.tuples(st.sampled_from(letters),
+                                        st.integers(-max_power, max_power)),
+                              min_size=1, max_size=max_syllables))
     return leaves, BraidWord.from_letters(syllables)
 
 
@@ -139,3 +140,28 @@ def test_word_times_inverse_is_identity(alpha, system_word):
     assert back == leaves
     defect = np.max(np.abs(mi @ m - np.eye(len(m))))
     assert defect <= 1e-5 * np.max(np.abs(m)) * np.max(np.abs(mi))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(alpha=alphas, system_word=system_words(max_syllables=6, max_power=2))
+def test_float_words_match_mpmath(alpha, system_word):
+    # the float word against mpmath at 50 digits.  Near the range ends the
+    # letters reach |entries| ~ 1e3 and cancel, so the error is bounded
+    # relative to the product of the unit letters' largest entries (relative
+    # to max|M| it reached 2.2e-9).  One letter, b2 on (a, psi, s, s) just
+    # above 2.001, loses 2.2e-11 of it, as the F rows do near the ends
+    # (test_float_symbols_match_mpmath); sqrt(2) or exp off by 1e-9 in one
+    # precision fails it
+    leaves, w = system_word
+    p = ModelParams(alpha)
+    m, end = evaluate_word_open(p, leaves, w)
+    with mpmath.workdps(50):
+        mm, mp_end = evaluate_word_open(p, leaves, w, ns=mp_namespace())
+        exact = np.array(mm.tolist(), dtype=complex)
+    assert mp_end == end
+    scale, cur = 1.0, leaves
+    for tok, pw in w.letters:
+        for _ in range(abs(pw)):
+            lm, cur = letter_matrix(p, cur, tok, 1 if pw > 0 else -1, ALPHA)
+            scale *= max(1.0, np.max(np.abs(lm)))
+    assert np.max(np.abs(m - exact)) <= 1e-10 * scale
