@@ -5,7 +5,9 @@ total charge r is a left-comb fusion tree: a chain c0 = L0, c1, ..., cm = r
 with every (c_{i-1}, L_i) -> c_i admissible.  Basis vectors with distinct
 chains are orthogonal; each squared norm is a sign times the modified
 dimension of the total charge, evaluated by popping the bubbles of the tree
-composed with its mirror image.
+composed with its mirror image.  The signs are constant on each unit interval
+of alpha and repeat with period 8, so a space reads them from a table filled
+once per interval.
 """
 from __future__ import annotations
 
@@ -83,21 +85,9 @@ def enumerate_basis(leaves, charge) -> tuple[FusionTree, ...]:
 
 @dataclass(frozen=True)
 class _SpacePlan:
-    """The alpha-free part of a space: its basis and how to sign its metric.
-
-    ``vertices`` holds the distinct (in, in, out) fusion vertices of the
-    basis trees in first-appearance order, ``tree_vertices`` row k the
-    indices of tree k's vertices in comb order, and ``head`` the number of
-    distinct vertices of the first tree (they come first).  ``parity`` is
-    (-1)^(n+1) for the total q-spin n of the braided leaves, or None when
-    n is not an integer.
-    """
+    """The alpha-free part of a space: its basis and computational mask."""
 
     basis: tuple[FusionTree, ...]
-    vertices: tuple
-    tree_vertices: np.ndarray
-    head: int
-    parity: int | None
     computational_mask: np.ndarray
 
 
@@ -108,19 +98,9 @@ _BASIS_CACHE_SIZE = 256
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _space_plan(leaves: tuple, charge) -> _SpacePlan:
     trees = _enumerate_trees(leaves, charge)
-    vertices = {}
-    rows = [[vertices.setdefault((t.chain[i - 1], leaves[i], t.chain[i]), len(vertices))
-             for i in range(1, len(leaves))] for t in trees]
-    tree_vertices = np.array(rows, dtype=np.intp).reshape(len(trees), len(leaves) - 1)
     mask = np.array([_computational_flag(t) for t in trees], dtype=bool)
-    for arr in (tree_vertices, mask):
-        arr.setflags(write=False)
-    try:
-        parity = (-1) ** (_effective_qubits(leaves) + 1)
-    except UnsupportedTriple:
-        parity = None
-    return _SpacePlan(trees, tuple(vertices), tree_vertices, len(set(rows[0])),
-                      parity, mask)
+    mask.setflags(write=False)
+    return _SpacePlan(trees, mask)
 
 
 def _enumerate_trees(leaves: tuple, charge) -> tuple[FusionTree, ...]:
@@ -152,15 +132,12 @@ def _enumerate_trees(leaves: tuple, charge) -> tuple[FusionTree, ...]:
     return tuple(trees)
 
 
-_QSPIN_ERROR = "metric convention needs integer total q-spin"
-
-
 def _effective_qubits(leaves) -> int:
     """Total q-spin carried by the braided leaves; integer for charge-alpha spaces."""
     total = sum(0.0 if l.is_alpha else l.value(0.0) for l in leaves[1:])
     n = round(total)
     if abs(total - n) > 1e-9:
-        raise UnsupportedTriple(_QSPIN_ERROR)
+        raise UnsupportedTriple("metric convention needs integer total q-spin")
     return int(n)
 
 
@@ -179,6 +156,27 @@ def tree_norm_sign(tree: FusionTree, params: ModelParams) -> int:
     n = _effective_qubits(tree.leaves)
     d = modified_dimension(tree.root.value(params.alpha), params.tol)
     return int((-1) ** (n + 1) * math.copysign(1.0, d) * prod)
+
+
+# Every bubble row and the modified dimension is a quotient of sines, cosines
+# and tangents of pi x / 4 or pi x / 2, so their signs change only at integers
+# and repeat with period 8: a space's metric signs depend on floor(alpha) mod 8
+# alone.  Near an integer a guard (|den| < min(tol, 1e-10)) or the integer test
+# (within tol) may raise instead.  The slowest zero is 1 - sin(pi x / 2) at
+# x = 1 mod 4, which is (pi d)^2 / 8 at distance d, so its guard fires only
+# within sqrt(8e-10) / pi ~ 9e-6; every other denominator has a simple zero.
+# Within max(tol, _TABLE_RADIUS) of an integer, signs are taken tree by tree.
+_TABLE_RADIUS = 1e-4
+
+
+@functools.lru_cache(maxsize=8 * _BASIS_CACHE_SIZE)
+def _interval_signs(leaves: tuple, charge, residue: int) -> np.ndarray:
+    """Metric signs on every alpha with floor(alpha) = residue mod 8, read-only."""
+    mid = ModelParams(residue + 0.5)
+    signs = np.array([tree_norm_sign(t, mid) for t in _space_plan(leaves, charge).basis],
+                     dtype=int)
+    signs.setflags(write=False)
+    return signs
 
 
 @dataclass(frozen=True)
@@ -205,17 +203,12 @@ class IndefSpace:
         if not charge.is_alpha:
             raise UnsupportedTriple("metric is defined for alpha-type total charge")
         plan = _space_plan(leaves, charge)
-        # each distinct vertex sign once, in the order tree_norm_sign would
-        # meet them: the first tree's bubbles, its parity and root, the rest
-        bubbles = [math.copysign(1.0, bubble_pop(*v, params))
-                   for v in plan.vertices[:plan.head]]
-        if plan.parity is None:
-            raise UnsupportedTriple(_QSPIN_ERROR)
-        d = modified_dimension(charge.value(params.alpha), params.tol)
-        bubbles += [math.copysign(1.0, bubble_pop(*v, params))
-                    for v in plan.vertices[plan.head:]]
-        prods = np.array(bubbles)[plan.tree_vertices].prod(axis=1)
-        signs = (plan.parity * math.copysign(1.0, d) * prods).astype(int)
+        alpha = params.alpha
+        if abs(alpha - round(alpha)) > max(params.tol, _TABLE_RADIUS):
+            signs = _interval_signs(leaves, charge, math.floor(alpha) % 8).copy()
+        else:
+            signs = np.array([tree_norm_sign(t, params) for t in plan.basis], dtype=int)
+        d = modified_dimension(charge.value(alpha), params.tol)
         return cls(params, leaves, charge, plan.basis, signs, abs(d),
                    plan.computational_mask)
 

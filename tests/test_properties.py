@@ -1,6 +1,6 @@
 """Property tests over random alpha: F-move identities, the integer ends and
 double against mpmath precision; over random words: the search's rank text,
-w w^-1 = 1 and double against mpmath precision.
+w w^-1 = 1, double against mpmath precision and the fifth-power law.
 
 Deterministic (derandomized, no example database) with fixed example counts.
 """
@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from nss import (ALPHA, PSI, SIGMA, BraidWord, IntegerAlpha, ModelParams,  # noqa: E402
                  SingularParameter, bubble_pop, evaluate_word, f_matrix, r_symbol)
 from nss.braids import evaluate_word_open, letter_matrix  # noqa: E402
 from nss.anyon import _B_TABLE, _F_FAMILIES, _R_TABLE, mp_namespace  # noqa: E402
-from nss.gates import _syllable_powers, _word_text  # noqa: E402
+from nss.gates import (PSI_LEAVES, _syllable_powers, _word_text,  # noqa: E402
+                       leakage_norms, reichardt_iterate)
 
 FAMILIES_2X2 = [f for f in _F_FAMILIES if f_matrix(*f, ModelParams(2.4)).matrix.shape == (2, 2)]
 PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -165,3 +166,30 @@ def test_float_words_match_mpmath(alpha, system_word):
             lm, cur = letter_matrix(p, cur, tok, 1 if pw > 0 else -1, ALPHA)
             scale *= max(1.0, np.max(np.abs(lm)))
     assert np.max(np.abs(m - exact)) <= 1e-10 * scale
+
+
+@st.composite
+def closed_psi_words(draw, max_syllables=5, max_power=3):
+    """A word of alternating x and b2 syllables on the control sector whose
+    total b2 power is even, so that it ends on the leaves it starts from (an
+    odd total ends on (a, s, psi, s) and raises LeakyPermutation)."""
+    first = draw(st.sampled_from([0, 1]))
+    powers = draw(st.lists(st.sampled_from([p for p in range(-max_power, max_power + 1) if p]),
+                           min_size=1, max_size=max_syllables))
+    letters = [(("x", "b2")[(i + first) % 2], pw) for i, pw in enumerate(powers)]
+    assume(sum(pw for tok, pw in letters if tok == "b2") % 2 == 0)
+    return BraidWord.from_letters(letters)
+
+
+@PROPERTY
+@given(word=closed_psi_words())
+def test_recursion_obeys_the_fifth_power_law(word):
+    # each recursion step raises both off-diagonals to their fifth power; two
+    # steps from eps leave eps^25, so the working precision covers 25 times
+    # its digits.  The smaller off-diagonal is the SU(2) block's, at most 1
+    p = ModelParams.from_string("12/5")
+    eps = min(leakage_norms(evaluate_word(p, PSI_LEAVES, word)))
+    assume(eps >= 1e-6)
+    dps = math.ceil(-25 * math.log10(eps)) + 30
+    reports = reichardt_iterate(p, word, k=2, extended=True, dps=dps)
+    assert max(max(r.law_defect_su2, r.law_defect_su11) for r in reports[1:]) <= 1e-12

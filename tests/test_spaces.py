@@ -9,11 +9,12 @@ from nss import (ALPHA, PSI, SIGMA, VACUUM, EmptyBasis, FusionTree, IndefSpace,
                  ModelParams, QubitCode, control_basis_transform,
                  enumerate_basis, f_matrix, modified_dimension, qubit_space,
                  tree_norm_sign)
+from nss import anyon
 from nss.anyon import bubble_pop, fuse
 from nss.errors import ModelError, UnsupportedTriple
 from nss.labels import parse_leaves
-from nss.spaces import (_computational_flag, _effective_qubits, _label_sort_key,
-                        _space_plan, _tree_sort_key)
+from nss.spaces import (_computational_flag, _effective_qubits, _interval_signs,
+                        _label_sort_key, _space_plan, _tree_sort_key)
 
 RNG = np.random.default_rng(11)
 
@@ -126,15 +127,21 @@ def _signs_or_error(fn):
 
 _PLAN_LEAVES = ["a,s,s", "a,s,s,s,s", "a,s,s,s,s,s,s", "a,s,s,s,s,s,s,s,s",
                 "a,psi,s,s", "a,s,psi,s"]
+# every unit interval mod 8, negative and large alphas, and alphas just
+# inside and just outside the 1e-4 radius where signs are taken tree by tree
 _PLAN_PARAMS = ([ModelParams.from_string("12/5")]
                 + [ModelParams(float(a)) for a in np.random.default_rng(29).uniform(2, 3, 20)]
-                + [ModelParams(a) for a in (0.5, 1.5, 3.5, 5.3, 7.7)])
+                + [ModelParams(a) for a in (0.5, 1.5, 3.5, 4.6, 5.3, 6.2, 7.7, -0.3, -2.6,
+                                            -5.5, 1e6 + 0.3, 1e12 + 0.3)]
+                + [ModelParams(n + d) for n in (-3, 1, 2, 3, 5, 8)
+                   for d in (-1.1e-4, -0.9e-4, 0.9e-4, 1.1e-4)])
 
 
 @pytest.mark.parametrize("leaves", _PLAN_LEAVES)
 def test_plan_built_space_matches_tree_oracle(leaves):
-    # the plan evaluates each distinct vertex once; tree_norm_sign and
-    # _computational_flag, tree by tree, are the oracle
+    # the plan reads each unit interval's signs from a table; tree_norm_sign
+    # and _computational_flag, tree by tree, are the oracle
+    assert {math.floor(p.alpha) % 8 for p in _PLAN_PARAMS} == set(range(8))
     leaves = parse_leaves(leaves)
     basis = enumerate_basis(leaves, ALPHA)
     for p in _PLAN_PARAMS:
@@ -153,6 +160,9 @@ def test_plan_built_space_matches_tree_oracle(leaves):
     # non-integer total q-spin, after the first tree's bubbles
     (ModelParams(2.4), "a,s", ALPHA.shifted(1)),
     (ModelParams(2.4), "a,s,s,s", ALPHA.shifted(1)),
+    # the double zero of 1 - sin(pi x / 2): its guard fires 1e-6 from the integer
+    (ModelParams(1.000001), "a,psi,s,s", ALPHA),
+    (ModelParams(5.000001), "a,psi,s,s", ALPHA),
 ])
 def test_plan_built_space_raises_like_tree_oracle(params, leaves, charge):
     leaves = parse_leaves(leaves)
@@ -170,6 +180,30 @@ def test_plan_signs_are_fresh_and_mask_read_only():
     assert s2.metric_signs[0] == 1
     with pytest.raises(ValueError):
         s1.computational_mask[0] = False
+
+
+def test_interval_signs_follow_the_b_rows(monkeypatch):
+    # a B row flipped on the unit intervals 3 mod 8 only: the table is filled
+    # from the rows, so build follows the mutant there and nowhere else
+    def flipped(x, ns, tol):
+        return -ns.one if math.floor(x) % 8 == 3 else ns.one
+
+    table = dict(anyon._B_TABLE)
+    table[(ALPHA, SIGMA, ALPHA.shifted(1))] = flipped
+    leaves = QubitCode(1).leaves
+    basis = enumerate_basis(leaves, ALPHA)
+    inside, outside = ModelParams(3.4), ModelParams(2.4)
+    before = {p: [tree_norm_sign(t, p) for t in basis] for p in (inside, outside)}
+    _interval_signs.cache_clear()
+    try:
+        monkeypatch.setattr(anyon, "_B_INDEX", anyon._kind_index(table))
+        mutant = [tree_norm_sign(t, inside) for t in basis]
+        assert mutant != before[inside]
+        assert list(IndefSpace.build(inside, leaves).metric_signs) == mutant
+        assert list(IndefSpace.build(outside, leaves).metric_signs) == before[outside]
+    finally:
+        monkeypatch.undo()
+        _interval_signs.cache_clear()
 
 
 def test_metric_rejects_non_alpha_charge():
