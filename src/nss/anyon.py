@@ -56,7 +56,8 @@ FLOAT_NS = SimpleNamespace(
 
 
 def mp_namespace():
-    """An mpmath namespace mirroring :data:`FLOAT_NS`; callers set the precision."""
+    """An mpmath namespace mirroring :data:`FLOAT_NS`, its elementary functions
+    memoised in a dict it owns; callers set the precision."""
     import mpmath as mp
     from fractions import Fraction
 
@@ -65,13 +66,24 @@ def mp_namespace():
             return mp.mpf(x.numerator) / x.denominator
         return mp.mpf(x)
 
+    memo = {}  # (function, working precision, argument type, argument) -> value
+
+    def memoised(name, fn):
+        def call(z):
+            key = (name, mp.mp.prec, type(z), z)
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = fn(z)
+            return out
+        return call
+
     return SimpleNamespace(
         pi=mp.pi,
-        sin=mp.sin,
-        cos=mp.cos,
-        tan=mp.tan,
-        sqrt=lambda z: mp.sqrt(mp.mpc(z)),
-        exp=lambda z: mp.exp(mp.mpc(z)),
+        sin=memoised("sin", mp.sin),
+        cos=memoised("cos", mp.cos),
+        tan=memoised("tan", mp.tan),
+        sqrt=memoised("sqrt", lambda z: mp.sqrt(mp.mpc(z))),
+        exp=memoised("exp", lambda z: mp.exp(mp.mpc(z))),
         one=mp.mpf(1),
         i=mp.mpc(0, 1),
         dtype=object,

@@ -94,15 +94,14 @@ class BraidWord:
         return len(self.letters)
 
     def free_reduce(self) -> "BraidWord":
-        out: list[list] = []
+        out = []
         for tok, p in self.letters:
             if out and out[-1][0] == tok:
-                out[-1][1] += p
-                if out[-1][1] == 0:
-                    out.pop()
-            else:
-                out.append([tok, p])
-        return BraidWord(tuple((t, p) for t, p in out))
+                p += out.pop()[1]
+                if not p:
+                    continue
+            out.append((tok, p))
+        return BraidWord(tuple(out))
 
     def inverse(self) -> "BraidWord":
         return BraidWord(tuple((t, -p) for t, p in reversed(self.letters)))

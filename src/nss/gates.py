@@ -20,7 +20,7 @@ import numpy as np
 
 from .anyon import FLOAT_NS, _inv_small, mp_namespace
 from .braids import (_MAX_UNIT_LETTERS, BraidMatrix, BraidWord, block_decompose,
-                     evaluate_word, evaluate_word_open)
+                     evaluate_word, letter_matrix)
 from .errors import NotBlockDiagonal, PrecisionExhausted, UnsupportedTriple
 from .labels import ALPHA, PSI, SIGMA, VACUUM, ModelParams
 from .spaces import IndefSpace, QubitCode, control_basis_transform
@@ -33,6 +33,8 @@ D_WORD = BraidWord.parse("x^2")
 
 # largest relative fifth-power-law defect a recursion step may show
 _LAW_TOL = 1e-3
+# an mpmath step costs about dps^2; W_WORD k=8 needs 31,200, LOW_LEAKAGE_WORD k=7 42,700
+_MAX_DPS = 50_000
 
 # canonical representative of the word family found by the exhaustive search
 # at <= 11 syllables whose leakage norms are ~0.2859 and ~0.2848 (the only
@@ -124,9 +126,9 @@ def step_word(word: BraidWord, d_word: BraidWord = D_WORD) -> BraidWord:
     whole cancellation there runs on into the parts on either side.
     """
     w, d = word.free_reduce(), d_word.free_reduce()
-    d3 = BraidWord.from_letters([(t, 3 * p) for t, p in d.letters])
+    wi, d3 = w.inverse(), BraidWord.from_letters([(t, 3 * p) for t, p in d.letters])
     out = []
-    for part in (w, d, w.inverse(), d3, w, d3, w.inverse(), d, w):
+    for part in (w, d, wi, d3, w, d3, wi, d, w):
         letters, k = part.letters, 0
         while k < len(letters) and out and out[-1][0] == letters[k][0]:
             tok, p = letters[k]
@@ -204,12 +206,13 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
     evaluation to mpmath arbitrary precision, needed when an off-diagonal
     falls below the double-precision cancellation floor (~1e-16); without
     it, a fifth-power-law violation beyond ``_LAW_TOL`` raises
-    PrecisionExhausted.
+    PrecisionExhausted.  Raises ValueError when k < 0 or an extended run's
+    dps lies outside 1.._MAX_DPS.
     """
     if k < 0:
         raise ValueError("k must be at least 0")
-    if extended and dps < 1:
-        raise ValueError("dps must be at least 1")
+    if extended and not 1 <= dps <= _MAX_DPS:
+        raise ValueError(f"dps must lie in 1..{_MAX_DPS}")
     if k > 4 and not extended:
         raise PrecisionExhausted("k > 4 needs the extended-precision mode")
     if extended:
@@ -266,13 +269,18 @@ def _letter_pool(params: ModelParams, max_power: int):
 
     The entries are the upper then the lower 2x2 block, row-major, as Python
     complex; a syllable that couples the blocks raises NotBlockDiagonal.
+    Each power is the one before it times a unit letter, as evaluate_word_open forms it.
     """
     arrangements = [PSI_LEAVES, (ALPHA, SIGMA, PSI, SIGMA)]
     pool = {}
     for si, leaves in enumerate(arrangements):
         for tok in ("x", "b2"):
+            run = dict.fromkeys((1, -1), (np.eye(4, dtype=complex), leaves))
             for p in _syllable_powers(max_power):
-                m, cur = evaluate_word_open(params, leaves, BraidWord(((tok, p),)))
+                sign = 1 if p > 0 else -1
+                m, cur = run[sign]
+                lm, cur = letter_matrix(params, cur, tok, sign)
+                run[sign] = m, cur = lm @ m, cur
                 entries = tuple(complex(z) for z in _blocks(m).ravel())
                 pool[(si, tok, p)] = (entries, arrangements.index(cur))
     return pool

@@ -368,9 +368,72 @@ def test_f_matrix_mp_matches_per_entry_normalisation():
         for p in (ModelParams.from_string("12/5"), ModelParams(2.0137), ModelParams(2.9871)):
             for fam in _shifted_families():
                 blk = f_matrix(*fam, p, ns)
-                want, _, _ = _f_matrix_oracle(*fam, p, ns)
+                # the oracle's own namespace, so a memo fault cannot hide on both sides
+                want, _, _ = _f_matrix_oracle(*fam, p, mp_namespace())
                 assert blk.matrix.dtype == object and blk.matrix.shape == want.shape
                 assert all(x == y for x, y in zip(blk.matrix.flat, want.flat))
+
+
+# what each memoised function of mp_namespace() computes, called directly
+_MP_DIRECT = {"sin": lambda z: mp.sin(z), "cos": lambda z: mp.cos(z),
+              "tan": lambda z: mp.tan(z), "sqrt": lambda z: mp.sqrt(mp.mpc(z)),
+              "exp": lambda z: mp.exp(mp.mpc(z))}
+
+
+@pytest.mark.parametrize("order", [(20, 60), (60, 20)])
+def test_mp_namespace_memo_equals_direct_calls(order):
+    with mp.workdps(60):
+        args = [mp.mpf(2) / 7, mp.mpf(-3) / 11, mp.mpc(1, 3) / 7, 0.25]
+    ns = mp_namespace()
+    # the second round is served from the memo, at each precision in turn
+    for dps in order + order:
+        with mp.workdps(dps):
+            for name, direct in _MP_DIRECT.items():
+                for z in args:
+                    got, want = getattr(ns, name)(z), direct(z)
+                    assert type(got) is type(want) and got == want, (name, z, dps)
+
+
+def test_mp_namespace_memo_keeps_argument_types_apart():
+    with mp.workdps(30):
+        x = mp.mpf(1) / 3
+        z = mp.mpc(x, 0)
+        assert x == z and hash(x) == hash(z)
+        for first, second in ((x, z), (z, x)):
+            ns = mp_namespace()
+            for name in ("sin", "cos", "tan"):
+                f = getattr(ns, name)
+                for arg in (first, second, first):
+                    got = f(arg)
+                    assert type(got) is type(arg) and got == _MP_DIRECT[name](arg)
+
+
+def test_mp_namespaces_share_no_memo(monkeypatch):
+    calls = []
+    real_sin, real_exp = mp.sin, mp.exp
+    monkeypatch.setattr(mp, "sin", lambda z: calls.append("sin") or real_sin(z))
+    monkeypatch.setattr(mp, "exp", lambda z: calls.append("exp") or real_exp(z))
+    with mp.workdps(30):
+        z = mp.mpf(2) / 7
+        one, two = mp_namespace(), mp_namespace()
+        for ns in (one, one, two, two, one):
+            ns.sin(z)
+            ns.exp(z)
+    assert calls == ["sin", "exp"] * 2
+
+
+def test_extended_recursion_leaves_no_module_level_container():
+    from nss import braids, gates
+
+    def containers():
+        return {(mod.__name__, name): len(value) for mod in (anyon, braids, gates)
+                for name, value in vars(mod).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))}
+
+    before = containers()
+    gates.reichardt_iterate(ModelParams.from_string("12/5"), gates.W_WORD, k=2, extended=True,
+                            dps=60)
+    assert containers() == before
 
 
 def test_f_matrix_pops_eight_bubbles_per_2x2_block(monkeypatch):

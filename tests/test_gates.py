@@ -8,6 +8,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nss import (ALPHA, PSI, SIGMA, BraidWord, LOW_LEAKAGE_WORD, ModelParams,
                  NotBlockDiagonal, PrecisionExhausted, UnsupportedTriple, W_WORD,
@@ -16,7 +17,7 @@ from nss import (ALPHA, PSI, SIGMA, BraidWord, LOW_LEAKAGE_WORD, ModelParams,
                  reichardt_iterate, reichardt_step, search_low_leakage,
                  vacuum_sector_matrix, qubit_space)
 from nss.anyon import mp_namespace
-from nss.braids import evaluate_word, pseudo_unitarity_defect
+from nss.braids import evaluate_word, evaluate_word_open, pseudo_unitarity_defect
 from nss import gates
 from nss.gates import D_WORD, PSI_LEAVES, LeakageReport, SearchHit, step_word
 
@@ -162,6 +163,15 @@ def test_iterate_extended_law_checked_below_double_range():
     assert max(reports[6].law_defect_su2, reports[6].law_defect_su11) < 1e-3
 
 
+def test_iterate_extended_dps_is_capped():
+    reichardt_iterate(P, W_WORD, k=0, extended=True, dps=1)
+    for dps in (0, gates._MAX_DPS + 1, 10_000_000):
+        with pytest.raises(ValueError, match="dps"):
+            reichardt_iterate(P, W_WORD, k=0, extended=True, dps=dps)
+    # the cap holds only where dps is used
+    reichardt_iterate(P, W_WORD, k=0, dps=10_000_000)
+
+
 def test_iterate_extended_keeps_global_precision():
     before = mpmath.mp.dps
     reichardt_iterate(P, W_WORD, k=1, extended=True, dps=before + 40)
@@ -195,11 +205,40 @@ def test_deep_iteration_capped_without_extended():
 
 
 
+def _free_reduce_oracle(word):
+    """Free reduction on a stack of [generator, power] lists, written apart
+    from BraidWord.free_reduce: a syllable adds to the top when their
+    generators match, and a top whose power reaches 0 is popped."""
+    out = []
+    for tok, p in word.letters:
+        if out and out[-1][0] == tok:
+            out[-1][1] += p
+            if out[-1][1] == 0:
+                out.pop()
+        else:
+            out.append([tok, p])
+    return BraidWord(tuple((t, p) for t, p in out))
+
+
 def _step_word_oracle(word, d_word=D_WORD):
-    """The parent's step_word: free-reduce the whole concatenation."""
+    """Free-reduce the whole concatenation."""
     d3 = BraidWord.from_letters([(t, 3 * p) for t, p in d_word.letters])
     parts = (word, d_word, word.inverse(), d3, word, d3, word.inverse(), d_word, word)
-    return BraidWord(tuple(l for part in parts for l in part.letters)).free_reduce()
+    return _free_reduce_oracle(BraidWord(tuple(l for part in parts for l in part.letters)))
+
+
+_SYLLABLES = st.tuples(st.sampled_from(["x", "b2", "b3"]), st.integers(-3, 3))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(letters=st.lists(_SYLLABLES, max_size=30))
+def test_free_reduce_matches_the_stack_oracle(letters):
+    # the bare constructor keeps zero powers; a checked word drops them
+    raw, w = BraidWord(tuple(letters)), BraidWord.from_letters(letters)
+    assert raw.free_reduce() == _free_reduce_oracle(raw)
+    assert w.free_reduce() == _free_reduce_oracle(w)
+    assert w.free_reduce().free_reduce() == w.free_reduce()
+    assert w.free_reduce().inverse() == w.inverse().free_reduce()
 
 
 def _random_letters(rng, n, toks=("x", "b2", "b3")):
@@ -469,6 +508,32 @@ def test_import_does_not_load_multiprocessing():
          "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("max_power", [1, 2, 4])
+def test_letter_pool_is_each_power_evaluated_alone(monkeypatch, max_power):
+    letters = []
+    real = gates.letter_matrix
+    monkeypatch.setattr(gates, "letter_matrix", lambda *a: letters.append(a) or real(*a))
+    arrangements = [PSI_LEAVES, (ALPHA, SIGMA, PSI, SIGMA)]
+    for alpha in ("12/5", "2.001", "2.999"):
+        params = ModelParams.from_string(alpha)
+        letters.clear()
+        pool = gates._letter_pool(params, max_power)
+        assert len(letters) == 8 * max_power
+        keys = [(si, tok, p) for si in (0, 1) for tok in ("x", "b2")
+                for p in gates._syllable_powers(max_power)]
+        assert list(pool) == keys
+        for si, tok, p in keys:
+            m, cur = evaluate_word_open(params, arrangements[si], BraidWord(((tok, p),)))
+            want = tuple(complex(z) for z in gates._blocks(m).ravel())
+            entries, si2 = pool[si, tok, p]
+            assert entries == want and list(map(_hex, entries)) == list(map(_hex, want))
+            assert si2 == arrangements.index(cur)
 
 
 @pytest.mark.parametrize("max_power", [1, 2, 3])

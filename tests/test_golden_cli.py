@@ -5,7 +5,9 @@ The files under tests/golden/ hold each command's stdout byte for byte.
 the parallel run against the same file).  ``verify_near2`` pins the
 verify defects at a second input, 0.01 from the integer end;
 ``model_11_2`` pins the model where s, t and F[a,s,s;a-2] take the other
-sign from 12/5.
+sign from 12/5.  ``reichardt_extended_k4`` pins every digit of a deeper
+mpmath recursion, whose elementary functions are served from the
+namespace's memo.
 """
 import contextlib
 import io
@@ -29,7 +31,9 @@ README_COMMANDS = {
 }
 GOLDEN_COMMANDS = {**README_COMMANDS,
                    "verify_near2": ["verify", "--alpha", "2.01", "--seed", "7"],
-                   "model_11_2": ["model", "--alpha", "11/2"]}
+                   "model_11_2": ["model", "--alpha", "11/2"],
+                   "reichardt_extended_k4": ["reichardt", "--alpha", "12/5", "--k", "4",
+                                             "--extended", "--dps", "100"]}
 
 
 def run_cli(args):

@@ -378,6 +378,7 @@ def test_cli_search_rejects_bad_parameters(arg):
     ("model", "--alpha", "1e400"),
     ("reichardt", "--k", "-1"),
     ("reichardt", "--extended", "--dps", "-5"),
+    ("reichardt", "--extended", "--dps", "50001"),
     ("model", "--alpha", "2/0"),
     ("braid", "--system", "a,s,s", "--word", "b2^999999999"),
 ])
