@@ -56,31 +56,41 @@ def _wrap_check(fn):
 
 # ---------------------------------------------------------------------------
 
-def _chk_affine_relation(params, rng):
+_WORKING_SYSTEMS = ((ALPHA, SIGMA, SIGMA), (ALPHA,) + (SIGMA,) * 4, (ALPHA, PSI, SIGMA, SIGMA))
+_TWO_QUBIT_SIGNATURE = (1, 1, 1, 1, -1, 1)  # acceptance criterion 3 reads it too
+_LEAKAGE_TARGETS = (0.832, 0.904, 1.943)  # acceptance criterion 6 reads them too
+
+
+def _affine_defect(params):
+    """Acceptance criterion 2: max |x b2 x b2 - b2 x b2 x| over the working systems."""
     worst = 0.0
-    for leaves in ((ALPHA, SIGMA, SIGMA),
-                   (ALPHA,) + (SIGMA,) * 4,
-                   (ALPHA, PSI, SIGMA, SIGMA)):
-        # on the psi system each side nets one exchange, so compare the two
-        # open evaluations into the common permuted target space
+    for leaves in _WORKING_SYSTEMS:
+        # on the psi system each side nets one exchange: compare in the permuted space
         lhs, end1 = braids.evaluate_word_open(params, leaves, BraidWord.parse("x b2 x b2"))
         rhs, end2 = braids.evaluate_word_open(params, leaves, BraidWord.parse("b2 x b2 x"))
         assert end1 == end2
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result("affine-relation", worst, params.tol,
+    return worst
+
+
+def _chk_affine_relation(params, rng):
+    return _result("affine-relation", _affine_defect(params), params.tol,
                    "x b2 x b2 = b2 x b2 x on the three working systems")
 
 
+def _closed_form_defect(alphas, tol):
+    """Acceptance criterion 1: max |phased x or b2 on a,s,s - its closed form| over the alphas."""
+    worst, leaves = 0.0, _WORKING_SYSTEMS[0]
+    for al in alphas:
+        p = ModelParams(float(al), tol)
+        for gen, form in (("x", wrap_closed_form), ("b2", exchange_closed_form)):
+            m = SPECIAL_UNITARY_PHASES[gen] * evaluate_word(p, leaves, BraidWord.parse(gen))
+            worst = max(worst, float(np.max(np.abs(m - form(p, phased=True)))))
+    return worst
+
+
 def _chk_closed_form_single_qubit(params, rng):
-    worst = 0.0
-    for al in _sample_alphas(rng, 50):
-        p = ModelParams(float(al), params.tol)
-        leaves = (ALPHA, SIGMA, SIGMA)
-        x = evaluate_word(p, leaves, BraidWord.parse("x"))
-        b = evaluate_word(p, leaves, BraidWord.parse("b2"))
-        dx = np.max(np.abs(SPECIAL_UNITARY_PHASES["x"] * x - wrap_closed_form(p, phased=True)))
-        db = np.max(np.abs(SPECIAL_UNITARY_PHASES["b2"] * b - exchange_closed_form(p, phased=True)))
-        worst = max(worst, float(dx), float(db))
+    worst = _closed_form_defect(_sample_alphas(rng, 50), params.tol)
     return _result("closed-form-single-qubit", worst, params.tol,
                    "assembled generators match the analytic forms at 50 alphas")
 
@@ -101,28 +111,32 @@ def _chk_two_qubit_signature(params, rng):
     if not params.definite_regime:
         return CheckResult("two-qubit-signature", "skipped", 0.0,
                            "alpha outside (2,3): stated signature applies there")
-    space = qubit_space(params, 2)
-    want = np.array([1, 1, 1, 1, -1, 1])
-    defect = float(np.max(np.abs(space.metric_signs - want)))
+    defect = float(np.max(np.abs(qubit_space(params, 2).metric_signs - _TWO_QUBIT_SIGNATURE)))
     return _result("two-qubit-signature", defect, 0.5, "(+,+,+,+,-,+) in listing order")
 
 
-def _chk_exchange_order_four(params, rng):
+def _b2_order(params):
+    """Acceptance criterion 4: the order of the phased b2 on one qubit, up to 16."""
+    b = braids.generator_matrix(qubit_space(params, 1), "b2", 1, SPECIAL_UNITARY_PHASES["b2"])
+    return matrix_order(b.matrix, 16, params.tol)
+
+
+def _b2_x_b2_squared(params):
+    """Acceptance criterion 4 scans 10,000 powers of this phased b2 x b2^2 on one qubit."""
     space = qubit_space(params, 1)
-    b = braids.generator_matrix(space, "b2", 1,
-                                global_phase=SPECIAL_UNITARY_PHASES["b2"]).matrix
-    res = matrix_order(b, 16, params.tol)
-    ok = res.projective == 4
-    return CheckResult("exchange-order-four", "pass" if ok else "fail",
+    x = braids.generator_matrix(space, "x", 1, SPECIAL_UNITARY_PHASES["x"]).matrix
+    b = braids.generator_matrix(space, "b2", 1, SPECIAL_UNITARY_PHASES["b2"]).matrix
+    return b @ x @ b @ b
+
+
+def _chk_exchange_order_four(params, rng):
+    res = _b2_order(params)
+    return CheckResult("exchange-order-four", "pass" if res.projective == 4 else "fail",
                        res.defect, f"projective order {res.projective}, strict {res.strict}")
 
 
 def _chk_infinite_order_word(params, rng):
-    p = ModelParams(12 / 5, params.tol)
-    space = qubit_space(p, 1)
-    x = braids.generator_matrix(space, "x", 1, SPECIAL_UNITARY_PHASES["x"]).matrix
-    b = braids.generator_matrix(space, "b2", 1, SPECIAL_UNITARY_PHASES["b2"]).matrix
-    return _infinite_order(b @ x @ b @ b)
+    return _infinite_order(_b2_x_b2_squared(ModelParams(12 / 5, params.tol)))
 
 
 def _infinite_order(m):
@@ -158,15 +172,22 @@ def _chk_wrap_square_diagonal(params, rng):
     return _result("wrap-square-diagonal", defect, 1e-9, detail)
 
 
+def _leakage(params):
+    """Acceptance criterion 6: (|W[0,1]|, |W[2,3]|, |b2^2[0,1]|)."""
+    return (*gates.leakage_norms(gates.build_W(params).matrix), gates.leakage_norms(
+        evaluate_word(params, gates.PSI_LEAVES, BraidWord.parse("b2^2")))[0])
+
+
 def _chk_leakage_norms(params, rng):
-    p = ModelParams(12 / 5, params.tol)
-    w = gates.build_W(p).matrix
-    n1, n2 = gates.leakage_norms(w)
-    b2sq = evaluate_word(p, gates.PSI_LEAVES, BraidWord.parse("b2^2"))
-    n3, _ = gates.leakage_norms(b2sq)
-    defect = max(abs(n1 - 0.832), abs(n2 - 0.904), abs(n3 - 1.943) / 10)
+    (n1, n2, n3), (t1, t2, t3) = _leakage(ModelParams(12 / 5, params.tol)), _LEAKAGE_TARGETS
+    defect = max(abs(n1 - t1), abs(n2 - t2), abs(n3 - t3) / 10)
     return _result("leakage-norms", defect, 1e-3,
                    f"W: ({n1:.6f}, {n2:.6f}); b2^2 upper: {n3:.6f}")
+
+
+def _law_limit(k):
+    """Acceptance criterion 7, in mpmath on W and LOW_LEAKAGE_WORD: the law's limit at step k."""
+    return 1e-6 if k <= 2 else 1e-3
 
 
 def _chk_fifth_power_law(params, rng):
@@ -174,8 +195,7 @@ def _chk_fifth_power_law(params, rng):
     reports = gates.reichardt_iterate(p, gates.W_WORD, k=3)
     worst = 0.0
     for r in reports[1:]:
-        tol = 1e-6 if r.k <= 2 else 1e-3
-        worst = max(worst, r.law_defect_su2 / tol, r.law_defect_su11 / tol)
+        worst = max(worst, r.law_defect_su2 / _law_limit(r.k), r.law_defect_su11 / _law_limit(r.k))
     return _result("fifth-power-law", worst, 1.0,
                    "relative law defect within 1e-6 (k<=2) / 1e-3 (k=3) for W")
 
@@ -192,10 +212,9 @@ def _chk_pentagon_restricted(params, rng):
 
 def _chk_pseudo_unitarity(params, rng):
     worst = 0.0
-    cases = [((ALPHA, SIGMA, SIGMA), (("x", 1), ("b2", 1))),
-             ((ALPHA,) + (SIGMA,) * 4, (("x", 1), ("b2", 1), ("b3", 1), ("b4", 1))),
-             ((ALPHA, PSI, SIGMA, SIGMA), (("x", 1), ("b2", 2), ("b3", 1)))]
-    for leaves, gens in cases:
+    cases = ((("x", 1), ("b2", 1)), (("x", 1), ("b2", 1), ("b3", 1), ("b4", 1)),
+             (("x", 1), ("b2", 2), ("b3", 1)))
+    for leaves, gens in zip(_WORKING_SYSTEMS, cases):
         space = IndefSpace.build(params, leaves)
         for g, pw in gens:
             m = braids.generator_matrix(space, g, pw)
@@ -293,12 +312,14 @@ def _chk_encode_decode(params, rng):
     return _result("encode-decode", float(bad), 0.5, "round trip for n=1..4")
 
 
+def _vacuum_defect(params, word):
+    """Acceptance criterion 11: max |M - 1| of the word on the vacuum control channel."""
+    return float(np.max(np.abs(gates.vacuum_sector_matrix(params, word) - np.eye(2))))
+
+
 def _chk_vacuum_triviality(params, rng):
     p = ModelParams(12 / 5, params.tol)
-    worst = 0.0
-    for word in (gates.W_WORD, gates.D_WORD):
-        m = gates.vacuum_sector_matrix(p, word)
-        worst = max(worst, float(np.max(np.abs(m - np.eye(m.shape[0])))))
+    worst = max(_vacuum_defect(p, word) for word in (gates.W_WORD, gates.D_WORD))
     return _result("vacuum-triviality", worst, 1e-9,
                    "W and x^2 act as the identity on the vacuum control channel")
 

@@ -11,18 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from nss import (ALPHA, PSI, SIGMA, BraidWord, LOW_LEAKAGE_WORD, ModelParams,
-                 SPECIAL_UNITARY_PHASES, build_D, build_W, controlled_gate,
-                 evaluate_word, generator_matrix, leakage_norms, matrix_order,
-                 pentagon_sweep, qubit_space, reichardt_iterate,
-                 reichardt_step, search_low_leakage, vacuum_sector_matrix,
-                 wrap_closed_form, exchange_closed_form)
-from nss.braids import evaluate_word_open
+from nss import (BraidWord, LOW_LEAKAGE_WORD, ModelParams, build_D, build_W,
+                 controlled_gate, evaluate_word, matrix_order, pentagon_sweep,
+                 qubit_space, reichardt_iterate, reichardt_step,
+                 search_low_leakage, verify, W_WORD)
 from nss.gates import PSI_LEAVES
 from nss.spaces import tree_norm_sign, QubitCode
 
 P125 = ModelParams.from_string("12/5")
-H1 = (ALPHA, SIGMA, SIGMA)
 RNG = np.random.default_rng(2024)
 
 
@@ -31,35 +27,20 @@ def _verdict(num, ok, detail):
 
 
 def test_criterion_01_closed_form_braid_agreement():
-    worst = 0.0
-    for al in 2.0 + 1e-3 + (1 - 2e-3) * RNG.random(50):
-        p = ModelParams(float(al))
-        x = evaluate_word(p, H1, BraidWord.parse("x"))
-        b = evaluate_word(p, H1, BraidWord.parse("b2"))
-        worst = max(worst, float(np.max(np.abs(
-            SPECIAL_UNITARY_PHASES["x"] * x - wrap_closed_form(p, phased=True)))))
-        worst = max(worst, float(np.max(np.abs(
-            SPECIAL_UNITARY_PHASES["b2"] * b - exchange_closed_form(p, phased=True)))))
+    worst = verify._closed_form_defect(2.0 + 1e-3 + (1 - 2e-3) * RNG.random(50), 1e-10)
     _verdict(1, worst < 1e-10, f"closed-form agreement, max defect {worst:.2e} (50 alphas)")
     assert worst < 1e-10
 
 
 def test_criterion_02_affine_relation():
-    worst = 0.0
-    for al in ("2.4", "2.7", "12/5"):
-        p = ModelParams.from_string(al)
-        for leaves in (H1, (ALPHA,) + (SIGMA,) * 4, (ALPHA, PSI, SIGMA, SIGMA)):
-            lhs, e1 = evaluate_word_open(p, leaves, BraidWord.parse("x b2 x b2"))
-            rhs, e2 = evaluate_word_open(p, leaves, BraidWord.parse("b2 x b2 x"))
-            assert e1 == e2
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    worst = max(verify._affine_defect(ModelParams.from_string(al)) for al in ("2.4", "2.7", "12/5"))
     _verdict(2, worst < 1e-10, f"affine relation defect {worst:.2e} on H1/H2/H2^psi")
     assert worst < 1e-10
 
 
 def test_criterion_03_signatures():
     space = qubit_space(ModelParams(2.4), 2)
-    sig_ok = list(space.metric_signs) == [1, 1, 1, 1, -1, 1]
+    sig_ok = tuple(space.metric_signs) == verify._TWO_QUBIT_SIGNATURE
     pos_ok = True
     for al in 2.0 + 1e-3 + (1 - 2e-3) * RNG.random(100):
         p = ModelParams(float(al))
@@ -76,16 +57,10 @@ def test_criterion_03_signatures():
 
 
 def test_criterion_04_order_facts():
-    space = qubit_space(ModelParams(2.4), 1)
-    b = generator_matrix(space, "b2", 1, SPECIAL_UNITARY_PHASES["b2"]).matrix
-    res = matrix_order(b, 16, 1e-10)
+    res = verify._b2_order(ModelParams(2.4))
     order_ok = res.projective == 4 and res.defect < 1e-10
 
-    space5 = qubit_space(P125, 1)
-    x5 = generator_matrix(space5, "x", 1, SPECIAL_UNITARY_PHASES["x"]).matrix
-    b5 = generator_matrix(space5, "b2", 1, SPECIAL_UNITARY_PHASES["b2"]).matrix
-    m = b5 @ x5 @ b5 @ b5
-    res2 = matrix_order(m, 10_000, 1e-8)
+    res2 = matrix_order(verify._b2_x_b2_squared(P125), 10_000, 1e-8)
     inf_ok = res2.projective is None
     _verdict(4, order_ok and inf_ok,
              f"b2 projective order {res.projective} (defect {res.defect:.1e}); "
@@ -112,23 +87,19 @@ def test_criterion_05_d_identity():
 
 
 def test_criterion_06_w_leakage():
-    su2, su11 = leakage_norms(build_W(P125).matrix)
-    b2sq = evaluate_word(P125, PSI_LEAVES, BraidWord.parse("b2^2"))
-    cand, _ = leakage_norms(b2sq)
-    ok = (abs(su2 - 0.832) <= 1e-3 and abs(su11 - 0.904) <= 1e-3
-          and abs(cand - 1.943) <= 1e-2)
+    (su2, su11, cand), (t2, t11, tc) = verify._leakage(P125), verify._LEAKAGE_TARGETS
+    ok = abs(su2 - t2) <= 1e-3 and abs(su11 - t11) <= 1e-3 and abs(cand - tc) <= 1e-2
     _verdict(6, ok, f"W leakage ({su2:.6f}, {su11:.6f}); b2^2 leakage {cand:.6f}")
     assert ok
 
 
 def test_criterion_07_reichardt_convergence():
-    from nss.gates import W_WORD
     ok = True
     details = []
     for word, label in ((W_WORD, "W"), (LOW_LEAKAGE_WORD, "search")):
         reports = reichardt_iterate(P125, word, k=3, extended=True, dps=120)
         for r in reports[1:]:
-            lim = 1e-6 if r.k <= 2 else 1e-3
+            lim = verify._law_limit(r.k)
             if r.law_defect_su2 > lim or r.law_defect_su11 > lim:
                 ok = False
         details.append(f"{label}: law defects " +
@@ -207,9 +178,8 @@ def test_criterion_11_entanglement():
     for _ in range(3):
         cur = reichardt_step(cur, d)
     gate = controlled_gate(qubit_space(P125, 2), cur, leak_tol=1e-4)
-    vac = vacuum_sector_matrix(P125, BraidWord.parse("b2^2 x b2^2 x b2^-2"))
-    vac_ok = float(np.max(np.abs(vac - np.eye(2)))) <= 1e-9
-    ok = gate.schmidt_rank >= 2 and vac_ok
+    vac = verify._vacuum_defect(P125, BraidWord.parse("b2^2 x b2^2 x b2^-2"))
+    ok = gate.schmidt_rank >= 2 and vac <= 1e-9
     _verdict(11, ok, f"operator-Schmidt rank {gate.schmidt_rank}; "
-                     f"vacuum-sector action identity to {np.max(np.abs(vac - np.eye(2))):.1e}")
+                     f"vacuum-sector action identity to {vac:.1e}")
     assert ok
