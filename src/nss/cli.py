@@ -52,8 +52,11 @@ def _emit(args, payload) -> None:
         payload = {k: v for k, v in payload.items() if k != "csv"}
         text = json.dumps(_jsonify(payload), indent=2 if args.format == "pretty" else None)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a path that cannot be written is bad usage
+            raise ValueError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text + "\n")
 

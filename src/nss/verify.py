@@ -174,8 +174,9 @@ def _chk_wrap_square_diagonal(params, rng):
 
 def _leakage(params):
     """Acceptance criterion 6: (|W[0,1]|, |W[2,3]|, |b2^2[0,1]|)."""
-    return (*gates.leakage_norms(gates.build_W(params).matrix), gates.leakage_norms(
-        evaluate_word(params, gates.PSI_LEAVES, BraidWord.parse("b2^2")))[0])
+    w = gates.leakage_norms(gates.build_W(params).matrix)
+    b2sq = evaluate_word(params, gates.PSI_LEAVES, BraidWord.parse("b2^2"))
+    return (*w, gates.leakage_norms(b2sq)[0])
 
 
 def _chk_leakage_norms(params, rng):

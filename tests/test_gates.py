@@ -501,13 +501,17 @@ def test_phase_dedupe_matches_per_row_loop(monkeypatch, alpha, max_len, threshol
 
 
 def test_import_does_not_load_multiprocessing():
-    # the process pool is imported only when a search runs with jobs > 1
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, nss.cli; print(sorted(m for m in sys.modules "
-         "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"],
-        capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    # the process pool is imported only when a search runs with jobs > 1, and
+    # mpmath only on an arbitrary-precision path
+    report = ("print(sorted(m for m in sys.modules if m.startswith("
+              "('multiprocessing', 'concurrent.futures.process', 'mpmath'))))")
+    for run in ("import sys, nss.cli",
+                "import contextlib, io, sys, nss.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert nss.cli.main(['verify', '--alpha', '2.4']) == 0"):
+        proc = subprocess.run([sys.executable, "-c", f"{run}\n{report}"],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]", run
 
 
 def _hex(z):

@@ -381,9 +381,10 @@ def test_cli_search_rejects_bad_parameters(arg):
     ("reichardt", "--extended", "--dps", "50001"),
     ("model", "--alpha", "2/0"),
     ("braid", "--system", "a,s,s", "--word", "b2^999999999"),
+    ("model", "--out", "<tmp>/missing/x.json"),
 ])
-def test_cli_bad_input_is_a_usage_error(args):
-    code, out = run_cli(*args)
+def test_cli_bad_input_is_a_usage_error(args, tmp_path):
+    code, out = run_cli(*(a.replace("<tmp>", str(tmp_path)) for a in args))
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
 
