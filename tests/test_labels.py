@@ -55,3 +55,8 @@ def test_constructor_errors():
         QLabel("sigma", 1)
     with pytest.raises(ValueError, match="only alpha-type labels shift"):
         SIGMA.shifted(1)
+
+
+def test_q_spin_values():
+    assert [l.value(2.4) for l in (VACUUM, SIGMA, PSI, S32, P2)] == [0, 0.5, 1, 1.5, 2]
+    assert alpha_label(-2).value(2.5) == 0.5

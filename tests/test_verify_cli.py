@@ -51,6 +51,19 @@ def test_suite_reports_defects_on_pass():
     assert all(np.isfinite(r.defect) for r in results if r.status == "pass")
 
 
+def test_checks_are_the_chk_functions_in_name_order():
+    # the shared rng's draws follow this order
+    names = [fn.__name__ for fn in verify._CHECKS]
+    assert len(names) == 19
+    assert names == sorted(n for n in vars(verify) if n.startswith("_chk_"))
+    rng = np.random.default_rng(0)
+    for fn in verify._CHECKS:
+        res = fn(ModelParams(2.4), rng)
+        # the name _wrap_check gives a check that raises
+        assert isinstance(res, verify.CheckResult)
+        assert res.name == fn.__name__[len("_chk_"):].replace("_", "-")
+
+
 def test_skips_carry_reason_outside_definite_window():
     results = run_all(ModelParams(5.3), seed=0)
     by_name = {r.name: r for r in results}
@@ -325,6 +338,28 @@ def test_cli_space_decode():
     assert data["decode"] == "noncomputational"
 
 
+@pytest.mark.parametrize("tree", ["(a,s,s|a|a)", "(a,s,s|psi|a)"])
+def test_cli_space_decode_odd_label_off_by_one(tree):
+    # odd labels that are neither a+1 nor a-1
+    code, out = run_cli("space", "--leaves", "a,s,s", "--decode", tree)
+    assert code == 0
+    assert json.loads(out)["decode"] == "noncomputational"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--leaves", "a,s,s", "--decode", "a,s,s"), "bad tree literal 'a,s,s'"),
+    (("--leaves", "a,s,s", "--decode", "(a,s,s|a+1)"), "bad tree literal '(a,s,s|a+1)'"),
+    (("--leaves", "a,s,s", "--decode", "(a,s,s||a)"),
+     "internal labels must number len(leaves) - 2"),
+    (("--leaves", "a,q"), "cannot parse label token 'q'"),
+    (("--leaves", "a+x,s,s"), "cannot parse label token 'a+x'"),
+])
+def test_cli_space_bad_label_or_tree_is_a_usage_error(args, message):
+    code, out = run_cli("space", *args)
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("args, want_code", [
     (("--alpha", "2.4", "--leaves", "a+1,s,s", "--charge", "a+1"), 0),
     (("--leaves", "a,s,s", "--encode", "101"), 2),
@@ -382,6 +417,7 @@ def test_cli_search_rejects_bad_parameters(arg):
     ("model", "--alpha", "2/0"),
     ("braid", "--system", "a,s,s", "--word", "b2^999999999"),
     ("model", "--out", "<tmp>/missing/x.json"),
+    ("reichardt", "--extended", "--dps", "10000000"),
 ])
 def test_cli_bad_input_is_a_usage_error(args, tmp_path):
     code, out = run_cli(*(a.replace("<tmp>", str(tmp_path)) for a in args))
@@ -395,7 +431,16 @@ def test_cli_bad_input_is_a_usage_error(args, tmp_path):
      "no admissible labeling for a-2,s,s32,1 at charge a-2"),
     (("braid", "--system", "a,s,s", "--word", "h1"), "LeakyPermutation",
      "word leaves the system as s,a,s"),
-], ids=["space", "space-shifted", "braid"])
+    (("space", "--leaves", "s,s", "--charge", "psi"), "UnsupportedTriple",
+     "metric is defined for alpha-type total charge"),
+    (("reichardt", "--k", "5"), "PrecisionExhausted",
+     "k > 4 needs the extended-precision mode"),
+    (("space", "--leaves", "a,psi,s,s", "--alpha", "1.000001"), "SingularParameter",
+     "B[a,psi,a]: denominator ~ 0"),
+    (("space", "--leaves", "a,s,s", "--alpha", "4.00000000011"), "SingularParameter",
+     "B[a,s,a-1] cot: denominator ~ 0"),
+], ids=["space", "space-shifted", "braid", "space-psi-charge", "reichardt-k5",
+        "space-near-1", "space-near-4"])
 def test_cli_model_errors_spell_systems_as_leaves(args, error, message):
     code, out = run_cli(*args)
     assert code == 3
