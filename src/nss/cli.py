@@ -29,20 +29,12 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _jsonify(obj):
+def _json_default(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == bool:
-            return [bool(x) for x in obj]
-        return [_jsonify(x) for x in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(args, payload) -> None:
@@ -50,7 +42,8 @@ def _emit(args, payload) -> None:
         text = payload["csv"]
     else:
         payload = {k: v for k, v in payload.items() if k != "csv"}
-        text = json.dumps(_jsonify(payload), indent=2 if args.format == "pretty" else None)
+        text = json.dumps(payload, default=_json_default,
+                          indent=2 if args.format == "pretty" else None)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

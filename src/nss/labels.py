@@ -15,11 +15,9 @@ from fractions import Fraction
 
 from .errors import IntegerAlpha
 
-_KINDS = ("vac", "sigma", "psi", "s32", "p2", "alpha")
-
-_QSPIN = {"vac": 0.0, "sigma": 0.5, "psi": 1.0, "s32": 1.5, "p2": 2.0}
-
-_TOKEN = {"vac": "1", "sigma": "s", "psi": "psi", "s32": "s32", "p2": "p2"}
+# kind -> (token, q-spin); an alpha label has none: it prints and evaluates from its shift
+_KINDS = {"vac": ("1", 0.0), "sigma": ("s", 0.5), "psi": ("psi", 1.0),
+          "s32": ("s32", 1.5), "p2": ("p2", 2.0), "alpha": None}
 
 
 class QLabel(tuple):
@@ -52,7 +50,7 @@ class QLabel(tuple):
         """Numeric q-spin value of the label given the base parameter."""
         if self.is_alpha:
             return alpha + self.shift
-        return _QSPIN[self.kind]
+        return _KINDS[self.kind][1]
 
     def shifted(self, k: int) -> "QLabel":
         if not self.is_alpha:
@@ -61,7 +59,7 @@ class QLabel(tuple):
 
     def token(self) -> str:
         if not self.is_alpha:
-            return _TOKEN[self.kind]
+            return _KINDS[self.kind][0]
         if self.shift == 0:
             return "a"
         return f"a{self.shift:+d}"

@@ -268,16 +268,15 @@ class QubitCode:
         """Every n-bit tuple in listing order: the first bit varies fastest."""
         return [tuple((i >> j) & 1 for j in range(self.n)) for i in range(2 ** self.n)]
 
+    def _internal(self, bits) -> tuple[QLabel, ...]:
+        """The internal labels of bits' tree: b+1 or b-1 per bit, b between."""
+        return tuple(l for b in bits for l in (self.base, self.base.shifted(1 - 2 * b)))[1:]
+
     def encode(self, bits) -> FusionTree:
         bits = tuple(int(b) for b in bits)
         if len(bits) != self.n or any(b not in (0, 1) for b in bits):
             raise ValueError(f"need {self.n} bits")
-        inner = []
-        for i, b in enumerate(bits):
-            inner.append(self.base.shifted(1 if b == 0 else -1))
-            if i < self.n - 1:
-                inner.append(self.base)
-        return FusionTree(self.leaves, tuple(inner), self.base)
+        return FusionTree(self.leaves, self._internal(bits), self.base)
 
     def decode(self, tree: FusionTree):
         """Bits of a computational tree, or None for a noncomputational one.
@@ -287,17 +286,8 @@ class QubitCode:
         if tree.leaves != self.leaves or tree.root != self.base:
             raise ValueError(f"{tree.serialize()} is not a tree of the "
                              f"{self.n}-qubit register on {self.base}")
-        bits = []
-        for i, lbl in enumerate(tree.chain[1:], start=1):
-            d = lbl.shift - self.base.shift if lbl.is_alpha else None
-            if i % 2 == 0:
-                if d != 0:
-                    return None
-            elif d in (1, -1):
-                bits.append((1 - d) // 2)
-            else:
-                return None
-        return tuple(bits)
+        bits = tuple(int(l.shift < self.base.shift) for l in tree.internal[::2])
+        return bits if self._internal(bits) == tree.internal else None
 
 
 def qubit_space(params: ModelParams, n: int) -> IndefSpace:

@@ -325,27 +325,9 @@ def _chk_vacuum_triviality(params, rng):
                    "W and x^2 act as the identity on the vacuum control channel")
 
 
-_CHECKS = [
-    _chk_affine_relation,
-    _chk_closed_form_single_qubit,
-    _chk_computational_positivity,
-    _chk_dimension_binomial,
-    _chk_encode_decode,
-    _chk_exchange_order_four,
-    _chk_f_pseudo_unitarity,
-    _chk_fifth_power_law,
-    _chk_gram_transport,
-    _chk_infinite_order_word,
-    _chk_leakage_norms,
-    _chk_pentagon_restricted,
-    _chk_pseudo_unitarity,
-    _chk_r_unit_modulus,
-    _chk_st_periodicity,
-    _chk_two_qubit_blocks,
-    _chk_two_qubit_signature,
-    _chk_vacuum_triviality,
-    _chk_wrap_square_diagonal,
-]
+# in name order, which the shared rng's draws follow; a list, so a tracer can
+# wrap its items in place
+_CHECKS = [fn for name, fn in sorted(globals().items()) if name.startswith("_chk_")]
 
 
 def run_all(params: ModelParams, seed: int = 0) -> list[CheckResult]:

@@ -1,8 +1,9 @@
 """The README's CLI commands print exactly their recorded stdout.
 
-The files under tests/golden/ hold each command's stdout byte for byte.
-``search`` runs serially here; its output equals ``--jobs 4`` (CI diffs
-the parallel run against the same file).  ``verify_near2`` pins the
+The files under tests/golden/ hold each command's stdout byte for byte;
+GOLDEN_COMMANDS is the one list of the commands and their files.
+``search`` runs serially and with ``--jobs 4``, and both print
+``search.out``.  ``verify_near2`` pins the
 verify defects at a second input, 0.01 from the integer end;
 ``model_11_2`` pins the model where s, t and F[a,s,s;a-2] take the other
 sign from 12/5.  ``reichardt_extended_k4`` pins every digit of a deeper
@@ -33,7 +34,10 @@ GOLDEN_COMMANDS = {**README_COMMANDS,
                    "verify_near2": ["verify", "--alpha", "2.01", "--seed", "7"],
                    "model_11_2": ["model", "--alpha", "11/2"],
                    "reichardt_extended_k4": ["reichardt", "--alpha", "12/5", "--k", "4",
-                                             "--extended", "--dps", "100"]}
+                                             "--extended", "--dps", "100"],
+                   "search_jobs4": README_COMMANDS["search"] + ["--jobs", "4"]}
+# a command that prints the recorded stdout of another
+GOLDEN_FILE = {"search_jobs4": "search"}
 
 
 def run_cli(args):
@@ -47,7 +51,7 @@ def run_cli(args):
 def test_readme_command_stdout_is_golden(name):
     code, out = run_cli(GOLDEN_COMMANDS[name])
     assert code == 0
-    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+    assert out.encode("utf-8") == (GOLDEN / f"{GOLDEN_FILE.get(name, name)}.out").read_bytes()
 
 
 @pytest.mark.parametrize("tol", ["0.1", "0.3"])
