@@ -339,7 +339,7 @@ def test_cli_space_decode():
 
 
 @pytest.mark.parametrize("tree", ["(a,s,s|a|a)", "(a,s,s|psi|a)"])
-def test_cli_space_decode_odd_label_off_by_one(tree):
+def test_cli_space_decodes_other_odd_labels_as_noncomputational(tree):
     # odd labels that are neither a+1 nor a-1
     code, out = run_cli("space", "--leaves", "a,s,s", "--decode", tree)
     assert code == 0
