@@ -31,6 +31,25 @@ from .errors import (IntegerAlpha, SingularParameter, UnsupportedFamily,
 from .labels import ALPHA, P2, PSI, S32, SIGMA, VACUUM, ModelParams, QLabel
 
 
+def check_noninteger(alpha: float, tol: float = 1e-10) -> None:
+    if abs(alpha - round(alpha)) <= tol:
+        raise IntegerAlpha(f"alpha = {alpha} is integer within tolerance")
+
+
+def s_sign(alpha: float, tol: float = 1e-10) -> int:
+    """+1 for alpha in (0,1) u (5,8) mod 8, -1 for alpha in (1,5) mod 8."""
+    check_noninteger(alpha, tol)
+    r = alpha % 8.0
+    return 1 if (r < 1 or r > 5) else -1
+
+
+def t_sign(alpha: float, tol: float = 1e-10) -> int:
+    """+1 for alpha in (0,1) u (2,4) mod 4, -1 for alpha in (1,2) mod 4."""
+    check_noninteger(alpha, tol)
+    r = alpha % 4.0
+    return 1 if (r < 1 or r > 2) else -1
+
+
 def _guard(den, tol, what):
     # formulas are regular for non-integer alpha; the guard catches near-integer
     # evaluations that slip past parameter validation.  Its bound does not grow
@@ -52,6 +71,8 @@ FLOAT_NS = SimpleNamespace(
     dtype=complex,
     number=float,
     guard=_guard,
+    s_sign=s_sign,
+    t_sign=t_sign,
 )
 
 
@@ -89,6 +110,8 @@ def mp_namespace():
         dtype=object,
         number=number,
         guard=_guard,
+        s_sign=s_sign,
+        t_sign=t_sign,
     )
 
 
@@ -98,8 +121,8 @@ def _guard_min(den, tol, what):
     return den
 
 
-# FLOAT_NS over object arrays of Python floats (F blocks only): math and
-# cmath run on each element and + - * / are the Python operators, so each
+# FLOAT_NS over object arrays of Python floats: math, cmath and the sign
+# functions run on each element and + - * / are the Python operators, so each
 # element rounds as the scalar formula does (numpy's own tan and complex *
 # and / are SIMD code chosen per CPU, and differ in the last bit)
 _ARRAY_NS = SimpleNamespace(
@@ -113,6 +136,8 @@ _ARRAY_NS = SimpleNamespace(
     i=1j,
     number=float,
     guard=_guard_min,
+    s_sign=np.frompyfunc(s_sign, 2, 1),
+    t_sign=np.frompyfunc(t_sign, 2, 1),
 )
 
 
@@ -126,11 +151,6 @@ def alpha_in(params: ModelParams, ns=FLOAT_NS):
 def q_power(x, ns=FLOAT_NS):
     """q^x = exp(i pi x / 4) for real x."""
     return ns.exp(ns.i * ns.pi * x / 4)
-
-
-def check_noninteger(alpha: float, tol: float = 1e-10) -> None:
-    if abs(alpha - round(alpha)) <= tol:
-        raise IntegerAlpha(f"alpha = {alpha} is integer within tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -176,27 +196,13 @@ def _outcomes(a: QLabel, b: QLabel) -> tuple[QLabel, ...]:
 
 
 # ---------------------------------------------------------------------------
-# modified dimension, sign functions
+# modified dimension
 # ---------------------------------------------------------------------------
 
 def modified_dimension(alpha: float, tol: float = 1e-10):
     """Modified quantum dimension: -4 sin(pi a/4) / sin(pi a)."""
     check_noninteger(alpha, tol)
     return -4 * math.sin(math.pi * alpha / 4) / math.sin(math.pi * alpha)
-
-
-def s_sign(alpha: float, tol: float = 1e-10) -> int:
-    """+1 for alpha in (0,1) u (5,8) mod 8, -1 for alpha in (1,5) mod 8."""
-    check_noninteger(alpha, tol)
-    r = alpha % 8.0
-    return 1 if (r < 1 or r > 5) else -1
-
-
-def t_sign(alpha: float, tol: float = 1e-10) -> int:
-    """+1 for alpha in (0,1) u (2,4) mod 4, -1 for alpha in (1,2) mod 4."""
-    check_noninteger(alpha, tol)
-    r = alpha % 4.0
-    return 1 if (r < 1 or r > 2) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +285,13 @@ def _sqrt2(ns):
     return _SQRT2 if ns.number is float else ns.sqrt(2 * ns.one)
 
 
+# the bubbles (a+1, s; a) and (a, s; a-1) of the up/down single-qubit channels
+_COMPUTATIONAL_TRIPLES = ((ALPHA.shifted(1), SIGMA, ALPHA), (ALPHA, SIGMA, ALPHA.shifted(-1)))
+
+
 def computational_bubbles(params: ModelParams):
     """(B_{+}, B_{-}): bubble coefficients of the up/down single-qubit channels."""
-    return (bubble_pop(ALPHA.shifted(1), SIGMA, ALPHA, params),
-            bubble_pop(ALPHA, SIGMA, ALPHA.shifted(-1), params))
+    return tuple(bubble_pop(*t, params) for t in _COMPUTATIONAL_TRIPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +305,14 @@ _R_TABLE = {
     (PSI, ALPHA, ALPHA.shifted(2)): lambda x, ns, tol: q_power(3 + x, ns),
     (ALPHA, SIGMA, ALPHA.shifted(1)): lambda x, ns, tol: q_power((3 + x) / 2, ns),
     (SIGMA, ALPHA, ALPHA.shifted(1)): lambda x, ns, tol: q_power((3 + x) / 2, ns),
-    (ALPHA, PSI, ALPHA): lambda x, ns, tol: s_sign(x, tol) * q_power(1 - x, ns),
-    (PSI, ALPHA, ALPHA): lambda x, ns, tol: s_sign(x, tol) * q_power(3 + x, ns),
+    (ALPHA, PSI, ALPHA): lambda x, ns, tol: ns.s_sign(x, tol) * q_power(1 - x, ns),
+    (PSI, ALPHA, ALPHA): lambda x, ns, tol: ns.s_sign(x, tol) * q_power(3 + x, ns),
     (ALPHA, SIGMA, ALPHA.shifted(-1)):
-        lambda x, ns, tol: s_sign(x, tol) * q_power(-(1 + 3 * x) / 2, ns),
+        lambda x, ns, tol: ns.s_sign(x, tol) * q_power(-(1 + 3 * x) / 2, ns),
     (SIGMA, ALPHA, ALPHA.shifted(-1)):
-        lambda x, ns, tol: s_sign(x, tol) * q_power((7 + x) / 2, ns),
-    (ALPHA, PSI, ALPHA.shifted(-2)): lambda x, ns, tol: t_sign(x, tol) * q_power(1 - 3 * x, ns),
-    (PSI, ALPHA, ALPHA.shifted(-2)): lambda x, ns, tol: t_sign(x, tol) * q_power(5 + x, ns),
+        lambda x, ns, tol: ns.s_sign(x, tol) * q_power((7 + x) / 2, ns),
+    (ALPHA, PSI, ALPHA.shifted(-2)): lambda x, ns, tol: ns.t_sign(x, tol) * q_power(1 - 3 * x, ns),
+    (PSI, ALPHA, ALPHA.shifted(-2)): lambda x, ns, tol: ns.t_sign(x, tol) * q_power(5 + x, ns),
     (PSI, SIGMA, S32): lambda x, ns, tol: q_power(1, ns),
     (SIGMA, PSI, S32): lambda x, ns, tol: q_power(1, ns),
     (PSI, SIGMA, SIGMA): lambda x, ns, tol: q_power(1, ns),
@@ -328,6 +337,17 @@ def r_symbol(b: QLabel, a: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS):
     """
     row, shift = _row(_R_INDEX, _r_unit, "R", b, a, c)
     return row(alpha_in(params, ns) + shift, ns, params.tol)
+
+
+def _symbol_stack(what, u: QLabel, v: QLabel, w: QLabel, alphas: np.ndarray, tol: float):
+    """:func:`bubble_pop` (what "B") or :func:`r_symbol` (what "R") of (u, v, w)
+    at each of an array of alphas, bit for bit, as an object array of Python
+    numbers: the table row runs on :data:`_ARRAY_NS`.  A guard or sign that
+    would raise at any alpha raises."""
+    index, unit = (_B_INDEX, _b_unit) if what == "B" else (_R_INDEX, _r_unit)
+    row, shift = _row(index, unit, what, u, v, w)
+    out = row(alphas.astype(object) + shift, _ARRAY_NS, tol)
+    return np.broadcast_to(np.asarray(out, dtype=object), alphas.shape)
 
 
 # ---------------------------------------------------------------------------

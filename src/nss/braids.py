@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .anyon import (FLOAT_NS, computational_bubbles, f_channels, f_matrix, q_power,
-                    r_symbol)
+from .anyon import (_ARRAY_NS, _COMPUTATIONAL_TRIPLES, FLOAT_NS, _f_blocks, _symbol_stack,
+                    computational_bubbles, f_channels, f_matrix, q_power, r_symbol)
 from .errors import LeakyPermutation, NotBlockDiagonal, UnsupportedFamily
 from .labels import ModelParams, QLabel
 from .spaces import IndefSpace, enumerate_basis
@@ -185,7 +185,8 @@ def _letter_plan(leaves: tuple, charge: QLabel, tok: str) -> _LetterPlan:
 
 
 # double-precision letters by (params, leaves, charge, tok, sign), oldest
-# evicted first; the bound sits above the ~900 letters of a verify process
+# evicted first; the bound sits well above the 100 letters that the bench's
+# 8 verify jobs leave
 _LETTER_MEMO_SIZE = 1024
 _LETTER_MEMO: dict = {}
 _LETTER_MEMO_LOCK = threading.Lock()
@@ -244,6 +245,33 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
                 del _LETTER_MEMO[next(iter(_LETTER_MEMO))]
             _LETTER_MEMO[key] = (m, plan.leaves)
     return m, plan.leaves
+
+
+def _letter_stack(leaves, tok: str, alphas: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`letter_matrix` of the positive unit letter ``tok`` at charge
+    leaves[0] at each of an array of alphas, bit for bit, on a first axis.
+    Its F blocks must be 2x2 families (:func:`anyon._f_blocks`).  Each element
+    takes letter_matrix's operations: R phases are Python numbers and each
+    amplitude term multiplies numpy complex scalars, in object arrays."""
+    leaves = tuple(leaves)
+    plan = _letter_plan(leaves, leaves[0], tok)
+    values = [functools.reduce(operator.mul, [_symbol_stack("R", *args, alphas, tol)
+                                              for args in triples])
+              for triples in plan.r_args]
+    if plan.amplitudes:
+        # (block, inverse) per F block, holding numpy complex scalars
+        blocks = [[np.array(list(a.flat), dtype=object).reshape(a.shape)
+                   for a in _f_blocks(args, alphas, tol)[:2]] for args in plan.f_args]
+        phases, values = values, []
+        for terms in plan.amplitudes:
+            amp = 0
+            for (tb, tj, wt), lab, (sb, wi, col) in terms:
+                amp = amp + blocks[tb][1][:, tj, wt] * phases[lab] * blocks[sb][0][:, wi, col]
+            values.append(amp)
+    m = np.zeros((len(alphas),) + plan.shape, dtype=complex)
+    rows, cols, amp_index = plan.entries.T
+    m[:, rows, cols] = np.array(values, dtype=complex)[amp_index].T
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +418,7 @@ def wrap_closed_form(params: ModelParams, phased: bool = False) -> np.ndarray:
 
     With the special-unitary phase -q it becomes diag(q^a, q^-a).
     """
-    al = params.alpha
-    m = np.diag([q_power(3 + al), q_power(3 - al)])
-    if phased:
-        m = SPECIAL_UNITARY_PHASES["x"] * m
-    return m
+    return _wrap_form(params.alpha, FLOAT_NS, phased)
 
 
 def exchange_closed_form(params: ModelParams, phased: bool = False) -> np.ndarray:
@@ -404,15 +428,43 @@ def exchange_closed_form(params: ModelParams, phased: bool = False) -> np.ndarra
     q^-1 (1+q^2)/(1-q^(+-2a)) on the diagonal and q^-2 sqrt(B+)/sqrt(B-)
     off the diagonal.
     """
-    al = params.alpha
-    bp, bm = computational_bubbles(params)
-    rt = cmath.sqrt(bp) / cmath.sqrt(bm)
+    return _exchange_form(params.alpha, computational_bubbles(params), FLOAT_NS, phased)
+
+
+def _closed_form_stacks(alphas: np.ndarray, tol: float):
+    """The phased :func:`wrap_closed_form` and :func:`exchange_closed_form` at
+    each of an array of alphas, bit for bit, each stacked on a first axis."""
+    al = alphas.astype(object)
+    bubbles = [_symbol_stack("B", *t, alphas, tol) for t in _COMPUTATIONAL_TRIPLES]
+    return _wrap_form(al, _ARRAY_NS, True), _exchange_form(al, bubbles, _ARRAY_NS, True)
+
+
+# The closed forms at alpha al, a float (FLOAT_NS) or an object array of
+# Python floats (_ARRAY_NS): entries are Python numbers either way, and the
+# phases multiply complex128 matrices in numpy.
+
+def _wrap_form(al, ns, phased):
+    m = _matrices([[q_power(3 + al, ns), 0], [0, q_power(3 - al, ns)]], np.shape(al))
+    return SPECIAL_UNITARY_PHASES["x"] * m if phased else m
+
+
+def _exchange_form(al, bubbles, ns, phased):
+    bp, bm = bubbles
+    rt = ns.sqrt(bp) / ns.sqrt(bm)
     q2 = q_power(2)
-    m = q_power(-1) * np.array(
-        [[(1 + q2) / (1 - q_power(2 * al)), q_power(-1) * rt],
-         [q_power(-1) * rt, (1 + q2) / (1 - q_power(-2 * al))]])
-    if not phased:
-        m = m / SPECIAL_UNITARY_PHASES["b2"]
+    m = q_power(-1) * _matrices(
+        [[(1 + q2) / (1 - q_power(2 * al, ns)), q_power(-1) * rt],
+         [q_power(-1) * rt, (1 + q2) / (1 - q_power(-2 * al, ns))]], np.shape(al))
+    return m if phased else m / SPECIAL_UNITARY_PHASES["b2"]
+
+
+def _matrices(rows, shape):
+    """Rows of numbers, or of object arrays of ``shape``, as complex128
+    matrices on the last two axes."""
+    m = np.empty(shape + (len(rows), len(rows[0])), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            m[..., i, j] = e
     return m
 
 

@@ -179,6 +179,22 @@ def _interval_signs(leaves: tuple, charge, residue: int) -> np.ndarray:
     return signs
 
 
+def _metric_signs(leaves: tuple, charge, alphas: np.ndarray, tol: float) -> np.ndarray:
+    """The metric signs at each of an array of alphas, one row each: the
+    interval table's row, or within max(tol, _TABLE_RADIUS) of an integer each
+    tree's :func:`tree_norm_sign`, which may raise."""
+    basis = _space_plan(leaves, charge).basis
+    near = abs(alphas - np.round(alphas)) <= max(tol, _TABLE_RADIUS)
+    residues = np.floor(alphas) % 8
+    out = np.empty((len(alphas), len(basis)), dtype=int)
+    for r in dict.fromkeys(residues[~near].tolist()):
+        out[~near & (residues == r)] = _interval_signs(leaves, charge, int(r))
+    for k in np.flatnonzero(near):
+        p = ModelParams(float(alphas[k]), tol)
+        out[k] = [tree_norm_sign(t, p) for t in basis]
+    return out
+
+
 @dataclass(frozen=True)
 class IndefSpace:
     """An ordered fusion-tree basis with its diagonal +-1 metric and scale.
@@ -203,12 +219,8 @@ class IndefSpace:
         if not charge.is_alpha:
             raise UnsupportedTriple("metric is defined for alpha-type total charge")
         plan = _space_plan(leaves, charge)
-        alpha = params.alpha
-        if abs(alpha - round(alpha)) > max(params.tol, _TABLE_RADIUS):
-            signs = _interval_signs(leaves, charge, math.floor(alpha) % 8).copy()
-        else:
-            signs = np.array([tree_norm_sign(t, params) for t in plan.basis], dtype=int)
-        d = modified_dimension(charge.value(alpha), params.tol)
+        signs = _metric_signs(leaves, charge, np.array([params.alpha]), params.tol)[0]
+        d = modified_dimension(charge.value(params.alpha), params.tol)
         return cls(params, leaves, charge, plan.basis, signs, abs(d),
                    plan.computational_mask)
 

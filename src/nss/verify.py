@@ -4,6 +4,12 @@ Every check returns a CheckResult rather than raising; the suite is
 deterministic for a fixed (params, seed) and reports are ordered by name.
 Sampled alphas are drawn from (2, 3), or from (0, 8) for st-periodicity,
 with a guard band of 1e-3 at both ends.
+
+The four checks that sample 50 or 100 alphas in (2, 3) (closed-form-single-
+qubit, computational-positivity, f-pseudo-unitarity and r-unit-modulus)
+evaluate them in one array pass each, bit for bit with a loop over alphas.
+If a pass raises a model error, the check repeats the loop's scalar calls
+in sample order and raises the first error they meet (:func:`_sampled`).
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import anyon, braids, gates
+from . import anyon, braids, gates, spaces
 from .anyon import f_matrix, pentagon_sweep, r_symbol, s_sign, t_sign
 from .braids import (BraidWord, evaluate_word, matrix_order,
                      pseudo_unitarity_defect, two_qubit_block_form,
@@ -42,6 +48,22 @@ def _sample_alphas(rng, count, lo=2.0, hi=3.0):
 def _result(name, defect, tol, detail=""):
     status = "pass" if defect < tol else "fail"
     return CheckResult(name, status, float(defect), detail)
+
+
+def _sampled(alphas, tol, array_pass, scalar_calls):
+    """``array_pass()``, once ModelParams accepts each sampled alpha in order.
+
+    On a ModelError, ``scalar_calls(p)`` runs at each sampled p in order, so
+    the error raised is the first one a per-alpha loop meets.
+    """
+    try:
+        for al in alphas:  # a loose tol may call a sampled alpha integral
+            ModelParams(float(al), tol)
+        return array_pass()
+    except ModelError:
+        for al in alphas:
+            scalar_calls(ModelParams(float(al), tol))
+        raise
 
 
 def _wrap_check(fn):
@@ -80,13 +102,24 @@ def _chk_affine_relation(params, rng):
 
 def _closed_form_defect(alphas, tol):
     """Acceptance criterion 1: max |phased x or b2 on a,s,s - its closed form| over the alphas."""
-    worst, leaves = 0.0, _WORKING_SYSTEMS[0]
-    for al in alphas:
-        p = ModelParams(float(al), tol)
+    leaves = _WORKING_SYSTEMS[0]
+
+    def scalar_calls(p):
         for gen, form in (("x", wrap_closed_form), ("b2", exchange_closed_form)):
-            m = SPECIAL_UNITARY_PHASES[gen] * evaluate_word(p, leaves, BraidWord.parse(gen))
-            worst = max(worst, float(np.max(np.abs(m - form(p, phased=True)))))
-    return worst
+            evaluate_word(p, leaves, BraidWord.parse(gen))
+            form(p, phased=True)
+
+    def array_pass():
+        # times the identity, as evaluate_word starts: the product may flip a zero's sign
+        words = [braids._letter_stack(leaves, gen, alphas, tol) @ np.eye(2, dtype=complex)
+                 for gen in ("x", "b2")]
+        forms = braids._closed_form_stacks(alphas, tol)
+        defects = [np.max(np.abs(SPECIAL_UNITARY_PHASES[gen] * m - form), axis=(1, 2))
+                   for gen, m, form in zip(("x", "b2"), words, forms)]
+        # fmax skips a NaN matrix, as max(worst, x) does in a loop over alphas
+        return float(np.fmax.reduce(np.concatenate(defects), initial=0.0))
+
+    return _sampled(alphas, tol, array_pass, scalar_calls)
 
 
 def _chk_closed_form_single_qubit(params, rng):
@@ -96,13 +129,19 @@ def _chk_closed_form_single_qubit(params, rng):
 
 
 def _chk_computational_positivity(params, rng):
-    bad = 0
-    for al in _sample_alphas(rng, 100):
-        p = ModelParams(float(al), params.tol)
+    alphas = _sample_alphas(rng, 100)
+
+    def array_pass():
+        bad = 0  # (alpha, n) pairs with a computational sign that is not +1
         for n in (1, 2, 3):
-            space = qubit_space(p, n)
-            if np.any(space.metric_signs[space.computational_mask] != 1):
-                bad += 1
+            leaves = QubitCode(n).leaves
+            signs = spaces._metric_signs(leaves, ALPHA, alphas, params.tol)
+            mask = spaces._space_plan(leaves, ALPHA).computational_mask
+            bad += int(np.count_nonzero(np.any(signs[:, mask] != 1, axis=1)))
+        return bad
+
+    bad = _sampled(alphas, params.tol, array_pass,
+                   lambda p: [qubit_space(p, n) for n in (1, 2, 3)])
     return _result("computational-positivity", float(bad), 0.5,
                    "computational vectors have +1 norm for n=1..3, 100 alphas in (2,3)")
 
@@ -236,29 +275,27 @@ def _chk_two_qubit_blocks(params, rng):
 
 
 def _chk_r_unit_modulus(params, rng):
-    worst = 0.0
-    for al in _sample_alphas(rng, 100):
-        p = ModelParams(float(al), params.tol)
-        for (b, a, c) in anyon._R_TABLE:
-            worst = max(worst, abs(abs(r_symbol(b, a, c, p)) - 1.0))
+    alphas = _sample_alphas(rng, 100)
+
+    def array_pass():
+        r = np.array([anyon._symbol_stack("R", *row, alphas, params.tol)
+                      for row in anyon._R_TABLE], dtype=object)
+        # abs of Python numbers: numpy's complex abs differs in the last bit
+        return np.fmax.reduce(abs(abs(r) - 1.0).astype(float), axis=None, initial=0.0)
+
+    worst = _sampled(alphas, params.tol, array_pass,
+                     lambda p: [r_symbol(*row, p) for row in anyon._R_TABLE])
     return _result("r-unit-modulus", worst, params.tol, "all table rows at 100 alphas")
 
 
 def _chk_f_pseudo_unitarity(params, rng):
     fams = [f for f in anyon._F_FAMILIES if len(anyon.f_channels(*f)[0]) == 2]
     alphas = _sample_alphas(rng, 100)
-    try:
-        for al in alphas:  # a loose tol may call a sampled alpha integral
-            ModelParams(float(al), params.tol)
-        m, invs, signs = map(np.concatenate, zip(*(
-            anyon._f_blocks(fam, alphas, params.tol) for fam in fams)))
-    except ModelError:
-        # raise the error a per-block loop in sample order meets first
-        for al in alphas:
-            p = ModelParams(float(al), params.tol)
-            for fam in fams:
-                f_matrix(*fam, p)
-        raise
+    m, invs, signs = _sampled(
+        alphas, params.tol,
+        lambda: list(map(np.concatenate, zip(*(anyon._f_blocks(fam, alphas, params.tol)
+                                               for fam in fams)))),
+        lambda p: [f_matrix(*fam, p) for fam in fams])
     # signs: (block, rows then columns, channel)
     jr, jc = np.zeros((2,) + m.shape)
     jr[:, (0, 1), (0, 1)], jc[:, (0, 1), (0, 1)] = signs[:, 0], signs[:, 1]

@@ -10,9 +10,10 @@ more does not.
 """
 import cmath
 
+import numpy as np
 import pytest
 
-from nss import ModelParams, anyon, braids, failures, run_all, spaces
+from nss import ModelParams, anyon, braids, failures, run_all, spaces, verify
 
 P125 = ModelParams.from_string("12/5")
 
@@ -96,6 +97,7 @@ def _clear_caches():
 def test_mutants_cover_every_row_and_every_pin():
     assert len(MUTANTS) == 51
     assert {m[1] for m in MUTANTS} == set(CAUGHT)
+    assert len(R_ROWS) == len(anyon._R_INDEX) == 16
 
 
 @pytest.mark.parametrize("name, row, table, key, value", MUTANTS, ids=[m[0] for m in MUTANTS])
@@ -109,3 +111,15 @@ def test_table_row_mutant_fails_its_checks(monkeypatch, name, row, table, key, v
         finally:
             _clear_caches()
     assert failing >= set(CAUGHT[row].split()), failing
+
+
+R_ROWS = {f"R[{u},{v};{w}]": (u.kind, v.kind, w.kind, w.shift) for u, v, w in anyon._R_TABLE}
+
+
+@pytest.mark.parametrize("key", list(R_ROWS.values()), ids=list(R_ROWS))
+def test_scaled_r_row_fails_r_unit_modulus(monkeypatch, key):
+    # the phase mutants above keep every modulus; a row scaled by 1 + 1e-6 does not
+    row = anyon._R_INDEX[key]
+    monkeypatch.setitem(anyon._R_INDEX, key, lambda x, ns, tol: row(x, ns, tol) * (1 + 1e-6))
+    res = verify._chk_r_unit_modulus(P125, np.random.default_rng(0))
+    assert res.status == "fail" and res.defect == pytest.approx(1e-6, rel=1e-6)

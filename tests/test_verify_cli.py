@@ -9,11 +9,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nss import IntegerAlpha, ModelParams, bubble_pop, f_matrix, failures, run_all, verify
-from nss.anyon import _F_FAMILIES, FLOAT_NS, _f_blocks, f_channels, mp_namespace
-from nss.braids import SPECIAL_UNITARY_PHASES, generator_matrix, matrix_order
+from nss import (IntegerAlpha, ModelParams, braids, bubble_pop, f_matrix, failures, r_symbol,
+                 run_all, verify)
+from nss.anyon import _F_FAMILIES, _R_TABLE, FLOAT_NS, _f_blocks, f_channels, mp_namespace, q_power
+from nss.braids import (SPECIAL_UNITARY_PHASES, BraidWord, evaluate_word, exchange_closed_form,
+                        generator_matrix, matrix_order, wrap_closed_form)
 from nss.cli import main
 from nss.errors import ModelError
+from nss.labels import ALPHA, SIGMA
 from nss.spaces import qubit_space
 
 
@@ -182,9 +185,15 @@ def test_f_pseudo_unitarity_error_is_the_loops_first():
     by_name = {r.name: r for r in run_all(params, seed=0)}
     assert by_name["f-pseudo-unitarity"].detail.startswith(
         "IntegerAlpha: alpha = 2.010934651685677 ")
+    # the other sampled checks fail the same way (LOOPS compares them with their loops)
+    for name in ("closed-form-single-qubit", "computational-positivity", "r-unit-modulus"):
+        assert by_name[name].status == "fail"
+        assert by_name[name].detail.startswith("IntegerAlpha: alpha = ")
 
 
-@pytest.mark.parametrize("near, error", [
+# samples forced from index 40 on, at tol 1e-12, with the error the F check's
+# loop meets first
+NEAR_INTEGERS = [
     ((3 - 5e-13,), "IntegerAlpha"),
     ((3 + 1.1e-12,), "SingularParameter"),
     ((3 - 1.1e-12, 3 - 5e-13), "SingularParameter"),
@@ -192,8 +201,11 @@ def test_f_pseudo_unitarity_error_is_the_loops_first():
     # the first family a guard stops differs between the two alphas
     ((2 + 1e-7, 3 + 1.1e-12), "SingularParameter"),
     ((3 - 3e-12, 3 + 4e-12), None),
-], ids=["rejected", "guard", "guard-first", "rejected-first", "family-order", "regular"])
-def test_f_pseudo_unitarity_near_integers_matches_the_loop(monkeypatch, near, error):
+]
+NEAR_INTEGER_IDS = ["rejected", "guard", "guard-first", "rejected-first", "family-order", "regular"]
+
+
+def _force_samples(monkeypatch, near):
     sample = verify._sample_alphas
 
     def forced(rng, count, lo=2.0, hi=3.0):
@@ -202,10 +214,127 @@ def test_f_pseudo_unitarity_near_integers_matches_the_loop(monkeypatch, near, er
         return alphas
 
     monkeypatch.setattr(verify, "_sample_alphas", forced)
+
+
+@pytest.mark.parametrize("near, error", NEAR_INTEGERS, ids=NEAR_INTEGER_IDS)
+def test_f_pseudo_unitarity_near_integers_matches_the_loop(monkeypatch, near, error):
+    _force_samples(monkeypatch, near)
     params = ModelParams(2.4, tol=1e-12)
     got = _outcome(verify._chk_f_pseudo_unitarity, params, 3)
     assert got == _outcome(_f_pseudo_unitarity_oracle, params, 3)
     assert (got[0] if isinstance(got, tuple) else None) == error
+
+
+def _closed_form_oracle(params, rng):
+    """The closed-form-single-qubit check as one loop over alphas."""
+    worst, leaves = 0.0, verify._WORKING_SYSTEMS[0]
+    for al in verify._sample_alphas(rng, 50):
+        p = ModelParams(float(al), params.tol)
+        for gen, form in (("x", wrap_closed_form), ("b2", exchange_closed_form)):
+            m = SPECIAL_UNITARY_PHASES[gen] * evaluate_word(p, leaves, BraidWord.parse(gen))
+            worst = max(worst, float(np.max(np.abs(m - form(p, phased=True)))))
+    return verify._result("closed-form-single-qubit", worst, params.tol,
+                          "assembled generators match the analytic forms at 50 alphas")
+
+
+def _computational_positivity_oracle(params, rng):
+    """The computational-positivity check as one loop over alphas and registers."""
+    bad = 0
+    for al in verify._sample_alphas(rng, 100):
+        p = ModelParams(float(al), params.tol)
+        for n in (1, 2, 3):
+            space = qubit_space(p, n)
+            if np.any(space.metric_signs[space.computational_mask] != 1):
+                bad += 1
+    return verify._result("computational-positivity", float(bad), 0.5,
+                          "computational vectors have +1 norm for n=1..3, 100 alphas in (2,3)")
+
+
+def _r_unit_modulus_oracle(params, rng):
+    """The r-unit-modulus check as one loop over alphas and rows."""
+    worst = 0.0
+    for al in verify._sample_alphas(rng, 100):
+        p = ModelParams(float(al), params.tol)
+        for (b, a, c) in _R_TABLE:
+            worst = max(worst, abs(abs(r_symbol(b, a, c, p)) - 1.0))
+    return verify._result("r-unit-modulus", worst, params.tol, "all table rows at 100 alphas")
+
+
+# the array-pass checks besides f-pseudo-unitarity, each with the loop it replaced
+LOOPS = {
+    "closed-form-single-qubit": (verify._chk_closed_form_single_qubit, _closed_form_oracle),
+    "computational-positivity": (verify._chk_computational_positivity,
+                                 _computational_positivity_oracle),
+    "r-unit-modulus": (verify._chk_r_unit_modulus, _r_unit_modulus_oracle),
+}
+
+
+@pytest.mark.parametrize("name", LOOPS)
+def test_sampled_check_matches_its_loop(name):
+    # the check reads only tol from params: 0.3 calls a sampled alpha integral
+    check, oracle = LOOPS[name]
+    alphas, tols = (2.4, 2.6, 5.5, 0.5, 6.6), (1e-10, 1e-12, 1e-7, 0.3)
+    seen = set()
+    for seed in range(200):
+        params = ModelParams(alphas[seed % 5], tol=tols[seed % 4])
+        got = _outcome(check, params, seed)
+        assert got == _outcome(oracle, params, seed), (seed, params)
+        seen.add(got[0] if isinstance(got, tuple) else got.status)
+    assert seen == {"pass", "IntegerAlpha"}
+
+
+@pytest.mark.parametrize("name", LOOPS)
+@pytest.mark.parametrize("near", [n for n, _ in NEAR_INTEGERS], ids=NEAR_INTEGER_IDS)
+def test_sampled_check_near_integers_matches_its_loop(monkeypatch, name, near):
+    _force_samples(monkeypatch, near)
+    check, oracle = LOOPS[name]
+    params = ModelParams(2.4, tol=1e-12)
+    assert _outcome(check, params, 3) == _outcome(oracle, params, 3)
+
+
+def _closed_forms_oracle(p, phased):
+    """wrap_closed_form and exchange_closed_form as they were written for one alpha."""
+    al = p.alpha
+    wrap = np.diag([q_power(3 + al), q_power(3 - al)])
+    bp = bubble_pop(ALPHA.shifted(1), SIGMA, ALPHA, p)
+    bm = bubble_pop(ALPHA, SIGMA, ALPHA.shifted(-1), p)
+    rt = cmath.sqrt(bp) / cmath.sqrt(bm)
+    q2 = q_power(2)
+    exchange = q_power(-1) * np.array(
+        [[(1 + q2) / (1 - q_power(2 * al)), q_power(-1) * rt],
+         [q_power(-1) * rt, (1 + q2) / (1 - q_power(-2 * al))]])
+    if phased:
+        return SPECIAL_UNITARY_PHASES["x"] * wrap, exchange
+    return wrap, exchange / SPECIAL_UNITARY_PHASES["b2"]
+
+
+def test_letter_and_closed_form_stacks_match_the_scalar_path_bit_for_bit():
+    # 128 alphas in each unit interval mod 8, as for the F blocks
+    rng = np.random.default_rng(29)
+    alphas = np.concatenate([k + 8 * rng.integers(-2, 3, 128) + 1e-3 + 0.998 * rng.random(128)
+                             for k in range(8)])
+    leaves = verify._WORKING_SYSTEMS[0]
+    letters = [braids._letter_stack(leaves, gen, alphas, 1e-10) for gen in ("x", "b2")]
+    words = [m @ np.eye(2, dtype=complex) for m in letters]
+    forms = braids._closed_form_stacks(alphas, 1e-10)
+    assert letters[0].shape == letters[1].shape == forms[0].shape == forms[1].shape == (1024, 2, 2)
+    # the check's per-alpha defects, from numpy's complex * - and abs on the stacks
+    defects = [np.max(np.abs(SPECIAL_UNITARY_PHASES[gen] * m - f), axis=(1, 2))
+               for gen, m, f in zip(("x", "b2"), words, forms)]
+    for k, al in enumerate(alphas):
+        p = ModelParams(float(al))
+        for gen, m, w, form, f, d in zip(("x", "b2"), letters, words,
+                                         (wrap_closed_form, exchange_closed_form), forms, defects):
+            assert m[k].tobytes() == braids.letter_matrix(p, leaves, gen, 1)[0].tobytes(), (al, gen)
+            word = evaluate_word(p, leaves, BraidWord.parse(gen))
+            assert w[k].tobytes() == word.tobytes(), (al, gen)
+            assert f[k].tobytes() == form(p, phased=True).tobytes(), (al, gen)
+            want = np.max(np.abs(SPECIAL_UNITARY_PHASES[gen] * word - form(p, phased=True)))
+            assert d[k].tobytes() == want.tobytes(), (al, gen)
+        for phased in (False, True):
+            got = (wrap_closed_form(p, phased), exchange_closed_form(p, phased))
+            for g, w in zip(got, _closed_forms_oracle(p, phased)):
+                assert g.tobytes() == w.tobytes(), (al, phased)
 
 
 def _word_12_5():
