@@ -12,8 +12,8 @@ negative bubble coefficients use the principal branch (``+i sqrt|B|``).
 
 The formula kernels accept a math namespace so the same expressions can be
 evaluated in double precision (default), in mpmath arbitrary precision or,
-for the 2x2 F blocks, over an array of alphas bit for bit with double
-precision (:func:`_f_blocks`).
+for the B and R rows and the 2x2 F blocks, over an array of alphas bit for
+bit with double precision (:func:`_symbol_stack`, :func:`_f_blocks`).
 """
 from __future__ import annotations
 
@@ -272,8 +272,7 @@ def bubble_pop(a: QLabel, b: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS
     Real for every tabulated triple; its sign feeds the metric.  Alpha-type
     rows shift: the first label's value is the `alpha' of the table row.
     """
-    row, shift = _row(_B_INDEX, _b_unit, "B", a, b, c)
-    return row(alpha_in(params, ns) + shift, ns, params.tol)
+    return _symbol("B", a, b, c, alpha_in(params, ns), ns, params.tol)
 
 
 _SQRT2 = math.sqrt(2)  # == cmath.sqrt(2).real
@@ -335,8 +334,15 @@ def r_symbol(b: QLabel, a: QLabel, c: QLabel, params: ModelParams, ns=FLOAT_NS):
     yields R^{ba}_c times the state split as (b, a).  Unit modulus for every
     tabulated row; rows with an alpha-type label shift with it.
     """
-    row, shift = _row(_R_INDEX, _r_unit, "R", b, a, c)
-    return row(alpha_in(params, ns) + shift, ns, params.tol)
+    return _symbol("R", b, a, c, alpha_in(params, ns), ns, params.tol)
+
+
+def _symbol(what, u: QLabel, v: QLabel, w: QLabel, al, ns, tol):
+    """The B (what "B") or R (what "R") symbol of (u, v, w) at alpha ``al``,
+    a number of ``ns``: its table row, run at al plus the row's shift."""
+    index, unit = (_B_INDEX, _b_unit) if what == "B" else (_R_INDEX, _r_unit)
+    row, shift = _row(index, unit, what, u, v, w)
+    return row(al + shift, ns, tol)
 
 
 def _symbol_stack(what, u: QLabel, v: QLabel, w: QLabel, alphas: np.ndarray, tol: float):
@@ -344,9 +350,7 @@ def _symbol_stack(what, u: QLabel, v: QLabel, w: QLabel, alphas: np.ndarray, tol
     at each of an array of alphas, bit for bit, as an object array of Python
     numbers: the table row runs on :data:`_ARRAY_NS`.  A guard or sign that
     would raise at any alpha raises."""
-    index, unit = (_B_INDEX, _b_unit) if what == "B" else (_R_INDEX, _r_unit)
-    row, shift = _row(index, unit, what, u, v, w)
-    out = row(alphas.astype(object) + shift, _ARRAY_NS, tol)
+    out = _symbol(what, u, v, w, alphas.astype(object), _ARRAY_NS, tol)
     return np.broadcast_to(np.asarray(out, dtype=object), alphas.shape)
 
 

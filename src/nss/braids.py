@@ -218,8 +218,7 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
         if args not in symbols:
             blk = f_matrix(*args, params, ns)
             symbols[args] = (blk.matrix, blk.inverse())
-    blocks = [symbols[args] for args in plan.f_args]
-    values = []
+    phases = []
     for triples in plan.r_args:
         if sign < 0:
             triples = tuple((a, b, c) for b, a, c in reversed(triples))
@@ -227,17 +226,8 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
             if args not in symbols:
                 symbols[args] = r_symbol(*args, params, ns)
         ph = functools.reduce(operator.mul, [symbols[args] for args in triples])
-        values.append(1 / ph if sign < 0 else ph)
-    if plan.amplitudes:
-        phases, values = values, []
-        for terms in plan.amplitudes:
-            amp = 0
-            for (tb, tj, wt), lab, (sb, wi, col) in terms:
-                amp = amp + blocks[tb][1][tj, wt] * phases[lab] * blocks[sb][0][wi, col]
-            values.append(amp)
-    m = np.zeros(plan.shape, dtype=ns.dtype)
-    rows, cols, amp_index = plan.entries.T
-    m[rows, cols] = np.array(values, dtype=ns.dtype)[amp_index]
+        phases.append(1 / ph if sign < 0 else ph)
+    m = _assemble(plan, [symbols[args] for args in plan.f_args], phases, ns.dtype)
     if cacheable:
         m.setflags(write=False)
         with _LETTER_MEMO_LOCK:
@@ -255,22 +245,31 @@ def _letter_stack(leaves, tok: str, alphas: np.ndarray, tol: float) -> np.ndarra
     amplitude term multiplies numpy complex scalars, in object arrays."""
     leaves = tuple(leaves)
     plan = _letter_plan(leaves, leaves[0], tok)
-    values = [functools.reduce(operator.mul, [_symbol_stack("R", *args, alphas, tol)
+    # (block, inverse) per F block, holding numpy complex scalars, alphas last
+    blocks = [[np.moveaxis(np.array(list(a.flat), dtype=object).reshape(a.shape), 0, -1)
+               for a in _f_blocks(args, alphas, tol)[:2]] for args in plan.f_args]
+    phases = [functools.reduce(operator.mul, [_symbol_stack("R", *args, alphas, tol)
                                               for args in triples])
               for triples in plan.r_args]
+    return _assemble(plan, blocks, phases, complex, alphas.shape)
+
+
+def _assemble(plan: _LetterPlan, blocks, phases, dtype, stack=()) -> np.ndarray:
+    """The letter matrix of ``plan`` from its (block, inverse) pairs and R
+    phases: each entry is its amplitude, or its phase when the plan has no F
+    blocks.  Stacked inputs carry an alpha axis of shape ``stack`` last, and
+    the matrices stack on it first."""
+    values = phases
     if plan.amplitudes:
-        # (block, inverse) per F block, holding numpy complex scalars
-        blocks = [[np.array(list(a.flat), dtype=object).reshape(a.shape)
-                   for a in _f_blocks(args, alphas, tol)[:2]] for args in plan.f_args]
-        phases, values = values, []
+        values = []
         for terms in plan.amplitudes:
             amp = 0
             for (tb, tj, wt), lab, (sb, wi, col) in terms:
-                amp = amp + blocks[tb][1][:, tj, wt] * phases[lab] * blocks[sb][0][:, wi, col]
+                amp = amp + blocks[tb][1][tj, wt] * phases[lab] * blocks[sb][0][wi, col]
             values.append(amp)
-    m = np.zeros((len(alphas),) + plan.shape, dtype=complex)
+    m = np.zeros(stack + plan.shape, dtype=dtype)
     rows, cols, amp_index = plan.entries.T
-    m[:, rows, cols] = np.array(values, dtype=complex)[amp_index].T
+    m[..., rows, cols] = np.array(values, dtype)[amp_index].T
     return m
 
 

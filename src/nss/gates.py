@@ -255,6 +255,8 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
 
 # raw hits deduplicated per numpy pass
 _DEDUPE_CHUNK = 128
+# syllables a search may reach; see search_low_leakage
+_MAX_SEARCH_LEN = 64
 
 
 @dataclass(frozen=True)
@@ -362,12 +364,18 @@ def search_low_leakage(params: ModelParams, max_len: int, threshold: float,
     Words are enumerated in free-reduced form (alternating generators);
     results equal up to a global phase are merged, keeping the first in
     (leakage, length, text) order.  Deterministic for fixed arguments.
-    Raises ValueError when max_len, max_power or jobs is below 1, max_power
-    is above the 100,000 unit letters a word may have or the threshold is
-    not finite; a threshold <= 0 gives no results.
+    Raises ValueError when max_len, max_power or jobs is below 1, max_len
+    is above 64 (each syllable at least doubles the nodes, so a search that
+    deep could never finish, and 64 DFS frames sit far below the
+    interpreter's recursion limit of 1,000), max_power is above the 100,000
+    unit letters a word may have or the threshold is not finite; a
+    threshold <= 0 gives no results.
     """
     if max_len < 1 or max_power < 1 or jobs < 1:
         raise ValueError("max_len, max_power and jobs must be at least 1")
+    if max_len > _MAX_SEARCH_LEN:
+        raise ValueError(f"max_len {max_len} is above {_MAX_SEARCH_LEN}: "
+                         "a search that deep could never finish")
     if max_power > _MAX_UNIT_LETTERS:
         raise ValueError(f"max_power {max_power} is above the {_MAX_UNIT_LETTERS} "
                          "unit letters a word may have")

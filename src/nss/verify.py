@@ -8,8 +8,8 @@ with a guard band of 1e-3 at both ends.
 The four checks that sample 50 or 100 alphas in (2, 3) (closed-form-single-
 qubit, computational-positivity, f-pseudo-unitarity and r-unit-modulus)
 evaluate them in one array pass each, bit for bit with a loop over alphas.
-If a pass raises a model error, the check repeats the loop's scalar calls
-in sample order and raises the first error they meet (:func:`_sampled`).
+If a pass raises a model error, the check reruns it on each alpha alone, in
+sample order, and raises the first error that meets (:func:`_sampled`).
 """
 from __future__ import annotations
 
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import anyon, braids, gates, spaces
-from .anyon import f_matrix, pentagon_sweep, r_symbol, s_sign, t_sign
+from .anyon import pentagon_sweep, s_sign, t_sign
 from .braids import (BraidWord, evaluate_word, matrix_order,
                      pseudo_unitarity_defect, two_qubit_block_form,
-                     wrap_closed_form, exchange_closed_form,
                      SPECIAL_UNITARY_PHASES)
 from .errors import ModelError
 from .labels import ALPHA, PSI, SIGMA, ModelParams
@@ -50,19 +49,21 @@ def _result(name, defect, tol, detail=""):
     return CheckResult(name, status, float(defect), detail)
 
 
-def _sampled(alphas, tol, array_pass, scalar_calls):
-    """``array_pass()``, once ModelParams accepts each sampled alpha in order.
+def _sampled(alphas, tol, array_pass):
+    """``array_pass(alphas)``, once ModelParams accepts each sampled alpha in order.
 
-    On a ModelError, ``scalar_calls(p)`` runs at each sampled p in order, so
-    the error raised is the first one a per-alpha loop meets.
+    On a ModelError, ModelParams and then ``array_pass`` run on each alpha
+    alone, in sample order, so the error raised is the first one a loop over
+    alphas meets.
     """
     try:
         for al in alphas:  # a loose tol may call a sampled alpha integral
             ModelParams(float(al), tol)
-        return array_pass()
+        return array_pass(alphas)
     except ModelError:
-        for al in alphas:
-            scalar_calls(ModelParams(float(al), tol))
+        for k, al in enumerate(alphas):
+            ModelParams(float(al), tol)
+            array_pass(alphas[k:k + 1])
         raise
 
 
@@ -104,12 +105,7 @@ def _closed_form_defect(alphas, tol):
     """Acceptance criterion 1: max |phased x or b2 on a,s,s - its closed form| over the alphas."""
     leaves = _WORKING_SYSTEMS[0]
 
-    def scalar_calls(p):
-        for gen, form in (("x", wrap_closed_form), ("b2", exchange_closed_form)):
-            evaluate_word(p, leaves, BraidWord.parse(gen))
-            form(p, phased=True)
-
-    def array_pass():
+    def array_pass(alphas):
         # times the identity, as evaluate_word starts: the product may flip a zero's sign
         words = [braids._letter_stack(leaves, gen, alphas, tol) @ np.eye(2, dtype=complex)
                  for gen in ("x", "b2")]
@@ -119,7 +115,7 @@ def _closed_form_defect(alphas, tol):
         # fmax skips a NaN matrix, as max(worst, x) does in a loop over alphas
         return float(np.fmax.reduce(np.concatenate(defects), initial=0.0))
 
-    return _sampled(alphas, tol, array_pass, scalar_calls)
+    return _sampled(alphas, tol, array_pass)
 
 
 def _chk_closed_form_single_qubit(params, rng):
@@ -129,9 +125,7 @@ def _chk_closed_form_single_qubit(params, rng):
 
 
 def _chk_computational_positivity(params, rng):
-    alphas = _sample_alphas(rng, 100)
-
-    def array_pass():
+    def array_pass(alphas):
         bad = 0  # (alpha, n) pairs with a computational sign that is not +1
         for n in (1, 2, 3):
             leaves = QubitCode(n).leaves
@@ -140,8 +134,7 @@ def _chk_computational_positivity(params, rng):
             bad += int(np.count_nonzero(np.any(signs[:, mask] != 1, axis=1)))
         return bad
 
-    bad = _sampled(alphas, params.tol, array_pass,
-                   lambda p: [qubit_space(p, n) for n in (1, 2, 3)])
+    bad = _sampled(_sample_alphas(rng, 100), params.tol, array_pass)
     return _result("computational-positivity", float(bad), 0.5,
                    "computational vectors have +1 norm for n=1..3, 100 alphas in (2,3)")
 
@@ -275,27 +268,22 @@ def _chk_two_qubit_blocks(params, rng):
 
 
 def _chk_r_unit_modulus(params, rng):
-    alphas = _sample_alphas(rng, 100)
-
-    def array_pass():
+    def array_pass(alphas):
         r = np.array([anyon._symbol_stack("R", *row, alphas, params.tol)
                       for row in anyon._R_TABLE], dtype=object)
         # abs of Python numbers: numpy's complex abs differs in the last bit
         return np.fmax.reduce(abs(abs(r) - 1.0).astype(float), axis=None, initial=0.0)
 
-    worst = _sampled(alphas, params.tol, array_pass,
-                     lambda p: [r_symbol(*row, p) for row in anyon._R_TABLE])
+    worst = _sampled(_sample_alphas(rng, 100), params.tol, array_pass)
     return _result("r-unit-modulus", worst, params.tol, "all table rows at 100 alphas")
 
 
 def _chk_f_pseudo_unitarity(params, rng):
     fams = [f for f in anyon._F_FAMILIES if len(anyon.f_channels(*f)[0]) == 2]
-    alphas = _sample_alphas(rng, 100)
     m, invs, signs = _sampled(
-        alphas, params.tol,
-        lambda: list(map(np.concatenate, zip(*(anyon._f_blocks(fam, alphas, params.tol)
-                                               for fam in fams)))),
-        lambda p: [f_matrix(*fam, p) for fam in fams])
+        _sample_alphas(rng, 100), params.tol,
+        lambda alphas: list(map(np.concatenate, zip(*(anyon._f_blocks(fam, alphas, params.tol)
+                                                      for fam in fams)))))
     # signs: (block, rows then columns, channel)
     jr, jc = np.zeros((2,) + m.shape)
     jr[:, (0, 1), (0, 1)], jc[:, (0, 1), (0, 1)] = signs[:, 0], signs[:, 1]

@@ -11,12 +11,13 @@ import pytest
 
 from nss import (IntegerAlpha, ModelParams, braids, bubble_pop, f_matrix, failures, r_symbol,
                  run_all, verify)
-from nss.anyon import _F_FAMILIES, _R_TABLE, FLOAT_NS, _f_blocks, f_channels, mp_namespace, q_power
+from nss.anyon import (_B_TABLE, _F_FAMILIES, _R_TABLE, FLOAT_NS, _f_blocks, _symbol_stack,
+                       f_channels, mp_namespace, q_power)
 from nss.braids import (SPECIAL_UNITARY_PHASES, BraidWord, evaluate_word, exchange_closed_form,
                         generator_matrix, matrix_order, wrap_closed_form)
 from nss.cli import main
 from nss.errors import ModelError
-from nss.labels import ALPHA, SIGMA
+from nss.labels import ALPHA, SIGMA, VACUUM
 from nss.spaces import qubit_space
 
 
@@ -150,12 +151,16 @@ def test_f_block_signs_match_mp_bubble_signs():
                 assert sg[k] == list(oracle(fam, f_matrix(*fam, p, ns))), (al, fam)
 
 
+def _alphas_mod_8(seed):
+    """128 alphas in each unit interval mod 8, each shifted by a random
+    multiple of 8 in [-16, 16], none nearer than 1e-3 to an integer."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([k + 8 * rng.integers(-2, 3, 128) + 1e-3 + 0.998 * rng.random(128)
+                           for k in range(8)])
+
+
 def test_f_blocks_match_f_matrix_bit_for_bit():
-    # 128 alphas in each unit interval mod 8, each shifted by a random
-    # multiple of 8 in [-16, 16], none nearer than 1e-3 to an integer
-    rng = np.random.default_rng(17)
-    alphas = np.concatenate([k + 8 * rng.integers(-2, 3, 128) + 1e-3 + 0.998 * rng.random(128)
-                             for k in range(8)])
+    alphas = _alphas_mod_8(17)
     assert sorted(set((alphas // 1 % 8).tolist())) == list(range(8))
     for fam in FAMILIES_2X2:
         blocks, invs, signs = _f_blocks(fam, alphas, 1e-10)
@@ -166,6 +171,21 @@ def test_f_blocks_match_f_matrix_bit_for_bit():
             assert m.tobytes() == blk.matrix.tobytes(), (al, fam)
             assert inv.tobytes() == blk.inverse().tobytes(), (al, fam)
             assert sg == list(_bubble_sign_oracle(p)(fam, blk)), (al, fam)
+
+
+def test_symbol_stacks_match_bubble_pop_and_r_symbol_bit_for_bit():
+    alphas = _alphas_mod_8(23)
+    unit = (ALPHA, VACUUM, ALPHA)
+    rows = ([("B", bubble_pop, row) for row in (unit,) + tuple(_B_TABLE)]
+            + [("R", r_symbol, row) for row in (unit,) + tuple(_R_TABLE)])
+    assert len(rows) == 1 + 13 + 1 + 16
+    for what, scalar, row in rows:
+        stack = _symbol_stack(what, *row, alphas, 1e-10)
+        assert stack.shape == alphas.shape
+        for al, z in zip(alphas, stack):
+            want = scalar(*row, ModelParams(float(al)))
+            assert type(z) is type(want), (al, what, row)
+            assert np.complex128(z).tobytes() == np.complex128(want).tobytes(), (al, what, row)
 
 
 def _outcome(check, params, seed):
@@ -309,10 +329,7 @@ def _closed_forms_oracle(p, phased):
 
 
 def test_letter_and_closed_form_stacks_match_the_scalar_path_bit_for_bit():
-    # 128 alphas in each unit interval mod 8, as for the F blocks
-    rng = np.random.default_rng(29)
-    alphas = np.concatenate([k + 8 * rng.integers(-2, 3, 128) + 1e-3 + 0.998 * rng.random(128)
-                             for k in range(8)])
+    alphas = _alphas_mod_8(29)
     leaves = verify._WORKING_SYSTEMS[0]
     letters = [braids._letter_stack(leaves, gen, alphas, 1e-10) for gen in ("x", "b2")]
     words = [m @ np.eye(2, dtype=complex) for m in letters]
@@ -335,6 +352,17 @@ def test_letter_and_closed_form_stacks_match_the_scalar_path_bit_for_bit():
             got = (wrap_closed_form(p, phased), exchange_closed_form(p, phased))
             for g, w in zip(got, _closed_forms_oracle(p, phased)):
                 assert g.tobytes() == w.tobytes(), (al, phased)
+
+
+@pytest.mark.parametrize("leaves", verify._WORKING_SYSTEMS[1:], ids=["a,s^4", "a,psi,s,s"])
+def test_phase_only_letter_stack_matches_letter_matrix_bit_for_bit(leaves):
+    # x has no F blocks: its entries are products of R phases alone
+    alphas = _alphas_mod_8(31)
+    stack = braids._letter_stack(leaves, "x", alphas, 1e-10)
+    assert stack.shape[0] == 1024
+    for al, m in zip(alphas, stack):
+        want = braids.letter_matrix(ModelParams(float(al)), leaves, "x", 1)[0]
+        assert m.tobytes() == want.tobytes(), al
 
 
 def _word_12_5():
@@ -527,7 +555,7 @@ def test_cli_search_small():
 
 @pytest.mark.parametrize("arg", [
     "--max-len=0", "--max-len=-3", "--max-power=0", "--max-power=1000000000", "--jobs=0",
-    "--top=-1",
+    "--top=-1", "--max-len=2000",
     "--threshold=nan", "--threshold=inf", "--threshold=-inf"])
 def test_cli_search_rejects_bad_parameters(arg):
     code, out = run_cli("search", "--alpha", "12/5", "--max-len", "3", arg)
