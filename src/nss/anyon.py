@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (IntegerAlpha, SingularParameter, UnsupportedFamily,
+from .errors import (IntegerAlpha, ModelError, SingularParameter, UnsupportedFamily,
                      UnsupportedPair, UnsupportedTriple)
 from .labels import ALPHA, P2, PSI, S32, SIGMA, VACUUM, ModelParams, QLabel
 
@@ -558,23 +558,12 @@ def pentagon_sweep(params: ModelParams) -> PentagonReport:
         F[p,c,d;e]_{l m} * F[a,b,l;e]_{r p}
             = sum_t F[a,b,c;m]_{t p} * F[a,t,d;e]_{r m} * F[b,c,d;r]_{l t}
 
-    Which instances are verified or skipped does not depend on alpha: a sweep
-    evaluates the F blocks of :func:`_pentagon_plan` and replays its instances.
+    :func:`_pentagon_plan` proves each verified instance for any F values,
+    once per process, so the report is the same at every alpha and the sweep
+    evaluates no symbol.
     """
-    families, skipped, reasons, instances, vacuum_free = _pentagon_plan()
-    mats = [f_matrix(*fam, params).matrix for fam in families]
-
-    def entry(k, n, m):
-        return 0.0 if k is None else mats[k][n, m]
-
-    rep = PentagonReport(len(instances), skipped, 0.0, dict(reasons), vacuum_free)
-    for (e1, e2), terms in instances:
-        lhs = entry(*e1) * entry(*e2)
-        rhs = 0.0
-        for e3, e4, e5 in terms:
-            rhs += entry(*e3) * entry(*e4) * entry(*e5)
-        rep.max_defect = max(rep.max_defect, abs(lhs - rhs))
-    return rep
+    verified, skipped, reasons, vacuum_free = _pentagon_plan()
+    return PentagonReport(verified, skipped, 0.0, dict(reasons), vacuum_free)
 
 
 def _pentagon_instances():
@@ -593,28 +582,32 @@ def _pentagon_instances():
 
 @functools.lru_cache(maxsize=None)
 def _pentagon_plan():
-    """The pentagon walk, once per process: (families, skipped, skip reasons
-    as items, instances, vacuum_free).  ``families`` are the tabulated F
-    families in the order the walk first needs them.  A verified instance is
-    ((two left entries), (three right entries per channel t)), each entry
-    (family index, row, column), or (None, 0, 0) for a 0."""
-    channels = {}  # family -> (index or None, rows, cols), or None when untabulated
-    families, instances, reasons = [], [], {}
-    skipped = vacuum_free = 0
+    """The pentagon walk, once per process: (verified, skipped, skip reasons
+    as items, vacuum_free).  Each F entry reads 0 outside its block, 1 in a
+    vacuum leg's unit block and else the symbol (family, row, col).  An
+    instance is verified when both sides are 0, or when the left product
+    holds the same symbols as the right side's one nonzero product; it then
+    holds for any F values.  An instance that holds only for particular
+    values raises ModelError."""
+    channels = {}  # family -> (rows, cols), or None when untabulated
+    reasons = {}
+    skipped = verified = vacuum_free = 0
 
     def get(fam):
         if fam not in channels:
-            ch = f_channels(*fam)
-            if ch:
-                channels[fam] = (len(families),) + ch
-                families.append(fam)
-            else:
-                channels[fam] = (None, (), ()) if VACUUM in fam[:3] else None
+            channels[fam] = f_channels(*fam) or (((), ()) if VACUUM in fam[:3] else None)
         return channels[fam]
 
-    def entry(fam, n, m):
-        k, rows, cols = channels[fam]
-        return (k, rows.index(n), cols.index(m)) if n in rows and m in cols else (None, 0, 0)
+    def product(*entries):
+        """The symbols of a product of (family, n, m) entries, sorted, or None for 0."""
+        symbols = []
+        for fam, n, m in entries:
+            rows, cols = channels[fam]
+            if n not in rows or m not in cols:
+                return None
+            if VACUUM not in fam[:3]:
+                symbols.append((fam, rows.index(n), cols.index(m)))
+        return sorted(symbols)
 
     for a, b, c, d, e, p, m, l, r in _pentagon_instances():
         needed = [(p, c, d, e), (a, b, l, e), (a, b, c, m), (b, c, d, r)]
@@ -623,15 +616,19 @@ def _pentagon_plan():
         if missing is None and ts:  # an untabulated b x c verifies nothing
             missing = next((f for f in [(a, t, d, e) for t in ts] if get(f) is None), None)
             if missing is None:
-                instances.append(((entry(needed[0], l, m), entry(needed[1], r, p)),
-                                  tuple((entry(needed[2], t, p), entry((a, t, d, e), r, m),
-                                         entry(needed[3], l, t)) for t in ts)))
+                lhs = product((needed[0], l, m), (needed[1], r, p))
+                rhs = [product((needed[2], t, p), ((a, t, d, e), r, m), (needed[3], l, t))
+                       for t in ts]
+                if [x for x in rhs if x is not None] != ([] if lhs is None else [lhs]):
+                    raise ModelError(f"pentagon (a,b,c,d;e) = ({a},{b},{c},{d};{e}), (p,m,l,r) = "
+                                     f"({p},{m},{l},{r}) holds only for particular F values")
+                verified += 1
                 vacuum_free += VACUUM not in (a, b, c, d)
         if missing is not None:
             skipped += 1
             reasons[missing[:3]] = reasons.get(missing[:3], 0) + 1
     reasons = tuple(("F[{},{},{}]".format(*fam), n) for fam, n in reasons.items())
-    return tuple(families), skipped, reasons, tuple(instances), vacuum_free
+    return verified, skipped, reasons, vacuum_free
 
 
 # ---------------------------------------------------------------------------

@@ -315,14 +315,17 @@ def evaluate_word_open(params: ModelParams, leaves, word: BraidWord,
     leaves = tuple(leaves)
     if charge is None:
         charge = leaves[0]
-    cur = leaves
-    m = np.zeros((len(enumerate_basis(leaves, charge)),) * 2, dtype=ns.dtype)
-    np.fill_diagonal(m, ns.one + 0 * ns.i)
+    dim = len(enumerate_basis(leaves, charge))  # an empty basis raises before any letter
+    cur, m = leaves, None
     symbols = {}  # this call's F blocks and R symbols, by argument tuple
     for tok, p in word.letters:
         for _ in range(abs(p)):
             lm, cur = letter_matrix(params, cur, tok, 1 if p > 0 else -1, charge, ns, symbols)
-            m = lm @ m
+            # a word starts at its first letter, copied: float letters are read-only memo arrays
+            m = lm.copy() if m is None else lm @ m
+    if m is None:  # the empty word
+        m = np.zeros((dim, dim), dtype=ns.dtype)
+        np.fill_diagonal(m, ns.one + 0 * ns.i)
     return m, cur
 
 

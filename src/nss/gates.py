@@ -277,12 +277,12 @@ def _letter_pool(params: ModelParams, max_power: int):
     pool = {}
     for si, leaves in enumerate(arrangements):
         for tok in ("x", "b2"):
-            run = dict.fromkeys((1, -1), (np.eye(4, dtype=complex), leaves))
+            run = dict.fromkeys((1, -1), (None, leaves))
             for p in _syllable_powers(max_power):
                 sign = 1 if p > 0 else -1
                 m, cur = run[sign]
                 lm, cur = letter_matrix(params, cur, tok, sign)
-                run[sign] = m, cur = lm @ m, cur
+                run[sign] = m, cur = (lm if m is None else lm @ m), cur
                 entries = tuple(complex(z) for z in _blocks(m).ravel())
                 pool[(si, tok, p)] = (entries, arrangements.index(cur))
     return pool

@@ -106,9 +106,7 @@ def _closed_form_defect(alphas, tol):
     leaves = _WORKING_SYSTEMS[0]
 
     def array_pass(alphas):
-        # times the identity, as evaluate_word starts: the product may flip a zero's sign
-        words = [braids._letter_stack(leaves, gen, alphas, tol) @ np.eye(2, dtype=complex)
-                 for gen in ("x", "b2")]
+        words = [braids._letter_stack(leaves, gen, alphas, tol) for gen in ("x", "b2")]
         forms = braids._closed_form_stacks(alphas, tol)
         defects = [np.max(np.abs(SPECIAL_UNITARY_PHASES[gen] * m - form), axis=(1, 2))
                    for gen, m, form in zip(("x", "b2"), words, forms)]

@@ -10,7 +10,7 @@ import pytest
 from nss import (ALPHA, P2, PSI, S32, SIGMA, VACUUM, IntegerAlpha, ModelParams,
                  UnsupportedFamily, UnsupportedPair, UnsupportedTriple,
                  bubble_pop, f_matrix, fuse, modified_dimension,
-                 pentagon_sweep, q_power, r_symbol, s_sign, t_sign)
+                 pentagon_sweep, q_power, r_symbol, run_all, s_sign, t_sign)
 from nss import anyon
 from nss.anyon import (_B_TABLE, _F_FAMILIES, _F_TABLE, _R_TABLE, FLOAT_NS, alpha_in,
                        computational_bubbles, f_channels, mp_namespace)
@@ -576,26 +576,52 @@ def _pentagon_fields(rep):
     return rep.verified, rep.skipped, list(rep.skip_reasons.items()), type(d), float(d).hex()
 
 
-def test_pentagon_sweep_matches_lazy_walk(monkeypatch):
+def test_pentagon_sweep_matches_lazy_walk():
     alphas = [float(al) for al in np.random.default_rng(11).uniform(2, 3, 24)]
     for al in alphas + [2.0005, 2.9995, 11 / 2, 0.5]:
         p = ModelParams(al)
         assert _pentagon_fields(pentagon_sweep(p)) == _pentagon_fields(_pentagon_sweep_oracle(p))
-    # near-integer alphas that pass validation at a tight tol raise the same error
-    for al in (2 + 3e-11, 4 - 5e-11, 5 + 2e-12, 1 + 7e-11):
-        p = ModelParams(al, tol=1e-12)
-        got = _outcome(lambda: _pentagon_fields(pentagon_sweep(p)))
-        assert got == _outcome(lambda: _pentagon_fields(_pentagon_sweep_oracle(p)))
-        assert issubclass(got[0], ModelError)
-    # the blocks the lazy walk evaluates, each once and in the same order
-    calls = []
-    real = anyon.f_matrix
-    monkeypatch.setattr(anyon, "f_matrix", lambda *args: calls.append(args[:4]) or real(*args))
-    pentagon_sweep(ModelParams(2.4))
-    swept = calls[:]
-    calls.clear()
-    _pentagon_sweep_oracle(ModelParams(2.4))
-    assert swept == calls and len(set(swept)) == 175
+
+
+@pytest.mark.parametrize("al", [2.4, 2.000001])
+def test_pentagon_sweep_evaluates_no_symbol(monkeypatch, al):
+    def evaluated(*args):
+        raise AssertionError(f"the sweep evaluated a symbol at {args[:4]}")
+
+    anyon._pentagon_plan.cache_clear()  # the plan reruns under the patch
+    for name in ("f_matrix", "bubble_pop", "r_symbol", "_symbol"):
+        monkeypatch.setattr(anyon, name, evaluated)
+    rep = pentagon_sweep(ModelParams(al))
+    assert (rep.verified, rep.skipped, rep.vacuum_free) == (345, 1126, 0)
+    assert type(rep.max_defect) is float and rep.max_defect == 0.0
+    monkeypatch.undo()
+    # an F guard fires at 2.000001, so evaluating the blocks would raise
+    if al == 2.000001:
+        with pytest.raises(SingularParameter):
+            _pentagon_sweep_oracle(ModelParams(al))
+
+
+def test_pentagon_plan_rejects_an_instance_that_needs_values(monkeypatch):
+    # a 2x2 F[s,s,s;s] puts two nonzero products on the right of the
+    # a,s,s,s pentagons: they hold only for particular F values
+    real = anyon.f_channels
+
+    def channels(a, b, c, d):
+        if (a, b, c, d) == (SIGMA,) * 4:
+            return (VACUUM, PSI), (VACUUM, PSI)
+        return real(a, b, c, d)
+
+    anyon._pentagon_plan.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(anyon, "f_channels", channels)
+            with pytest.raises(ModelError, match="holds only for particular F values") as err:
+                pentagon_sweep(ModelParams(2.4))
+            by_name = {r.name: r for r in run_all(ModelParams(2.4), seed=0)}
+    finally:
+        anyon._pentagon_plan.cache_clear()
+    res = by_name["pentagon-restricted"]
+    assert (res.status, res.defect, res.detail) == ("fail", math.inf, f"ModelError: {err.value}")
 
 
 def test_pentagon_has_no_vacuum_free_instance():

@@ -332,19 +332,18 @@ def test_letter_and_closed_form_stacks_match_the_scalar_path_bit_for_bit():
     alphas = _alphas_mod_8(29)
     leaves = verify._WORKING_SYSTEMS[0]
     letters = [braids._letter_stack(leaves, gen, alphas, 1e-10) for gen in ("x", "b2")]
-    words = [m @ np.eye(2, dtype=complex) for m in letters]
     forms = braids._closed_form_stacks(alphas, 1e-10)
     assert letters[0].shape == letters[1].shape == forms[0].shape == forms[1].shape == (1024, 2, 2)
     # the check's per-alpha defects, from numpy's complex * - and abs on the stacks
     defects = [np.max(np.abs(SPECIAL_UNITARY_PHASES[gen] * m - f), axis=(1, 2))
-               for gen, m, f in zip(("x", "b2"), words, forms)]
+               for gen, m, f in zip(("x", "b2"), letters, forms)]
     for k, al in enumerate(alphas):
         p = ModelParams(float(al))
-        for gen, m, w, form, f, d in zip(("x", "b2"), letters, words,
-                                         (wrap_closed_form, exchange_closed_form), forms, defects):
+        for gen, m, form, f, d in zip(("x", "b2"), letters,
+                                      (wrap_closed_form, exchange_closed_form), forms, defects):
             assert m[k].tobytes() == braids.letter_matrix(p, leaves, gen, 1)[0].tobytes(), (al, gen)
             word = evaluate_word(p, leaves, BraidWord.parse(gen))
-            assert w[k].tobytes() == word.tobytes(), (al, gen)
+            assert m[k].tobytes() == word.tobytes(), (al, gen)
             assert f[k].tobytes() == form(p, phased=True).tobytes(), (al, gen)
             want = np.max(np.abs(SPECIAL_UNITARY_PHASES[gen] * word - form(p, phased=True)))
             assert d[k].tobytes() == want.tobytes(), (al, gen)
@@ -636,6 +635,20 @@ def test_cli_verify_exit_zero():
     data = json.loads(out)
     assert data["counts"]["fail"] == 0
     assert data["counts"]["pass"] > 10
+
+
+def test_cli_verify_near_two_passes_the_pentagon_and_fails_on_the_guard():
+    # B[a,psi,a]'s guard fires at 2.000001; the pentagon check evaluates no symbol
+    code, out = run_cli("verify", "--alpha", "2.000001", "--seed", "0")
+    assert code == 1
+    data = json.loads(out)
+    by_name = {r["name"]: r for r in data["results"]}
+    pentagon = by_name["pentagon-restricted"]
+    assert (pentagon["status"], pentagon["defect"]) == ("pass", 0.0)
+    for name in ("affine-relation", "pseudo-unitarity", "two-qubit-blocks"):
+        assert (by_name[name]["status"], by_name[name]["detail"]) == \
+            ("fail", "SingularParameter: B[a,psi,a]: denominator ~ 0")
+    assert data["counts"] == {"pass": 16, "fail": 3, "skipped": 0}
 
 
 def test_cli_verify_deterministic_output():
