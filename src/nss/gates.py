@@ -21,7 +21,7 @@ import numpy as np
 from .anyon import FLOAT_NS, _inv_small, mp_namespace
 from .braids import (_MAX_UNIT_LETTERS, BraidMatrix, BraidWord, block_decompose,
                      evaluate_word, letter_matrix)
-from .errors import NotBlockDiagonal, PrecisionExhausted, UnsupportedTriple
+from .errors import ModelError, NotBlockDiagonal, PrecisionExhausted, UnsupportedTriple
 from .labels import ALPHA, PSI, SIGMA, VACUUM, ModelParams
 from .spaces import IndefSpace, QubitCode, control_basis_transform
 
@@ -270,7 +270,8 @@ def _letter_pool(params: ModelParams, max_power: int):
     the arrangement it leads to).
 
     The entries are the upper then the lower 2x2 block, row-major, as Python
-    complex; a syllable that couples the blocks raises NotBlockDiagonal.
+    complex; a syllable that couples the blocks raises NotBlockDiagonal, an x
+    that is not diagonal ModelError (the search steps x as a diagonal).
     Each power is the one before it times a unit letter, as evaluate_word_open forms it.
     """
     arrangements = [PSI_LEAVES, (ALPHA, SIGMA, PSI, SIGMA)]
@@ -284,6 +285,9 @@ def _letter_pool(params: ModelParams, max_power: int):
                 lm, cur = letter_matrix(params, cur, tok, sign)
                 run[sign] = m, cur = (lm if m is None else lm @ m), cur
                 entries = tuple(complex(z) for z in _blocks(m).ravel())
+                if tok == "x" and any(entries[i] != 0 for i in (1, 2, 5, 6)):
+                    raise ModelError(f"syllable {BraidWord(((tok, p),))} on "
+                                     f"{','.join(map(str, leaves))} is not diagonal")
                 pool[(si, tok, p)] = (entries, arrangements.index(cur))
     return pool
 
@@ -306,10 +310,13 @@ def _search_range(params, max_len, threshold, max_power, first_syllables):
     """Raw hits (word, n1, n2, 8 block entries) of the DFS over the words
     starting with one of first_syllables.
 
-    A node is the 8 block entries of its product; each node reads the pool
-    once.  On the last level only the two off-diagonals are formed, and only
-    on arrangement 0, where words are scored; the second only when the first
-    passes.
+    A node carries only the second column of each block, (u01, u11, l01,
+    l11), since M[:, 1] = S M_prev[:, 1] and the norms read nothing else;
+    an x syllable is diagonal in both blocks (see _letter_pool), so its step
+    is 4 products.  Each node reads the pool once.  The last level is scored
+    in its parent's loop, only on arrangement 0, the second norm only when
+    the first passes.  A hit's 8 entries are its path's full block products,
+    formed with _block_product in the path's order only when a hit needs them.
     """
     pool = _letter_pool(params, max_power)
     # the (pool key, syllable) pairs that follow each (arrangement, generator)
@@ -317,42 +324,74 @@ def _search_range(params, max_len, threshold, max_power, first_syllables):
              for si in (0, 1) for tok in ("x", "b2")}
     last = max_len - 1
     hits = []
-    word = []
+    word, mats = [None] * max_len, [None] * max_len  # the path's syllables and entries
+    # full[d]: the block entries of the path's first d syllables; a node at
+    # depth d resets full[d + 1] to None, and a hit forms what it needs
+    full = [(1 + 0j, 0j, 0j, 1 + 0j) * 2] + [None] * max_len
 
-    def dfs(tok, m, si, depth, tok_steps):
-        u00, u01, u10, u11, l00, l01, l10, l11 = m
-        if depth == last:
-            for key, syl in tok_steps:
-                s, si2 = pool[key]
-                if si2:
-                    continue
-                a0, a1, _, _, b0, b1, _, _ = s
-                n1 = abs(a0 * u01 + a1 * u11)
-                if n1 < threshold:
-                    n2 = abs(b0 * l01 + b1 * l11)
-                    if n2 < threshold:
-                        hits.append((tuple(word) + (syl,), n1, n2, _block_product(s, m)))
-            return
-        nxt = "b2" if tok == "x" else "x"
-        depth += 1
+    def formed(depth):
+        if full[depth] is None:
+            full[depth] = _block_product(mats[depth - 1], formed(depth - 1))
+        return full[depth]
+
+    # each level places its generator's syllables at depth, after the node
+    # whose second columns are (u01, u11) and (l01, l11)
+    def x_level(depth, tok_steps, u01, u11, l01, l11):
+        nd = depth + 1
+        for key, syl in tok_steps:
+            s, si2 = pool[key]
+            a0, _, _, a3, b0, _, _, b3 = s
+            v01, v11, w01, w11 = a0 * u01, a3 * u11, b0 * l01, b3 * l11
+            word[depth], mats[depth], full[nd] = syl, s, None
+            if not si2:
+                n1, n2 = abs(v01), abs(w01)
+                if n1 < threshold and n2 < threshold:
+                    full[nd] = f = _block_product(s, full[depth] or formed(depth))
+                    hits.append((tuple(word[:nd]), n1, n2, f))
+            if nd < last:
+                b2_level(nd, steps[si2, "b2"], v01, v11, w01, w11)
+            elif nd == last:
+                for key, syl in steps[si2, "b2"]:
+                    s, si3 = pool[key]
+                    if not si3:
+                        n1 = abs(s[0] * v01 + s[1] * v11)
+                        if n1 < threshold:
+                            n2 = abs(s[4] * w01 + s[5] * w11)
+                            if n2 < threshold:
+                                word[last] = syl
+                                hits.append((tuple(word), n1, n2,
+                                             _block_product(s, full[last] or formed(last))))
+
+    def b2_level(depth, tok_steps, u01, u11, l01, l11):
+        nd = depth + 1
         for key, syl in tok_steps:
             s, si2 = pool[key]
             a0, a1, a2, a3, b0, b1, b2, b3 = s
-            p01 = a0 * u01 + a1 * u11
-            q01 = b0 * l01 + b1 * l11
-            prod = (a0 * u00 + a1 * u10, p01, a2 * u00 + a3 * u10, a2 * u01 + a3 * u11,
-                    b0 * l00 + b1 * l10, q01, b2 * l00 + b3 * l10, b2 * l01 + b3 * l11)
-            word.append(syl)
+            v01, v11 = a0 * u01 + a1 * u11, a2 * u01 + a3 * u11
+            w01, w11 = b0 * l01 + b1 * l11, b2 * l01 + b3 * l11
+            word[depth], mats[depth], full[nd] = syl, s, None
             if not si2:
-                n1, n2 = abs(p01), abs(q01)
+                n1, n2 = abs(v01), abs(w01)
                 if n1 < threshold and n2 < threshold:
-                    hits.append((tuple(word), n1, n2, prod))
-            dfs(nxt, prod, si2, depth, steps[si2, nxt])
-            word.pop()
+                    full[nd] = f = _block_product(s, full[depth] or formed(depth))
+                    hits.append((tuple(word[:nd]), n1, n2, f))
+            if nd < last:
+                x_level(nd, steps[si2, "x"], v01, v11, w01, w11)
+            elif nd == last:
+                for key, syl in steps[si2, "x"]:
+                    s, si3 = pool[key]
+                    if not si3:
+                        n1 = abs(s[0] * v01)
+                        if n1 < threshold:
+                            n2 = abs(s[4] * w01)
+                            if n2 < threshold:
+                                word[last] = syl
+                                hits.append((tuple(word), n1, n2,
+                                             _block_product(s, full[last] or formed(last))))
 
-    ident = (1 + 0j, 0j, 0j, 1 + 0j) * 2
     for tok, p in first_syllables:
-        dfs(tok, ident, 0, 0, [((0, tok, p), (tok, p))])
+        level = x_level if tok == "x" else b2_level
+        level(0, [((0, tok, p), (tok, p))], 0j, 1 + 0j, 0j, 1 + 0j)
     return hits
 
 

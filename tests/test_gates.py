@@ -18,6 +18,7 @@ from nss import (ALPHA, PSI, SIGMA, BraidWord, LOW_LEAKAGE_WORD, ModelParams,
                  vacuum_sector_matrix, qubit_space)
 from nss.anyon import mp_namespace
 from nss.braids import evaluate_word, evaluate_word_open, pseudo_unitarity_defect
+from nss.errors import ModelError
 from nss import gates
 from nss.gates import D_WORD, PSI_LEAVES, LeakageReport, SearchHit, step_word
 
@@ -441,9 +442,15 @@ def _syllables(max_power):
     return [(t, p) for t in ("x", "b2") for p in gates._syllable_powers(max_power)]
 
 
+def _hit_bits(hit):
+    word, n1, n2, entries = hit
+    return word, n1.hex(), n2.hex(), [_hex(z) for z in entries]
+
+
 @pytest.mark.parametrize("alpha, max_len, max_power", [
     ("2.001", 7, 2), ("12/5", 7, 2), ("37/14", 7, 2), ("2.999", 7, 2),
-    ("12/5", 7, 1), ("12/5", 7, 3), ("12/5", 1, 2), ("12/5", 2, 2)])
+    ("12/5", 7, 1), ("12/5", 7, 3), ("12/5", 1, 2), ("12/5", 2, 2),
+    ("12/5", 8, 2), ("2.05", 7, 2)])
 def test_search_kernel_matches_block_product_dfs(alpha, max_len, max_power):
     # raw hits (word, n1, n2, 8 entries) equal bit for bit, in the same order
     params = ModelParams.from_string(alpha)
@@ -453,6 +460,8 @@ def test_search_kernel_matches_block_product_dfs(alpha, max_len, max_power):
     got = gates._search_range(params, max_len, threshold, max_power, syllables)
     assert len(want) > 0
     assert got == want
+    # == takes -0.0 for 0.0; the bits of every norm and entry match too
+    assert list(map(_hit_bits, got)) == list(map(_hit_bits, want))
     # the jobs > 1 split: one first syllable per call
     assert [h for s in syllables
             for h in gates._search_range(params, max_len, threshold, max_power, (s,))] == want
@@ -542,7 +551,8 @@ def test_letter_pool_is_each_power_evaluated_alone(monkeypatch, max_power):
 
 @pytest.mark.parametrize("max_power", [1, 2, 3])
 def test_search_reads_pool_once_per_node(monkeypatch, max_power):
-    # the benchmark counts search nodes as lookups on the letter pool
+    # the benchmark counts search nodes as lookups on the letter pool; one
+    # level, and leaves scored in their parent's loop, count the same
     class CountingPool(dict):
         def __getitem__(self, key):
             lookups.append(key)
@@ -551,8 +561,28 @@ def test_search_reads_pool_once_per_node(monkeypatch, max_power):
     lookups = []
     letter_pool = gates._letter_pool
     monkeypatch.setattr(gates, "_letter_pool", lambda *a: CountingPool(letter_pool(*a)))
-    search_low_leakage(P, 5, 0.3, jobs=1, max_power=max_power)
-    assert len(lookups) == 2 * sum((2 * max_power) ** d for d in range(1, 6))
+    for max_len in (1, 2, 5):
+        lookups.clear()
+        search_low_leakage(P, max_len, 0.3, jobs=1, max_power=max_power)
+        assert len(lookups) == 2 * sum((2 * max_power) ** d for d in range(1, max_len + 1))
+
+
+@pytest.mark.parametrize("position", [(0, 1), (2, 3), (1, 0), (3, 2)])
+def test_letter_pool_rejects_an_x_that_is_not_diagonal(monkeypatch, position):
+    # the search steps every x syllable as a diagonal, so an off-diagonal
+    # entry, however small, must stop it instead of giving wrong norms
+    real = gates.letter_matrix
+
+    def leaky(params, leaves, tok, sign):
+        lm, cur = real(params, leaves, tok, sign)
+        if tok == "x" and sign == -1:
+            lm = lm.copy()
+            lm[position] = 1e-9
+        return lm, cur
+
+    monkeypatch.setattr(gates, "letter_matrix", leaky)
+    with pytest.raises(ModelError, match=r"syllable x\^-1 on a,psi,s,s is not diagonal"):
+        search_low_leakage(P, 3, 0.5)
 
 
 # ---------------------------------------------------------------------------
