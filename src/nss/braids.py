@@ -144,7 +144,7 @@ class _LetterPlan:
     entries: np.ndarray
 
 
-@functools.lru_cache(maxsize=256)  # plans are alpha-free; the bound stops growth
+@functools.lru_cache(maxsize=256)  # alpha-free and bounded; memo entries reference their plan
 def _letter_plan(leaves: tuple, charge: QLabel, tok: str) -> _LetterPlan:
     new_leaves, i = apply_letter_to_leaves(leaves, tok), _strand(tok)
     basis = enumerate_basis(leaves, charge)
@@ -184,9 +184,9 @@ def _letter_plan(leaves: tuple, charge: QLabel, tok: str) -> _LetterPlan:
                        tuple(amps), entries)
 
 
-# double-precision letters by (params, leaves, charge, tok, sign), oldest
-# evicted first; the bound sits well above the 100 letters that the bench's
-# 8 verify jobs leave
+# double-precision letters by (params, leaves, charge, tok, sign) as (plan,
+# value per plan entry), oldest evicted first; the bound sits well above the
+# 100 letters that the bench's 8 verify jobs leave
 _LETTER_MEMO_SIZE = 1024
 _LETTER_MEMO: dict = {}
 _LETTER_MEMO_LOCK = threading.Lock()
@@ -195,13 +195,13 @@ _LETTER_MEMO_LOCK = threading.Lock()
 def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
                   charge: Optional[QLabel] = None, ns=FLOAT_NS,
                   symbols: Optional[dict] = None):
-    """Matrix of one unit-power letter; returns (matrix, new_leaves).
+    """Matrix of one unit-power letter; returns (a fresh matrix, new_leaves).
 
     Each F block and R symbol the letter's cached plan needs is read from
     ``symbols`` (keyed by its argument tuple) or evaluated into it; one dict
-    serves the letters of one evaluation.  Double-precision results are
-    memoized as read-only arrays in a bounded memo; readers take one
-    ``get`` and writers hold a lock, so concurrent callers are safe.
+    serves the letters of one evaluation.  Double-precision letters are
+    memoized as their plan and nonzero values in a bounded memo; readers take
+    one ``get`` and writers hold a lock, so concurrent callers are safe.
     """
     leaves = tuple(leaves)
     if charge is None:
@@ -211,7 +211,7 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
     if cacheable:
         hit = _LETTER_MEMO.get(key)
         if hit is not None:
-            return hit
+            return _scatter(*hit), hit[0].leaves
     plan = _letter_plan(leaves, charge, tok)
     symbols = {} if symbols is None else symbols
     for args in plan.f_args:
@@ -227,14 +227,14 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
                 symbols[args] = r_symbol(*args, params, ns)
         ph = functools.reduce(operator.mul, [symbols[args] for args in triples])
         phases.append(1 / ph if sign < 0 else ph)
-    m = _assemble(plan, [symbols[args] for args in plan.f_args], phases, ns.dtype)
+    vals = _entry_values(plan, [symbols[args] for args in plan.f_args], phases, ns.dtype)
     if cacheable:
-        m.setflags(write=False)
+        vals.setflags(write=False)
         with _LETTER_MEMO_LOCK:
             if len(_LETTER_MEMO) >= _LETTER_MEMO_SIZE:
                 del _LETTER_MEMO[next(iter(_LETTER_MEMO))]
-            _LETTER_MEMO[key] = (m, plan.leaves)
-    return m, plan.leaves
+            _LETTER_MEMO[key] = (plan, vals)
+    return _scatter(plan, vals), plan.leaves
 
 
 def _letter_stack(leaves, tok: str, alphas: np.ndarray, tol: float) -> np.ndarray:
@@ -251,14 +251,14 @@ def _letter_stack(leaves, tok: str, alphas: np.ndarray, tol: float) -> np.ndarra
     phases = [functools.reduce(operator.mul, [_symbol_stack("R", *args, alphas, tol)
                                               for args in triples])
               for triples in plan.r_args]
-    return _assemble(plan, blocks, phases, complex, alphas.shape)
+    return _scatter(plan, _entry_values(plan, blocks, phases, complex))
 
 
-def _assemble(plan: _LetterPlan, blocks, phases, dtype, stack=()) -> np.ndarray:
-    """The letter matrix of ``plan`` from its (block, inverse) pairs and R
-    phases: each entry is its amplitude, or its phase when the plan has no F
-    blocks.  Stacked inputs carry an alpha axis of shape ``stack`` last, and
-    the matrices stack on it first."""
+def _entry_values(plan: _LetterPlan, blocks, phases, dtype) -> np.ndarray:
+    """The value at each row of ``plan.entries``, from the plan's (block,
+    inverse) pairs and R phases: its amplitude, or its phase when the plan
+    has no F blocks.  Stacked inputs carry an alpha axis last, and so do the
+    values."""
     values = phases
     if plan.amplitudes:
         values = []
@@ -267,9 +267,14 @@ def _assemble(plan: _LetterPlan, blocks, phases, dtype, stack=()) -> np.ndarray:
             for (tb, tj, wt), lab, (sb, wi, col) in terms:
                 amp = amp + blocks[tb][1][tj, wt] * phases[lab] * blocks[sb][0][wi, col]
             values.append(amp)
-    m = np.zeros(stack + plan.shape, dtype=dtype)
-    rows, cols, amp_index = plan.entries.T
-    m[..., rows, cols] = np.array(values, dtype)[amp_index].T
+    return np.array(values, dtype)[plan.entries[:, 2]]
+
+
+def _scatter(plan: _LetterPlan, vals: np.ndarray) -> np.ndarray:
+    """A new letter matrix, zero but for ``vals`` at ``plan.entries``; values
+    with an alpha axis last give matrices stacked on a first axis."""
+    m = np.zeros(vals.shape[1:] + plan.shape, dtype=vals.dtype)
+    m[..., plan.entries[:, 0], plan.entries[:, 1]] = vals.T
     return m
 
 
@@ -321,8 +326,7 @@ def evaluate_word_open(params: ModelParams, leaves, word: BraidWord,
     for tok, p in word.letters:
         for _ in range(abs(p)):
             lm, cur = letter_matrix(params, cur, tok, 1 if p > 0 else -1, charge, ns, symbols)
-            # a word starts at its first letter, copied: float letters are read-only memo arrays
-            m = lm.copy() if m is None else lm @ m
+            m = lm if m is None else lm @ m
     if m is None:  # the empty word
         m = np.zeros((dim, dim), dtype=ns.dtype)
         np.fill_diagonal(m, ns.one + 0 * ns.i)

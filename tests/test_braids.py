@@ -94,41 +94,77 @@ def test_word_free_reduce_and_inverse():
     assert w2.inverse().letters == (("x", -2), ("b2", -1))
 
 
-def test_memoized_letter_is_read_only():
-    m, _ = letter_matrix(ModelParams(2.4), H1, "b2", 1)
-    with pytest.raises(ValueError):
-        m *= 2
-    m2, _ = letter_matrix(ModelParams(2.4), H1, "b2", 1)
-    assert m2 is m
+def _memo_free_letter(*args):
+    """letter_matrix(*args)'s matrix built from its plan and symbols, the memo emptied."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(braids, "_LETTER_MEMO", {})
+        return letter_matrix(*args)[0]
+
+
+def test_memo_hit_returns_a_fresh_writable_letter(monkeypatch):
+    monkeypatch.setattr(braids, "_LETTER_MEMO", {})
+    p = ModelParams(2.4)
+    miss, _ = letter_matrix(p, H1, "b2", 1)
+    want = miss.tobytes()
+    hit, leaves = letter_matrix(p, H1, "b2", 1)
+    assert list(braids._LETTER_MEMO) == [(p, H1, ALPHA, "b2", 1)] and leaves == H1
+    assert hit is not miss and hit.flags.writeable and hit.tobytes() == want
+    # writing into a returned letter changes no later call's result
+    hit *= 2
+    miss[...] = 0
+    assert letter_matrix(p, H1, "b2", 1)[0].tobytes() == want
 
 
 def test_letter_memo_is_bounded_and_recomputes_evicted_letters(monkeypatch):
     monkeypatch.setattr(braids, "_LETTER_MEMO", {})
     bound = braids._LETTER_MEMO_SIZE
     first = ModelParams(2.4)
-    m0, _ = letter_matrix(first, H1, "b2", 1)
+    letter_matrix(first, H1, "b2", 1)
     for k in range(2 * bound):
         letter_matrix(ModelParams(2.1 + 0.8 * k / (2 * bound)), H1, "x", 1)
         assert len(braids._LETTER_MEMO) <= bound
     assert (first, H1, ALPHA, "b2", 1) not in braids._LETTER_MEMO
     m1, _ = letter_matrix(first, H1, "b2", 1)
-    assert m1 is not m0 and m1.tobytes() == m0.tobytes()
+    assert m1.tobytes() == _memo_free_letter(first, H1, "b2", 1).tobytes()
+
+
+def test_letter_memo_bytes_grow_with_nonzeros_not_dim_squared(monkeypatch):
+    # a letter has at most two nonzeros per column, so its memo entry holds
+    # at most 2 dim values; ten dense letters at dim 252 would hold 10 MB
+    monkeypatch.setattr(braids, "_LETTER_MEMO", {})
+    space = qubit_space(ModelParams.from_string("12/5"), 5)
+    dim = len(space.basis)
+    assert dim == 252
+    word = BraidWord.parse("x " + " ".join(f"b{i}" for i in range(2, 11)))
+    evaluate_word(space.params, space.leaves, word, charge=space.charge)
+    assert len(braids._LETTER_MEMO) == 10
+    kept = 0
+    for plan, vals in braids._LETTER_MEMO.values():
+        assert vals.dtype == np.complex128 and vals.shape == (len(plan.entries),)
+        assert len(plan.entries) <= 2 * dim
+        kept += vals.nbytes + plan.entries.nbytes
+    assert kept < dim * dim * 16
 
 
 def test_letter_memo_under_concurrent_callers(monkeypatch):
-    # more threads than cores share a memo of 8; eviction must never raise
-    # or let the memo pass its bound
+    # more threads than cores share a memo of 8; eviction must never raise,
+    # let the memo pass its bound or hand a thread a letter that differs
+    # from a memo-free build
     import sys
     import threading
     monkeypatch.setattr(braids, "_LETTER_MEMO", {})
     monkeypatch.setattr(braids, "_LETTER_MEMO_SIZE", 8)
+    params = [ModelParams(2.1 + 0.8 * j / 50) for j in range(50)]
+    want = [_memo_free_letter(p, H1, "x", 1).tobytes() for p in params]
     errors = []
 
     def work(seed):
         try:
             for k in range(150):
-                letter_matrix(ModelParams(2.1 + 0.8 * ((seed * 37 + k) % 50) / 50), H1, "x", 1)
+                j = (seed * 37 + k) % 50
+                m, _ = letter_matrix(params[j], H1, "x", 1)
                 assert len(braids._LETTER_MEMO) <= 8
+                assert m.tobytes() == want[j]
         except Exception as exc:  # reported below
             errors.append(exc)
 

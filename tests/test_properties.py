@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from nss import (ALPHA, PSI, SIGMA, BraidWord, IntegerAlpha, ModelParams,  # noqa: E402
                  SingularParameter, bubble_pop, evaluate_word, f_matrix, r_symbol)
+from nss import braids  # noqa: E402
 from nss.braids import evaluate_word_open, letter_matrix  # noqa: E402
 from nss.anyon import _B_TABLE, _F_FAMILIES, _R_TABLE, mp_namespace  # noqa: E402
 from nss.gates import (PSI_LEAVES, _syllable_powers, _word_text,  # noqa: E402
@@ -115,10 +116,10 @@ SYSTEMS = [(ALPHA, SIGMA, SIGMA), (ALPHA,) + (SIGMA,) * 4, (ALPHA, PSI, SIGMA, S
 
 
 @st.composite
-def system_words(draw, max_syllables=8, max_power=3):
-    """A working system and a word of up to max_syllables syllables over x
-    and b2..b{n-1}, each power in -max_power..max_power."""
-    leaves = draw(st.sampled_from(SYSTEMS))
+def system_words(draw, max_syllables=8, max_power=3, systems=SYSTEMS):
+    """A system of ``systems`` and a word of up to max_syllables syllables
+    over x and b2..b{n-1}, each power in -max_power..max_power."""
+    leaves = draw(st.sampled_from(systems))
     letters = ["x"] + [f"b{i}" for i in range(2, len(leaves))]
     syllables = draw(st.lists(st.tuples(st.sampled_from(letters),
                                         st.integers(-max_power, max_power)),
@@ -166,6 +167,34 @@ def test_float_words_match_mpmath(alpha, system_word):
             lm, cur = letter_matrix(p, cur, tok, 1 if pw > 0 else -1, ALPHA)
             scale *= max(1.0, np.max(np.abs(lm)))
     assert np.max(np.abs(m - exact)) <= 1e-10 * scale
+
+
+class _NoHits(dict):
+    """A letter memo that stores every letter and never returns one."""
+
+    def get(self, key, default=None):
+        return default
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(alpha=alphas, system_word=system_words(
+    max_syllables=6, max_power=2,
+    systems=[(ALPHA,) + (SIGMA,) * 4, (ALPHA, PSI, SIGMA, SIGMA), (ALPHA,) + (SIGMA,) * 8]))
+def test_warm_letter_memo_changes_no_bit(alpha, system_word):
+    # a word of letters each built from its plan and symbols, of letters
+    # some of which an empty memo returns, and of letters a warm memo returns
+    # all (evaluate_word's body, which may end on permuted leaves) have the
+    # same bytes
+    leaves, w = system_word
+    p = ModelParams(alpha)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(braids, "_LETTER_MEMO", _NoHits())
+        built = evaluate_word_open(p, leaves, w)
+        m.setattr(braids, "_LETTER_MEMO", {})
+        cold = evaluate_word_open(p, leaves, w)
+        warm = evaluate_word_open(p, leaves, w)
+    assert built[1] == cold[1] == warm[1]
+    assert built[0].tobytes() == cold[0].tobytes() == warm[0].tobytes()
 
 
 @st.composite
