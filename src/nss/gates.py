@@ -313,15 +313,20 @@ def _search_range(params, max_len, threshold, max_power, first_syllables):
     A node carries only the second column of each block, (u01, u11, l01,
     l11), since M[:, 1] = S M_prev[:, 1] and the norms read nothing else;
     an x syllable is diagonal in both blocks (see _letter_pool), so its step
-    is 4 products.  Each node reads the pool once.  The last level is scored
-    in its parent's loop, only on arrangement 0, the second norm only when
-    the first passes.  A hit's 8 entries are its path's full block products,
-    formed with _block_product in the path's order only when a hit needs them.
+    is 4 products, and a b2 node forms the u11, l11 entries only for the x
+    level below it (x leaves read neither).  Each node reads the pool once,
+    with one of the pool's own keys.  The last level is scored in its
+    parent's loop, and a node on arrangement 0 forms its second norm only
+    when the first passes.  A hit's 8 entries are its path's full block
+    products, formed with _block_product in the path's order only when a hit
+    needs them.
     """
     pool = _letter_pool(params, max_power)
-    # the (pool key, syllable) pairs that follow each (arrangement, generator)
-    steps = {(si, tok): [((si, tok, p), (tok, p)) for p in _syllable_powers(max_power)]
-             for si in (0, 1) for tok in ("x", "b2")}
+    # the (pool key, syllable) pairs that follow each generator, indexed by
+    # arrangement; the pool holds (0, x), (0, b2), (1, x), (1, b2) in power order
+    pairs = [(key, key[1:]) for key in pool]
+    runs = [pairs[i:i + 2 * max_power] for i in range(0, len(pairs), 2 * max_power)]
+    x_steps, b2_steps = runs[0::2], runs[1::2]
     last = max_len - 1
     hits = []
     word, mats = [None] * max_len, [None] * max_len  # the path's syllables and entries
@@ -343,15 +348,13 @@ def _search_range(params, max_len, threshold, max_power, first_syllables):
             a0, _, _, a3, b0, _, _, b3 = s
             v01, v11, w01, w11 = a0 * u01, a3 * u11, b0 * l01, b3 * l11
             word[depth], mats[depth], full[nd] = syl, s, None
-            if not si2:
-                n1, n2 = abs(v01), abs(w01)
-                if n1 < threshold and n2 < threshold:
-                    full[nd] = f = _block_product(s, full[depth] or formed(depth))
-                    hits.append((tuple(word[:nd]), n1, n2, f))
+            if not si2 and abs(v01) < threshold and abs(w01) < threshold:
+                full[nd] = f = _block_product(s, full[depth] or formed(depth))
+                hits.append((tuple(word[:nd]), abs(v01), abs(w01), f))
             if nd < last:
-                b2_level(nd, steps[si2, "b2"], v01, v11, w01, w11)
+                b2_level(nd, b2_steps[si2], v01, v11, w01, w11)
             elif nd == last:
-                for key, syl in steps[si2, "b2"]:
+                for key, syl in b2_steps[si2]:
                     s, si3 = pool[key]
                     if not si3:
                         n1 = abs(s[0] * v01 + s[1] * v11)
@@ -367,18 +370,16 @@ def _search_range(params, max_len, threshold, max_power, first_syllables):
         for key, syl in tok_steps:
             s, si2 = pool[key]
             a0, a1, a2, a3, b0, b1, b2, b3 = s
-            v01, v11 = a0 * u01 + a1 * u11, a2 * u01 + a3 * u11
-            w01, w11 = b0 * l01 + b1 * l11, b2 * l01 + b3 * l11
+            v01, w01 = a0 * u01 + a1 * u11, b0 * l01 + b1 * l11
             word[depth], mats[depth], full[nd] = syl, s, None
-            if not si2:
-                n1, n2 = abs(v01), abs(w01)
-                if n1 < threshold and n2 < threshold:
-                    full[nd] = f = _block_product(s, full[depth] or formed(depth))
-                    hits.append((tuple(word[:nd]), n1, n2, f))
+            if not si2 and abs(v01) < threshold and abs(w01) < threshold:
+                full[nd] = f = _block_product(s, full[depth] or formed(depth))
+                hits.append((tuple(word[:nd]), abs(v01), abs(w01), f))
             if nd < last:
-                x_level(nd, steps[si2, "x"], v01, v11, w01, w11)
+                x_level(nd, x_steps[si2], v01, a2 * u01 + a3 * u11,
+                        w01, b2 * l01 + b3 * l11)
             elif nd == last:
-                for key, syl in steps[si2, "x"]:
+                for key, syl in x_steps[si2]:
                     s, si3 = pool[key]
                     if not si3:
                         n1 = abs(s[0] * v01)
@@ -389,9 +390,9 @@ def _search_range(params, max_len, threshold, max_power, first_syllables):
                                 hits.append((tuple(word), n1, n2,
                                              _block_product(s, full[last] or formed(last))))
 
-    for tok, p in first_syllables:
-        level = x_level if tok == "x" else b2_level
-        level(0, [((0, tok, p), (tok, p))], 0j, 1 + 0j, 0j, 1 + 0j)
+    for syl in first_syllables:
+        level, tok_steps = (x_level, x_steps) if syl[0] == "x" else (b2_level, b2_steps)
+        level(0, [st for st in tok_steps[0] if st[1] == syl], 0j, 1 + 0j, 0j, 1 + 0j)
     return hits
 
 

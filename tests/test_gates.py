@@ -450,7 +450,9 @@ def _hit_bits(hit):
 @pytest.mark.parametrize("alpha, max_len, max_power", [
     ("2.001", 7, 2), ("12/5", 7, 2), ("37/14", 7, 2), ("2.999", 7, 2),
     ("12/5", 7, 1), ("12/5", 7, 3), ("12/5", 1, 2), ("12/5", 2, 2),
-    ("12/5", 8, 2), ("2.05", 7, 2)])
+    ("12/5", 8, 2), ("2.05", 7, 2),
+    # the shallowest b2 nodes whose x children are leaves
+    ("12/5", 3, 2), ("2.001", 3, 1)])
 def test_search_kernel_matches_block_product_dfs(alpha, max_len, max_power):
     # raw hits (word, n1, n2, 8 entries) equal bit for bit, in the same order
     params = ModelParams.from_string(alpha)
@@ -558,13 +560,19 @@ def test_search_reads_pool_once_per_node(monkeypatch, max_power):
             lookups.append(key)
             return dict.__getitem__(self, key)
 
-    lookups = []
+    lookups, pools = [], []
     letter_pool = gates._letter_pool
-    monkeypatch.setattr(gates, "_letter_pool", lambda *a: CountingPool(letter_pool(*a)))
+    monkeypatch.setattr(gates, "_letter_pool",
+                        lambda *a: pools.append(CountingPool(letter_pool(*a))) or pools[-1])
     for max_len in (1, 2, 5):
         lookups.clear()
+        pools.clear()
         search_low_leakage(P, max_len, 0.3, jobs=1, max_power=max_power)
         assert len(lookups) == 2 * sum((2 * max_power) ** d for d in range(1, max_len + 1))
+        # every lookup is made with one of the pool's own key objects
+        [pool] = pools
+        own = {id(key) for key in pool}
+        assert all(id(key) in own for key in lookups)
 
 
 @pytest.mark.parametrize("position", [(0, 1), (2, 3), (1, 0), (3, 2)])

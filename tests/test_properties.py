@@ -5,6 +5,9 @@ w w^-1 = 1, double against mpmath precision and the fifth-power law.
 Deterministic (derandomized, no example database) with fixed example counts.
 """
 import math
+import pathlib
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -222,3 +225,25 @@ def test_recursion_obeys_the_fifth_power_law(word):
     dps = math.ceil(-25 * math.log10(eps)) + 30
     reports = reichardt_iterate(p, word, k=2, extended=True, dps=dps)
     assert max(max(r.law_defect_su2, r.law_defect_su11) for r in reports[1:]) <= 1e-12
+
+
+def test_a_failing_property_test_fails_without_crashing_the_session(tmp_path):
+    # on a failure hypothesis imports its patch writer, which imports libcst
+    # when installed; libcst's import warns a DeprecationWarning that the
+    # project's error:: filters must not turn into an INTERNALERROR that
+    # stops every later test
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers(min_value=0))\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in out
