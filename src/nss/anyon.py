@@ -78,7 +78,7 @@ FLOAT_NS = SimpleNamespace(
 
 def mp_namespace():
     """An mpmath namespace mirroring :data:`FLOAT_NS`, its elementary functions
-    memoised in a dict it owns; callers set the precision."""
+    memoised in caches it owns; callers set the precision."""
     import mpmath as mp
     from fractions import Fraction
 
@@ -87,24 +87,18 @@ def mp_namespace():
             return mp.mpf(x.numerator) / x.denominator
         return mp.mpf(x)
 
-    memo = {}  # (function, working precision, argument type, argument) -> value
-
-    def memoised(name, fn):
-        def call(z):
-            key = (name, mp.mp.prec, type(z), z)
-            out = memo.get(key)
-            if out is None:
-                out = memo[key] = fn(z)
-            return out
-        return call
+    def memoised(fn):
+        # one cache per function, keyed by (working precision, argument type, argument)
+        cached = functools.cache(lambda prec, kind, z: fn(z))
+        return lambda z: cached(mp.mp.prec, type(z), z)
 
     return SimpleNamespace(
         pi=mp.pi,
-        sin=memoised("sin", mp.sin),
-        cos=memoised("cos", mp.cos),
-        tan=memoised("tan", mp.tan),
-        sqrt=memoised("sqrt", lambda z: mp.sqrt(mp.mpc(z))),
-        exp=memoised("exp", lambda z: mp.exp(mp.mpc(z))),
+        sin=memoised(mp.sin),
+        cos=memoised(mp.cos),
+        tan=memoised(mp.tan),
+        sqrt=memoised(lambda z: mp.sqrt(mp.mpc(z))),
+        exp=memoised(lambda z: mp.exp(mp.mpc(z))),
         one=mp.mpf(1),
         i=mp.mpc(0, 1),
         dtype=object,
@@ -125,20 +119,11 @@ def _guard_min(den, tol, what):
 # functions run on each element and + - * / are the Python operators, so each
 # element rounds as the scalar formula does (numpy's own tan and complex *
 # and / are SIMD code chosen per CPU, and differ in the last bit)
-_ARRAY_NS = SimpleNamespace(
-    pi=math.pi,
-    sin=np.frompyfunc(math.sin, 1, 1),
-    cos=np.frompyfunc(math.cos, 1, 1),
-    tan=np.frompyfunc(math.tan, 1, 1),
-    sqrt=np.frompyfunc(cmath.sqrt, 1, 1),
-    exp=np.frompyfunc(cmath.exp, 1, 1),
-    one=1.0,
-    i=1j,
-    number=float,
-    guard=_guard_min,
-    s_sign=np.frompyfunc(s_sign, 2, 1),
-    t_sign=np.frompyfunc(t_sign, 2, 1),
-)
+_ARRAY_NS = SimpleNamespace(**{
+    **vars(FLOAT_NS),
+    **{f: np.frompyfunc(getattr(FLOAT_NS, f), 1, 1) for f in ("sin", "cos", "tan", "sqrt", "exp")},
+    **{f: np.frompyfunc(getattr(FLOAT_NS, f), 2, 1) for f in ("s_sign", "t_sign")},
+    "guard": _guard_min})
 
 
 def alpha_in(params: ModelParams, ns=FLOAT_NS):

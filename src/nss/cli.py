@@ -159,6 +159,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be at least 0")
     params = _params(args)
     results = verify.run_all(params, args.seed)
     n_fail = len(verify.failures(results))

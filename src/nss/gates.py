@@ -277,23 +277,23 @@ def _letter_pool(params: ModelParams, max_power: int):
     arrangements = [PSI_LEAVES, (ALPHA, SIGMA, PSI, SIGMA)]
     pool = {}
     for si, leaves in enumerate(arrangements):
-        for tok in ("x", "b2"):
-            run = dict.fromkeys((1, -1), (None, leaves))
-            for p in _syllable_powers(max_power):
-                sign = 1 if p > 0 else -1
-                m, cur = run[sign]
-                lm, cur = letter_matrix(params, cur, tok, sign)
-                run[sign] = m, cur = (lm if m is None else lm @ m), cur
-                entries = tuple(complex(z) for z in _blocks(m).ravel())
-                if tok == "x" and any(entries[i] != 0 for i in (1, 2, 5, 6)):
-                    raise ModelError(f"syllable {BraidWord(((tok, p),))} on "
-                                     f"{','.join(map(str, leaves))} is not diagonal")
-                pool[(si, tok, p)] = (entries, arrangements.index(cur))
+        run = {}  # (generator, sign) -> the last power formed and where it leads
+        for tok, p in _syllables(max_power):
+            sign = 1 if p > 0 else -1
+            m, cur = run.get((tok, sign), (None, leaves))
+            lm, cur = letter_matrix(params, cur, tok, sign)
+            run[tok, sign] = m, cur = (lm if m is None else lm @ m), cur
+            entries = tuple(complex(z) for z in _blocks(m).ravel())
+            if tok == "x" and any(entries[i] != 0 for i in (1, 2, 5, 6)):
+                raise ModelError(f"syllable {BraidWord(((tok, p),))} on "
+                                 f"{','.join(map(str, leaves))} is not diagonal")
+            pool[(si, tok, p)] = (entries, arrangements.index(cur))
     return pool
 
 
-def _syllable_powers(max_power: int) -> list[int]:
-    return [p for a in range(1, max_power + 1) for p in (a, -a)]
+def _syllables(max_power: int) -> list[tuple[str, int]]:
+    """The search alphabet: x then b2, each with powers 1, -1, 2, -2, ..., +-max_power."""
+    return [(tok, p) for tok in ("x", "b2") for a in range(1, max_power + 1) for p in (a, -a)]
 
 
 def _block_product(s, m):
@@ -322,11 +322,9 @@ def _search_range(params, max_len, threshold, max_power, first_syllables):
     needs them.
     """
     pool = _letter_pool(params, max_power)
-    # the (pool key, syllable) pairs that follow each generator, indexed by
-    # arrangement; the pool holds (0, x), (0, b2), (1, x), (1, b2) in power order
-    pairs = [(key, key[1:]) for key in pool]
-    runs = [pairs[i:i + 2 * max_power] for i in range(0, len(pairs), 2 * max_power)]
-    x_steps, b2_steps = runs[0::2], runs[1::2]
+    # the (pool key, syllable) pairs that follow each generator, indexed by arrangement
+    x_steps, b2_steps = ([[(key, key[1:]) for key in pool if key[:2] == (si, tok)] for si in (0, 1)]
+                         for tok in ("x", "b2"))
     last = max_len - 1
     hits = []
     word, mats = [None] * max_len, [None] * max_len  # the path's syllables and entries
@@ -423,7 +421,7 @@ def search_low_leakage(params: ModelParams, max_len: int, threshold: float,
         raise ValueError("threshold must be a finite number")
     if threshold <= 0:
         return []
-    syllables = [(tok, p) for tok in ("x", "b2") for p in _syllable_powers(max_power)]
+    syllables = _syllables(max_power)
     if jobs > 1:
         # imported here, so importing the package does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

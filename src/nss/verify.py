@@ -1,7 +1,7 @@
 """One-command battery of property checks with measured defects.
 
-Every check returns a CheckResult rather than raising; the suite is
-deterministic for a fixed (params, seed) and reports are ordered by name.
+run_all gives every check a CheckResult, a model error included; the suite
+is deterministic for a fixed (params, seed) and reports are ordered by name.
 Sampled alphas are drawn from (2, 3), or from (0, 8) for st-periodicity,
 with a guard band of 1e-3 at both ends.
 
@@ -65,16 +65,6 @@ def _sampled(alphas, tol, array_pass):
             ModelParams(float(al), tol)
             array_pass(alphas[k:k + 1])
         raise
-
-
-def _wrap_check(fn):
-    def run(params, rng):
-        try:
-            return fn(params, rng)
-        except ModelError as exc:
-            return CheckResult(fn.__name__[len("_chk_"):].replace("_", "-"),
-                               "fail", math.inf, f"{type(exc).__name__}: {exc}")
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +344,16 @@ _CHECKS = [fn for name, fn in sorted(globals().items()) if name.startswith("_chk
 
 
 def run_all(params: ModelParams, seed: int = 0) -> list[CheckResult]:
-    """Run every check; deterministic for fixed (params, seed)."""
+    """Run every check in name order; deterministic for fixed (params, seed).
+    A check that raises a model error fails with an infinite defect."""
     rng = np.random.default_rng(seed)
-    results = [_wrap_check(fn)(params, rng) for fn in _CHECKS]
-    results.sort(key=lambda r: r.name)
+    results = []
+    for fn in _CHECKS:
+        try:
+            results.append(fn(params, rng))
+        except ModelError as exc:
+            results.append(CheckResult(fn.__name__[len("_chk_"):].replace("_", "-"),
+                                       "fail", math.inf, f"{type(exc).__name__}: {exc}"))
     return results
 
 

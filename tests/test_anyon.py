@@ -374,6 +374,45 @@ def test_f_matrix_mp_matches_per_entry_normalisation():
                 assert all(x == y for x, y in zip(blk.matrix.flat, want.flat))
 
 
+def _bits(z):
+    """A Python number's type and bits."""
+    return (type(z),) + ((z.hex(),) if isinstance(z, float) else (z.real.hex(), z.imag.hex()))
+
+
+def test_array_namespace_is_float_namespace_per_element():
+    ns = anyon._ARRAY_NS
+    assert set(vars(ns)) == set(vars(FLOAT_NS))
+    for name in ("pi", "one", "i", "number"):
+        assert getattr(ns, name) is getattr(FLOAT_NS, name)
+    reals = [2.4, -2.4, 0.0, -0.0, 1e-300, 7.25, -13.5, math.pi / 3]
+    complexes = reals + [1j, -3 + 4j, 0.5 - 2.25j, -1e-3 - 0j]
+    for name, args in (("sin", reals), ("cos", reals), ("tan", reals),
+                       ("sqrt", complexes), ("exp", complexes)):
+        got = getattr(ns, name)(np.array(args, dtype=object))
+        want = [getattr(FLOAT_NS, name)(z) for z in args]
+        assert got.dtype == object and list(map(_bits, got)) == list(map(_bits, want)), name
+    alphas = [0.3, 1.5, 2.4, 3.7, 4.2, 5.5, 6.1, 7.9, 9.3, -0.5, -3.2]
+    for name in ("s_sign", "t_sign"):
+        for tol in (1e-10, 0.05):
+            got = getattr(ns, name)(np.array(alphas, dtype=object), tol)
+            want = [getattr(FLOAT_NS, name)(al, tol) for al in alphas]
+            assert [(type(g), g) for g in got] == [(type(w), w) for w in want], (name, tol)
+    for dens, tol in (([0.5, -2.0, 1e-9], 1e-10), ([0.5, 1e-11, 3.0], 1e-10),
+                      ([0.5, -1e-11], 1e-12), ([0.5, 1e-11], 1e-12), ([0.19, 2.0], 0.5)):
+        raises = []
+        for den in dens:
+            try:
+                FLOAT_NS.guard(den, tol, "w")
+            except SingularParameter:
+                raises.append(den)
+        arr = np.array(dens, dtype=object)
+        if raises:
+            with pytest.raises(SingularParameter, match="w: denominator ~ 0"):
+                ns.guard(arr, tol, "w")
+        else:
+            assert ns.guard(arr, tol, "w") is arr
+
+
 # what each memoised function of mp_namespace() computes, called directly
 _MP_DIRECT = {"sin": lambda z: mp.sin(z), "cos": lambda z: mp.cos(z),
               "tan": lambda z: mp.tan(z), "sqrt": lambda z: mp.sqrt(mp.mpc(z)),

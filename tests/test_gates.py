@@ -351,12 +351,17 @@ def test_search_splits_by_first_syllable(monkeypatch):
     assert [str(h.word) for h in hits] == [str(h.word) for h in search_low_leakage(P, 4, 0.9)]
 
 
+def _powers(max_power):
+    """The syllable powers the oracles step through, written out apart from gates."""
+    return [p for a in range(1, max_power + 1) for p in (a, -a)]
+
+
 def _numpy_dfs(params, max_len, threshold, max_power):
     """Raw hits (word, n1, n2, product) of the 4x4 numpy DFS the scalar
     kernel replaced."""
     pool = {key: (gates._from_blocks(np.array(entries).reshape(2, 2, 2)), si2)
             for key, (entries, si2) in gates._letter_pool(params, max_power).items()}
-    powers = gates._syllable_powers(max_power)
+    powers = _powers(max_power)
     hits = []
 
     def dfs(tok, mat, si, depth, letters, tok_powers):
@@ -380,7 +385,7 @@ def _numpy_dfs(params, max_len, threshold, max_power):
 
 @pytest.mark.parametrize("max_power", [2, 3])
 def test_search_kernel_matches_numpy_dfs(max_power):
-    syllables = [(t, p) for t in ("x", "b2") for p in gates._syllable_powers(max_power)]
+    syllables = gates._syllables(max_power)
     for alpha in ("2.001", "2.05", "12/5", "2.5", "2.999"):
         params = ModelParams.from_string(alpha)
         want = _numpy_dfs(params, 6, 0.5, max_power)
@@ -402,7 +407,7 @@ def _search_range_oracle(params, max_len, threshold, max_power, first_syllables)
     """The scalar DFS with one _block_product call per node that the
     unpacked kernel replaced."""
     pool = gates._letter_pool(params, max_power)
-    powers = gates._syllable_powers(max_power)
+    powers = _powers(max_power)
     last = max_len - 1
     hits = []
     word = []
@@ -438,10 +443,6 @@ def _search_range_oracle(params, max_len, threshold, max_power, first_syllables)
     return hits
 
 
-def _syllables(max_power):
-    return [(t, p) for t in ("x", "b2") for p in gates._syllable_powers(max_power)]
-
-
 def _hit_bits(hit):
     word, n1, n2, entries = hit
     return word, n1.hex(), n2.hex(), [_hex(z) for z in entries]
@@ -457,7 +458,7 @@ def test_search_kernel_matches_block_product_dfs(alpha, max_len, max_power):
     # raw hits (word, n1, n2, 8 entries) equal bit for bit, in the same order
     params = ModelParams.from_string(alpha)
     threshold = 0.5 if max_len > 2 else 2.0
-    syllables = _syllables(max_power)
+    syllables = gates._syllables(max_power)
     want = _search_range_oracle(params, max_len, threshold, max_power, syllables)
     got = gates._search_range(params, max_len, threshold, max_power, syllables)
     assert len(want) > 0
@@ -498,7 +499,7 @@ def _phase_dedupe_oracle(raw):
     ("2.999", 7, 0.5, 58), ("12/5", 11, 0.3, 533)])
 def test_phase_dedupe_matches_per_row_loop(monkeypatch, alpha, max_len, threshold, kept):
     params = ModelParams.from_string(alpha)
-    raw = gates._search_range(params, max_len, threshold, 2, _syllables(2))
+    raw = gates._search_range(params, max_len, threshold, 2, gates._syllables(2))
     ranked = sorted(raw, key=_rank_oracle)
     want = _phase_dedupe_oracle(ranked)
     assert len(want) == kept
@@ -540,8 +541,9 @@ def test_letter_pool_is_each_power_evaluated_alone(monkeypatch, max_power):
         letters.clear()
         pool = gates._letter_pool(params, max_power)
         assert len(letters) == 8 * max_power
-        keys = [(si, tok, p) for si in (0, 1) for tok in ("x", "b2")
-                for p in gates._syllable_powers(max_power)]
+        keys = [(si, tok, p) for si in (0, 1) for tok in ("x", "b2") for p in _powers(max_power)]
+        # the search alphabet the kernel and its tests step through
+        assert [(si, *syl) for si in (0, 1) for syl in gates._syllables(max_power)] == keys
         assert list(pool) == keys
         for si, tok, p in keys:
             m, cur = evaluate_word_open(params, arrangements[si], BraidWord(((tok, p),)))

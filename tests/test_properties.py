@@ -21,7 +21,7 @@ from nss import (ALPHA, PSI, SIGMA, BraidWord, IntegerAlpha, ModelParams,  # noq
 from nss import braids  # noqa: E402
 from nss.braids import evaluate_word_open, letter_matrix  # noqa: E402
 from nss.anyon import _B_TABLE, _F_FAMILIES, _R_TABLE, mp_namespace  # noqa: E402
-from nss.gates import (PSI_LEAVES, _syllable_powers, _word_text,  # noqa: E402
+from nss.gates import (PSI_LEAVES, _syllables, _word_text,  # noqa: E402
                        leakage_norms, reichardt_iterate)
 
 FAMILIES_2X2 = [f for f in _F_FAMILIES if f_matrix(*f, ModelParams(2.4)).matrix.shape == (2, 2)]
@@ -89,7 +89,7 @@ def test_float_symbols_match_mpmath(alpha):
 @given(max_power=st.integers(1, 3), length=st.integers(1, 11), data=st.data())
 def test_search_rank_text_is_the_word_text(max_power, length, data):
     # the search ranks equal-length words by this text
-    syllables = [(t, p) for t in ("x", "b2") for p in _syllable_powers(max_power)]
+    syllables = _syllables(max_power)
     word = st.lists(st.sampled_from(syllables), min_size=length, max_size=length).map(tuple)
     words = data.draw(st.lists(word, min_size=2, max_size=20))
     text = _word_text(syllables)

@@ -16,7 +16,7 @@ from nss.anyon import (_B_TABLE, _F_FAMILIES, _R_TABLE, FLOAT_NS, _f_blocks, _sy
 from nss.braids import (SPECIAL_UNITARY_PHASES, BraidWord, evaluate_word, exchange_closed_form,
                         generator_matrix, matrix_order, wrap_closed_form)
 from nss.cli import main
-from nss.errors import ModelError
+from nss.errors import ModelError, SingularParameter
 from nss.labels import ALPHA, SIGMA, VACUUM
 from nss.spaces import qubit_space
 
@@ -55,7 +55,7 @@ def test_suite_reports_defects_on_pass():
     assert all(np.isfinite(r.defect) for r in results if r.status == "pass")
 
 
-def test_checks_are_the_chk_functions_in_name_order():
+def test_checks_are_the_chk_functions_in_name_order(monkeypatch):
     # the shared rng's draws follow this order
     names = [fn.__name__ for fn in verify._CHECKS]
     assert len(names) == 19
@@ -63,9 +63,25 @@ def test_checks_are_the_chk_functions_in_name_order():
     rng = np.random.default_rng(0)
     for fn in verify._CHECKS:
         res = fn(ModelParams(2.4), rng)
-        # the name _wrap_check gives a check that raises
+        # the name run_all gives a check that raises
         assert isinstance(res, verify.CheckResult)
         assert res.name == fn.__name__[len("_chk_"):].replace("_", "-")
+    # run_all returns the results in _CHECKS order, with no re-sort by name,
+    # and fails a check that raises in its place
+    k = len(verify._CHECKS) // 2
+    name = verify._CHECKS[k].__name__
+
+    def raising(params, rng):
+        raise SingularParameter("x")
+
+    raising.__name__ = name
+    monkeypatch.setattr(verify, "_CHECKS", verify._CHECKS[:k] + [raising] + verify._CHECKS[k + 1:])
+    results = run_all(ModelParams(2.4), seed=0)
+    names = [r.name for r in results]
+    assert len(names) == 19 and names == sorted(names)
+    assert names[k] == name[len("_chk_"):].replace("_", "-")
+    assert (results[k].status, results[k].defect, results[k].detail) == (
+        "fail", math.inf, "SingularParameter: x")
 
 
 def test_skips_carry_reason_outside_definite_window():
@@ -561,6 +577,13 @@ def test_cli_search_rejects_bad_parameters(arg):
     assert code == 2
     assert "NaN" not in out and "Infinity" not in out
     assert json.loads(out)["error"] == "ValueError"
+
+
+def test_cli_verify_rejects_negative_seed():
+    code, out = run_cli("verify", "--seed", "-1")
+    assert code == 2
+    data = json.loads(out)
+    assert data["error"] == "ValueError" and "--seed" in data["message"]
 
 
 @pytest.mark.parametrize("args", [
