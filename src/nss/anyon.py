@@ -52,9 +52,10 @@ def t_sign(alpha: float, tol: float = 1e-10) -> int:
 
 def _guard(den, tol, what):
     # formulas are regular for non-integer alpha; the guard catches near-integer
-    # evaluations that slip past parameter validation.  Its bound does not grow
-    # with a loose tol, which would call regular points (0.19 at 12/5) singular.
-    if abs(den) < min(tol, 1e-10):
+    # evaluations that slip past parameter validation.  Its bound, the smaller
+    # of tol and 1e-10, does not grow with a loose tol, which would call
+    # regular points (0.19 at 12/5) singular.
+    if abs(den) < 1e-10 and abs(den) < tol:
         raise SingularParameter(f"{what}: denominator ~ 0")
     return den
 
@@ -410,6 +411,7 @@ def _admits(x: QLabel, y: QLabel, d: QLabel) -> bool:
     return not outcomes or d in outcomes
 
 
+@functools.lru_cache(maxsize=None)
 def f_channels(a: QLabel, b: QLabel, c: QLabel, d: QLabel):
     """(rows, cols) of F[a,b,c;d], or None when the family is not tabulated.
 
@@ -418,6 +420,7 @@ def f_channels(a: QLabel, b: QLabel, c: QLabel, d: QLabel):
 
     The channels do not depend on alpha, so letter plans read them without
     evaluating a symbol; :func:`f_matrix` returns its blocks in this order.
+    Each family's channels are found once per process.
     """
     if b == VACUUM:
         return ((c,), (a,)) if _admits(a, c, d) else None

@@ -160,24 +160,30 @@ def _letter_plan(leaves: tuple, charge: QLabel, tok: str) -> _LetterPlan:
     def label(*triples):
         return labels.setdefault(triples, len(labels))
 
+    P, Q = leaves[i], leaves[i + 1]
+    vertices, amp_of = {}, {}  # by local vertex (ch[i-1], ch[i], ch[i+1]), as first met
     for j, tree in enumerate(basis):
         ch = tree.chain
         if tok in ("x", "h1"):  # the wrap of strand 2 around strand 1, or their half-exchange
-            L0, L1 = leaves[:2]
-            triples = ((L1, L0, ch[1]), (L0, L1, ch[1]))[:2 if tok == "x" else 1]
+            triples = ((Q, P, ch[1]), (P, Q, ch[1]))[:2 if tok == "x" else 1]
             entries.append((idx[(new_leaves[0],) + ch[1:]], j, label(*triples)))
             continue
         # half-exchange of leaves i, i+1 via F^-1 R F at their vertex
-        P, Q = leaves[i], leaves[i + 1]
-        sb, s_rows, s_cols = block((ch[i - 1], P, Q, ch[i + 1]))
-        tb, t_rows, t_cols = block((ch[i - 1], Q, P, ch[i + 1]))
-        col = s_cols.index(ch[i])
+        v = ch[i - 1:i + 2]
+        if v not in vertices:
+            src = block((ch[i - 1], P, Q, ch[i + 1]))
+            tgt = block((ch[i - 1], Q, P, ch[i + 1]))
+            vertices[v] = src[:2] + (src[2].index(ch[i]),) + tgt
+        sb, s_rows, col, tb, t_rows, t_cols = vertices[v]
         for tj, mt in enumerate(t_cols):
-            target = ch[:i] + (mt,) + ch[i + 1:]
-            if target in idx:
+            row = idx.get(ch[:i] + (mt,) + ch[i + 1:])
+            if row is None:
+                continue
+            if (v, tj) not in amp_of:  # labelled where first kept, as a column loop would
                 terms = tuple(((tb, tj, t_rows.index(w)), label((Q, P, w)), (sb, wi, col))
                               for wi, w in enumerate(s_rows))
-                entries.append((idx[target], j, amps.setdefault(terms, len(amps))))
+                amp_of[v, tj] = amps.setdefault(terms, len(amps))
+            entries.append((row, j, amp_of[v, tj]))
     entries = np.array(entries, dtype=np.intp).reshape(-1, 3)
     entries.setflags(write=False)
     return _LetterPlan(new_leaves, (len(idx), len(basis)), tuple(blocks), tuple(labels),

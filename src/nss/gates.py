@@ -37,8 +37,9 @@ _LAW_TOL = 1e-3
 _MAX_DPS = 50_000
 
 # canonical representative of the word family found by the exhaustive search
-# at <= 11 syllables whose leakage norms are ~0.2859 and ~0.2848 (the only
-# norm pair below 0.30 with nonzero leakage in that range)
+# at <= 11 syllables whose leakage norms are ~0.2859 and ~0.2848, one of four
+# norm pairs below 0.30 with nonzero leakage in that range; the others are
+# (0.2218, 0.2831), (0.1079, 0.1897) and (0.2638, 0.2066)
 LOW_LEAKAGE_WORD = BraidWord.parse("b2^-2 x b2^-1 x^2 b2^-2 x b2^2 x^-2 b2^-1")
 
 
@@ -198,6 +199,17 @@ def _rel_defect(measured: float, predicted: float) -> float:
     return abs(measured - predicted) / predicted
 
 
+def _law_remedy(params: ModelParams, extended: bool) -> str:
+    """What to do about a fifth-power-law defect.  The law needs D's ratio
+    e^{i pi (3 + alpha)} to be a primitive 10th root of unity, so at an exact
+    alpha with 5 (3 + alpha) not an odd integer prime to 5 no precision helps."""
+    m = None if params.exact is None else 5 * (3 + params.exact)
+    if m is not None and not (m.denominator == 1 and m.numerator % 10 in (1, 3, 7, 9)):
+        return (f"the law does not hold at alpha = {params.exact}: it needs "
+                "5(3 + alpha) to be an odd integer prime to 5")
+    return "rerun with a larger dps" if extended else "rerun with extended=True"
+
+
 def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
                       extended: bool = False, dps: int = 120) -> list[LeakageReport]:
     """Iterate the recursion k times starting from the given braid word.
@@ -237,8 +249,7 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
                 if max(ld2, ld11) > _LAW_TOL:
                     raise PrecisionExhausted(
                         f"fifth-power law defect {max(ld2, ld11):.2e} at k={step}; "
-                        + ("rerun with a larger dps" if extended
-                           else "rerun with extended=True"))
+                        + _law_remedy(params, extended))
             th1, th2 = _diag_phases(np.diag(cur))
             reports.append(LeakageReport(cur_word, step, su2, su11, th1, th2,
                                          len(cur_word), ld2, ld11))

@@ -35,12 +35,16 @@ class FusionTree:
         if len(self.internal) != max(len(self.leaves) - 2, 0):
             raise ValueError("internal labels must number len(leaves) - 2")
 
-    @property
+    @functools.cached_property
     def chain(self) -> tuple[QLabel, ...]:
         """c0 = first leaf, then internal labels, ending at the root."""
         if len(self.leaves) == 1:
             return (self.root,)
         return (self.leaves[0],) + self.internal + (self.root,)
+
+    def __getstate__(self):
+        # a pickle holds the fields alone, not the chain cached from them
+        return {k: self.__dict__[k] for k in ("leaves", "internal", "root")}
 
     def serialize(self) -> str:
         leaves = ",".join(str(l) for l in self.leaves)
@@ -219,7 +223,12 @@ class IndefSpace:
         if not charge.is_alpha:
             raise UnsupportedTriple("metric is defined for alpha-type total charge")
         plan = _space_plan(leaves, charge)
-        signs = _metric_signs(leaves, charge, np.array([params.alpha]), params.tol)[0]
+        # _metric_signs' rule at one alpha, into an array the space owns
+        al, tol = params.alpha, params.tol
+        if abs(al - round(al)) <= max(tol, _TABLE_RADIUS):
+            signs = np.array([tree_norm_sign(t, params) for t in plan.basis], dtype=int)
+        else:
+            signs = _interval_signs(leaves, charge, math.floor(al) % 8).copy()
         d = modified_dimension(charge.value(params.alpha), params.tol)
         return cls(params, leaves, charge, plan.basis, signs, abs(d),
                    plan.computational_mask)

@@ -14,7 +14,7 @@ from nss import (ALPHA, PSI, SIGMA, BraidWord, LeakyPermutation, ModelParams,
                  pseudo_unitarity_defect, q_power, qubit_space,
                  wrap_closed_form, exchange_closed_form)
 from nss import braids
-from nss.anyon import FLOAT_NS, f_matrix, mp_namespace, r_symbol
+from nss.anyon import FLOAT_NS, f_channels, f_matrix, mp_namespace, r_symbol
 from nss.braids import (apply_letter_to_leaves, evaluate_word_open, letter_matrix,
                         two_qubit_block_form, J4_WORD)
 from nss.gates import PSI_LEAVES, W_WORD
@@ -599,6 +599,59 @@ def _letter_cases():
         for tok in toks:
             for sign in (1, -1):
                 yield leaves, tok, sign
+
+
+def _per_column_plan(leaves, charge, tok):
+    """A letter's plan built column by column: every column looks up its own
+    two F blocks and labels the terms of each entry it keeps, so blocks,
+    labels and amplitudes are numbered in order of first appearance."""
+    new_leaves, i = apply_letter_to_leaves(leaves, tok), braids._strand(tok)
+    basis = enumerate_basis(leaves, charge)
+    idx = {t.chain: k for k, t in enumerate(enumerate_basis(new_leaves, charge))}
+    blocks, labels, amps, entries = {}, {}, {}, []
+
+    def block(args):
+        return (blocks.setdefault(args, len(blocks)),) + f_channels(*args)
+
+    def label(*triples):
+        return labels.setdefault(triples, len(labels))
+
+    for j, tree in enumerate(basis):
+        ch = tree.chain
+        if tok in ("x", "h1"):
+            L0, L1 = leaves[:2]
+            triples = ((L1, L0, ch[1]), (L0, L1, ch[1]))[:2 if tok == "x" else 1]
+            entries.append((idx[(new_leaves[0],) + ch[1:]], j, label(*triples)))
+            continue
+        P, Q = leaves[i], leaves[i + 1]
+        sb, s_rows, s_cols = block((ch[i - 1], P, Q, ch[i + 1]))
+        tb, t_rows, t_cols = block((ch[i - 1], Q, P, ch[i + 1]))
+        col = s_cols.index(ch[i])
+        for tj, mt in enumerate(t_cols):
+            target = ch[:i] + (mt,) + ch[i + 1:]
+            if target in idx:
+                terms = tuple(((tb, tj, t_rows.index(w)), label((Q, P, w)), (sb, wi, col))
+                              for wi, w in enumerate(s_rows))
+                entries.append((idx[target], j, amps.setdefault(terms, len(amps))))
+    return (new_leaves, (len(idx), len(basis)), tuple(blocks), tuple(labels), tuple(amps),
+            np.array(entries, dtype=np.intp).reshape(-1, 3))
+
+
+def test_letter_plans_equal_the_per_column_plans():
+    # the plans visit each local vertex once; on the 4-qubit space a b-letter's
+    # 70 columns share 4 to 14 of them
+    n = 0
+    for leaves, tok, sign in _letter_cases():
+        if sign < 0:
+            continue
+        plan = braids._letter_plan(leaves, leaves[0], tok)
+        want = _per_column_plan(leaves, leaves[0], tok)
+        got = (plan.leaves, plan.shape, plan.f_args, plan.r_args, plan.amplitudes)
+        assert got == want[:5], (leaves, tok)
+        assert plan.entries.dtype == want[5].dtype
+        assert np.array_equal(plan.entries, want[5]), (leaves, tok)
+        n += 1
+    assert n == 3 + 4 + 4 + 5 + 9
 
 
 LETTER_ALPHAS = (Fraction(12, 5), Fraction(2003, 1000), Fraction(293, 100))

@@ -205,6 +205,27 @@ def test_deep_iteration_capped_without_extended():
         reichardt_iterate(P, W_WORD, k=5)
 
 
+@pytest.mark.parametrize("alpha", ["13/5", "37/14"])
+@pytest.mark.parametrize("extended", [False, True])
+def test_law_failure_names_the_alpha_condition(alpha, extended):
+    # D's ratio e^{i pi (3 + alpha)} is no primitive 10th root of unity here,
+    # so no precision makes the law hold
+    with pytest.raises(PrecisionExhausted) as err:
+        reichardt_iterate(ModelParams.from_string(alpha), W_WORD, k=2, extended=extended)
+    assert str(err.value).endswith(f"the law does not hold at alpha = {alpha}: it needs "
+                                   "5(3 + alpha) to be an odd integer prime to 5")
+
+
+def test_law_failure_asks_for_precision_where_the_law_holds():
+    with pytest.raises(PrecisionExhausted, match="; rerun with a larger dps$"):
+        reichardt_iterate(P, W_WORD, k=5, extended=True, dps=30)
+    # 14/5 is the other law alpha in (2, 3); without an exact alpha nothing is ruled out
+    with pytest.raises(PrecisionExhausted, match="; rerun with extended=True$"):
+        reichardt_iterate(ModelParams.from_string("14/5"), W_WORD, k=2)
+    with pytest.raises(PrecisionExhausted, match="; rerun with extended=True$"):
+        reichardt_iterate(ModelParams(2.6), W_WORD, k=2)
+
+
 
 def _free_reduce_oracle(word):
     """Free reduction on a stack of [generator, power] lists, written apart

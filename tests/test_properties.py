@@ -1,6 +1,7 @@
-"""Property tests over random alpha: F-move identities, the integer ends and
-double against mpmath precision; over random words: the search's rank text,
-w w^-1 = 1, double against mpmath precision and the fifth-power law.
+"""Property tests over random alpha: F-move identities, the integer ends,
+double against mpmath precision and the braid relations of the letters; over
+random words: the search's rank text, w w^-1 = 1, double against mpmath
+precision and the fifth-power law.
 
 Deterministic (derandomized, no example database) with fixed example counts.
 """
@@ -164,12 +165,65 @@ def test_float_words_match_mpmath(alpha, system_word):
         mm, mp_end = evaluate_word_open(p, leaves, w, ns=mp_namespace())
         exact = np.array(mm.tolist(), dtype=complex)
     assert mp_end == end
+    assert np.max(np.abs(m - exact)) <= _word_bound(p, leaves, w)
+
+
+def _word_bound(p, leaves, w):
+    """The float-word error bound: 1e-10 times the product of max(1, max|L|)
+    over the word's unit letters L."""
     scale, cur = 1.0, leaves
     for tok, pw in w.letters:
         for _ in range(abs(pw)):
             lm, cur = letter_matrix(p, cur, tok, 1 if pw > 0 else -1, ALPHA)
             scale *= max(1.0, np.max(np.abs(lm)))
-    assert np.max(np.abs(m - exact)) <= 1e-10 * scale
+    return 1e-10 * scale
+
+
+# the relations the search's x, b2 alphabet obeys on both leaf arrangements
+# of the control sector, and the braid relation of the sigma strands; each
+# reads the F and R rows that the letter plans assemble
+ARRANGEMENTS = [PSI_LEAVES, (ALPHA, SIGMA, PSI, SIGMA)]
+DELTA = BraidWord.parse("x b2 x b2")
+
+
+@PROPERTY
+@given(alpha=alphas, leaves=st.sampled_from(ARRANGEMENTS))
+def test_type_b_relation(alpha, leaves):
+    # x b2 x b2 = b2 x b2 x; both sides hold the same unit letters
+    p = ModelParams(alpha)
+    defect = np.abs(evaluate_word(p, leaves, DELTA)
+                    - evaluate_word(p, leaves, BraidWord.parse("b2 x b2 x")))
+    assert np.max(defect) <= _word_bound(p, leaves, DELTA)
+
+
+@PROPERTY
+@given(alpha=alphas, leaves=st.sampled_from(ARRANGEMENTS),
+       text=st.sampled_from(["b2 x b2", "b2^-1 x^-1 b2^-1"]))
+def test_y_and_its_inverse_are_diagonal(alpha, leaves, text):
+    p, y = ModelParams(alpha), BraidWord.parse(text)
+    m = evaluate_word(p, leaves, y)
+    assert np.max(np.abs(m - np.diag(np.diag(m)))) <= _word_bound(p, leaves, y)
+
+
+@PROPERTY
+@given(alpha=alphas, leaves=st.sampled_from(ARRANGEMENTS))
+def test_delta_is_a_scalar_on_each_block(alpha, leaves):
+    # on the blocks of basis vectors (0, 1) and (2, 3)
+    p = ModelParams(alpha)
+    m = evaluate_word(p, leaves, DELTA)
+    scalars = [np.trace(m[k:k + 2, k:k + 2]) / 2 for k in (0, 2)]
+    assert np.max(np.abs(m - np.diag(np.repeat(scalars, 2)))) <= _word_bound(p, leaves, DELTA)
+
+
+@PROPERTY
+@given(alpha=alphas, i=st.sampled_from([2, 3]))
+def test_sigma_strands_obey_the_braid_relation(alpha, i):
+    # b_i b_{i+1} b_i = b_{i+1} b_i b_{i+1} on a,s,s,s,s
+    p, leaves = ModelParams(alpha), (ALPHA,) + (SIGMA,) * 4
+    lhs = BraidWord.parse(f"b{i} b{i + 1} b{i}")
+    defect = np.abs(evaluate_word(p, leaves, lhs)
+                    - evaluate_word(p, leaves, BraidWord.parse(f"b{i + 1} b{i} b{i + 1}")))
+    assert np.max(defect) <= _word_bound(p, leaves, lhs)
 
 
 class _NoHits(dict):

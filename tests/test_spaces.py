@@ -1,6 +1,7 @@
 """Fusion-tree bases, metric signatures and qubit encodings."""
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from nss.anyon import bubble_pop, fuse
 from nss.errors import ModelError, UnsupportedTriple
 from nss.labels import parse_leaves
 from nss.spaces import (_computational_flag, _effective_qubits, _interval_signs,
-                        _label_sort_key, _space_plan, _tree_sort_key)
+                        _label_sort_key, _metric_signs, _space_plan, _tree_sort_key)
 
 RNG = np.random.default_rng(11)
 
@@ -148,6 +149,9 @@ def test_plan_built_space_matches_tree_oracle(leaves):
         space = IndefSpace.build(p, leaves)
         assert space.metric_signs.dtype == int
         assert list(space.metric_signs) == [tree_norm_sign(t, p) for t in basis]
+        # build reads its one row by the rule of the stacked path
+        row = _metric_signs(leaves, ALPHA, np.array([p.alpha]), p.tol)[0]
+        assert space.metric_signs.tobytes() == row.tobytes()
         assert list(space.computational_mask) == [_computational_flag(t) for t in basis]
         assert space.scale == abs(modified_dimension(p.alpha, p.tol))
 
@@ -353,6 +357,19 @@ def test_serialization_roundtrip():
     for t in trees:
         assert FusionTree.deserialize(t.serialize()) == t
     assert trees[0].serialize() == "(a,psi,s,s|a+2,a+1|a)"
+
+
+def test_tree_chain_is_cached_and_trees_compare_by_their_fields():
+    t = FusionTree((ALPHA, PSI, SIGMA, SIGMA), (ALPHA.shifted(2), ALPHA.shifted(1)), ALPHA)
+    fresh = FusionTree(t.leaves, t.internal, t.root)
+    pickles = [pickle.dumps(t, k) for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert t.chain is t.chain == (ALPHA, ALPHA.shifted(2), ALPHA.shifted(1), ALPHA)
+    # the cached chain is in no comparison, hash, repr or pickle
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    assert [pickle.dumps(t, k) for k in range(pickle.HIGHEST_PROTOCOL + 1)] == pickles
+    for data in pickles:
+        back = pickle.loads(data)
+        assert back == t and "chain" not in vars(back) and back.chain == t.chain
 
 
 # ---------------------------------------------------------------------------

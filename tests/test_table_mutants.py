@@ -89,8 +89,10 @@ MUTANTS = _mutants()
 
 
 def _clear_caches():
-    # the F plans hold B rows and the interval table holds bubble signs
+    # the F plans hold B rows, the F channels the F table's rows and the
+    # interval table bubble signs
     anyon._f_plan.cache_clear()
+    anyon.f_channels.cache_clear()
     spaces._interval_signs.cache_clear()
 
 
