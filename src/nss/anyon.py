@@ -379,7 +379,8 @@ def _inv_small(m: np.ndarray) -> np.ndarray:
 
 # every F family (b, c, d - a) for alpha-type a and d, as its rows, its
 # columns' shifts from a, its denominator's name (None: no denominator) and
-# its formula (x, Q = q^2x, q2 = q^2, ns) -> (denominator, unnormalized rows)
+# its formula (x, Q = q^2x, q2 = q^2, ns) -> (denominator, unnormalized rows);
+# the 1x1 families read neither q-power
 _F_TABLE = {
     (SIGMA, SIGMA, 0): ((VACUUM, PSI), (1, -1), "Ftilde[a,s,s;a]", lambda x, Q, q2, ns: (
         _sqrt2(ns) * (Q - 1),
@@ -469,13 +470,11 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
     what, formula, pops = _f_plan(b, c, d[1] - a[1])
     al, s, tol = alpha_in(params, ns), a[1], params.tol
     x = al + s
+    if not pops:  # the one-dimensional data are normalized and read no q-power
+        return FBlock(np.array(formula(x, None, None, ns)[1], dtype=ns.dtype), *channels)
     den, ft = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
-    ft = np.array(ft, dtype=ns.dtype)
-    if what is not None:
-        ft = ft / ns.guard(den, tol, what)
-    if not pops:
-        return FBlock(ft, *channels)  # the one-dimensional data are already normalized
-    out, _, _ = _f_normalised(ft, pops, al, s, tol, ns)
+    ft = np.array(ft, dtype=ns.dtype) / ns.guard(den, tol, what)
+    out, _, _ = _f_normalised(ft.tolist(), pops, al, s, tol, ns)
     return FBlock(np.array(out, dtype=ns.dtype), *channels)
 
 

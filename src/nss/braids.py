@@ -147,9 +147,11 @@ class _LetterPlan:
 @functools.lru_cache(maxsize=256)  # alpha-free and bounded; memo entries reference their plan
 def _letter_plan(leaves: tuple, charge: QLabel, tok: str) -> _LetterPlan:
     new_leaves, i = apply_letter_to_leaves(leaves, tok), _strand(tok)
-    basis = enumerate_basis(leaves, charge)
-    idx = {t.chain: k for k, t in enumerate(enumerate_basis(new_leaves, charge))}
-    blocks, labels, amps, entries = {}, {}, {}, []
+    basis, new_basis = enumerate_basis(leaves, charge), enumerate_basis(new_leaves, charge)
+    idx = {t.chain: k for k, t in enumerate(new_basis)}
+    # a letter that keeps the leaves keeps the basis: a chain it keeps stays in its column
+    same = new_basis is basis
+    blocks, labels, amps, entries = {}, {}, {}, []  # entries flat, three per nonzero
 
     def block(args):
         channels = f_channels(*args)
@@ -161,29 +163,31 @@ def _letter_plan(leaves: tuple, charge: QLabel, tok: str) -> _LetterPlan:
         return labels.setdefault(triples, len(labels))
 
     P, Q = leaves[i], leaves[i + 1]
-    vertices, amp_of = {}, {}  # by local vertex (ch[i-1], ch[i], ch[i+1]), as first met
+    vertices = {}  # by local vertex (ch[i-1], ch[i], ch[i+1]), as first met
     for j, tree in enumerate(basis):
         ch = tree.chain
         if tok in ("x", "h1"):  # the wrap of strand 2 around strand 1, or their half-exchange
             triples = ((Q, P, ch[1]), (P, Q, ch[1]))[:2 if tok == "x" else 1]
-            entries.append((idx[(new_leaves[0],) + ch[1:]], j, label(*triples)))
+            entries += (j if same else idx[(new_leaves[0],) + ch[1:]], j, label(*triples))
             continue
         # half-exchange of leaves i, i+1 via F^-1 R F at their vertex
         v = ch[i - 1:i + 2]
-        if v not in vertices:
+        vertex = vertices.get(v)
+        if vertex is None:
             src = block((ch[i - 1], P, Q, ch[i + 1]))
             tgt = block((ch[i - 1], Q, P, ch[i + 1]))
-            vertices[v] = src[:2] + (src[2].index(ch[i]),) + tgt
-        sb, s_rows, col, tb, t_rows, t_cols = vertices[v]
+            # with each target channel's amplitude, once one is kept
+            vertex = vertices[v] = src[:2] + (src[2].index(ch[i]),) + tgt + ([None] * len(tgt[2]),)
+        sb, s_rows, col, tb, t_rows, t_cols, amp_of = vertex
         for tj, mt in enumerate(t_cols):
-            row = idx.get(ch[:i] + (mt,) + ch[i + 1:])
+            row = j if same and mt == ch[i] else idx.get(ch[:i] + (mt,) + ch[i + 1:])
             if row is None:
                 continue
-            if (v, tj) not in amp_of:  # labelled where first kept, as a column loop would
+            if amp_of[tj] is None:  # labelled where first kept, as a column loop would
                 terms = tuple(((tb, tj, t_rows.index(w)), label((Q, P, w)), (sb, wi, col))
                               for wi, w in enumerate(s_rows))
-                amp_of[v, tj] = amps.setdefault(terms, len(amps))
-            entries.append((row, j, amp_of[v, tj]))
+                amp_of[tj] = amps.setdefault(terms, len(amps))
+            entries += (row, j, amp_of[tj])
     entries = np.array(entries, dtype=np.intp).reshape(-1, 3)
     entries.setflags(write=False)
     return _LetterPlan(new_leaves, (len(idx), len(basis)), tuple(blocks), tuple(labels),
@@ -221,9 +225,9 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
     plan = _letter_plan(leaves, charge, tok)
     symbols = {} if symbols is None else symbols
     for args in plan.f_args:
-        if args not in symbols:
+        if args not in symbols:  # as nested lists, whose entries are Python numbers
             blk = f_matrix(*args, params, ns)
-            symbols[args] = (blk.matrix, blk.inverse())
+            symbols[args] = (blk.matrix.tolist(), blk.inverse().tolist())
     phases = []
     for triples in plan.r_args:
         if sign < 0:
@@ -247,12 +251,12 @@ def _letter_stack(leaves, tok: str, alphas: np.ndarray, tol: float) -> np.ndarra
     """:func:`letter_matrix` of the positive unit letter ``tok`` at charge
     leaves[0] at each of an array of alphas, bit for bit, on a first axis.
     Its F blocks must be 2x2 families (:func:`anyon._f_blocks`).  Each element
-    takes letter_matrix's operations: R phases are Python numbers and each
-    amplitude term multiplies numpy complex scalars, in object arrays."""
+    takes letter_matrix's operations: R phases and block entries are Python
+    numbers, multiplied and summed in object arrays."""
     leaves = tuple(leaves)
     plan = _letter_plan(leaves, leaves[0], tok)
-    # (block, inverse) per F block, holding numpy complex scalars, alphas last
-    blocks = [[np.moveaxis(np.array(list(a.flat), dtype=object).reshape(a.shape), 0, -1)
+    # (block, inverse) per F block, holding Python complex, alphas last
+    blocks = [[np.moveaxis(np.array(a.tolist(), dtype=object), 0, -1)
                for a in _f_blocks(args, alphas, tol)[:2]] for args in plan.f_args]
     phases = [functools.reduce(operator.mul, [_symbol_stack("R", *args, alphas, tol)
                                               for args in triples])
@@ -263,15 +267,16 @@ def _letter_stack(leaves, tok: str, alphas: np.ndarray, tol: float) -> np.ndarra
 def _entry_values(plan: _LetterPlan, blocks, phases, dtype) -> np.ndarray:
     """The value at each row of ``plan.entries``, from the plan's (block,
     inverse) pairs and R phases: its amplitude, or its phase when the plan
-    has no F blocks.  Stacked inputs carry an alpha axis last, and so do the
-    values."""
+    has no F blocks.  Blocks are nested lists of Python numbers, whose * and
+    + round as numpy's complex scalars do; stacked inputs are object arrays
+    with an alpha axis last, and so are the values."""
     values = phases
     if plan.amplitudes:
         values = []
         for terms in plan.amplitudes:
             amp = 0
             for (tb, tj, wt), lab, (sb, wi, col) in terms:
-                amp = amp + blocks[tb][1][tj, wt] * phases[lab] * blocks[sb][0][wi, col]
+                amp = amp + blocks[tb][1][tj][wt] * phases[lab] * blocks[sb][0][wi][col]
             values.append(amp)
     return np.array(values, dtype)[plan.entries[:, 2]]
 

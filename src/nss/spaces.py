@@ -101,39 +101,40 @@ _BASIS_CACHE_SIZE = 256
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _space_plan(leaves: tuple, charge) -> _SpacePlan:
-    trees = _enumerate_trees(leaves, charge)
-    mask = np.array([_computational_flag(t) for t in trees], dtype=bool)
+    code = QubitCode.of(leaves, charge)
+    # (tree, computational flag); on a qubit register computational trees come first
+    flagged = sorted(((t, _computational_flag(t, code)) for t in _enumerate_trees(leaves, charge)),
+                     key=lambda tf: (code is not None and not tf[1], _tree_sort_key(tf[0])))
+    mask = np.array([f for _, f in flagged], dtype=bool)
     mask.setflags(write=False)
-    return _SpacePlan(trees, mask)
+    return _SpacePlan(tuple(t for t, _ in flagged), mask)
 
 
-def _enumerate_trees(leaves: tuple, charge) -> tuple[FusionTree, ...]:
+def _enumerate_trees(leaves: tuple, charge) -> list[FusionTree]:
+    """Every admissible left comb, unordered."""
     if len(leaves) == 0:
         raise EmptyBasis("no leaves")
     if len(leaves) == 1:
         if leaves[0] == charge:
-            return (FusionTree(leaves, (), charge),)
+            return [FusionTree(leaves, (), charge)]
         raise EmptyBasis(f"single leaf {leaves[0]} != charge {charge}")
     chains = []
+    outcomes = functools.lru_cache(maxsize=None)(anyon._outcomes)
 
     def extend(chain):
         i = len(chain)
         if i == len(leaves):
             if chain[-1] == charge:
-                chains.append(tuple(chain))
+                chains.append(chain)
             return
-        for c in anyon._outcomes(chain[-1], leaves[i]):
-            extend(chain + [c])
+        for c in outcomes(chain[-1], leaves[i]):
+            extend(chain + (c,))
 
-    extend([leaves[0]])
+    extend((leaves[0],))
     if not chains:
         raise EmptyBasis(f"no admissible labeling for {','.join(map(str, leaves))} "
                          f"at charge {charge}")
-    trees = [FusionTree(leaves, ch[1:-1], ch[-1]) for ch in chains]
-    code = QubitCode.of(leaves, charge)
-    trees.sort(key=lambda t: (code is not None and code.decode(t) is None,
-                              _tree_sort_key(t)))
-    return tuple(trees)
+    return [FusionTree(leaves, ch[1:-1], ch[-1]) for ch in chains]
 
 
 def _effective_qubits(leaves) -> int:
@@ -153,13 +154,28 @@ def tree_norm_sign(tree: FusionTree, params: ModelParams) -> int:
     (-1)^(n+1) where n is the total q-spin of the braided leaves (the form
     is flipped for an even number of qubits).
     """
-    ch = tree.chain
-    prod = 1.0
-    for i in range(1, len(tree.leaves)):
-        prod *= math.copysign(1.0, bubble_pop(ch[i - 1], tree.leaves[i], ch[i], params))
-    n = _effective_qubits(tree.leaves)
-    d = modified_dimension(tree.root.value(params.alpha), params.tol)
-    return int((-1) ** (n + 1) * math.copysign(1.0, d) * prod)
+    return _norm_signs((tree,), params)[0]
+
+
+def _norm_signs(basis, params: ModelParams) -> list[int]:
+    """:func:`tree_norm_sign` of each tree of one space, raising where the
+    first tree in order to raise would.  Each distinct vertex's bubble is
+    popped once, and the parity factor and the root's sign, which are the
+    same for every tree, once after the first tree's bubbles."""
+    signs, pops = [], {}
+    for tree in basis:
+        ch = tree.chain
+        prod = 1.0
+        for v in zip(ch, tree.leaves[1:], ch[1:]):
+            if v not in pops:
+                pops[v] = math.copysign(1.0, bubble_pop(*v, params))
+            prod *= pops[v]
+        if not signs:
+            n = _effective_qubits(tree.leaves)
+            d = modified_dimension(tree.root.value(params.alpha), params.tol)
+            common = (-1) ** (n + 1) * math.copysign(1.0, d)
+        signs.append(int(common * prod))
+    return signs
 
 
 # Every bubble row and the modified dimension is a quotient of sines, cosines
@@ -176,8 +192,7 @@ _TABLE_RADIUS = 1e-4
 @functools.lru_cache(maxsize=8 * _BASIS_CACHE_SIZE)
 def _interval_signs(leaves: tuple, charge, residue: int) -> np.ndarray:
     """Metric signs on every alpha with floor(alpha) = residue mod 8, read-only."""
-    mid = ModelParams(residue + 0.5)
-    signs = np.array([tree_norm_sign(t, mid) for t in _space_plan(leaves, charge).basis],
+    signs = np.array(_norm_signs(_space_plan(leaves, charge).basis, ModelParams(residue + 0.5)),
                      dtype=int)
     signs.setflags(write=False)
     return signs
@@ -194,8 +209,7 @@ def _metric_signs(leaves: tuple, charge, alphas: np.ndarray, tol: float) -> np.n
     for r in dict.fromkeys(residues[~near].tolist()):
         out[~near & (residues == r)] = _interval_signs(leaves, charge, int(r))
     for k in np.flatnonzero(near):
-        p = ModelParams(float(alphas[k]), tol)
-        out[k] = [tree_norm_sign(t, p) for t in basis]
+        out[k] = _norm_signs(basis, ModelParams(float(alphas[k]), tol))
     return out
 
 
@@ -226,7 +240,7 @@ class IndefSpace:
         # _metric_signs' rule at one alpha, into an array the space owns
         al, tol = params.alpha, params.tol
         if abs(al - round(al)) <= max(tol, _TABLE_RADIUS):
-            signs = np.array([tree_norm_sign(t, params) for t in plan.basis], dtype=int)
+            signs = np.array(_norm_signs(plan.basis, params), dtype=int)
         else:
             signs = _interval_signs(leaves, charge, math.floor(al) % 8).copy()
         d = modified_dimension(charge.value(params.alpha), params.tol)
@@ -242,8 +256,8 @@ class IndefSpace:
         return np.diag(self.metric_signs.astype(float))
 
 
-def _computational_flag(tree: FusionTree) -> bool:
-    code = QubitCode.of(tree.leaves, tree.root)
+def _computational_flag(tree: FusionTree, code: "QubitCode | None") -> bool:
+    """Whether ``tree`` is computational; ``code`` is QubitCode.of its leaves and root."""
     if code is not None:
         return code.decode(tree) is not None
     # control sector (b, psi, s, s) at charge b: computational trees keep the

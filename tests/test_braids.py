@@ -1,6 +1,8 @@
 """Braid-engine tests: closed forms, relations, blocks, orders."""
 import cmath
+import functools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -683,6 +685,98 @@ def test_mp_letters_equal_to_oracle(alpha):
             want, want_out = _oracle_letter(p, leaves, tok, sign, mp_namespace())
             assert out == want_out and m.shape == want.shape
             assert all(a == b for a, b in zip(m.ravel(), want.ravel())), (leaves, tok, sign)
+
+
+# ---------------------------------------------------------------------------
+# letter values against amplitudes formed from numpy scalars
+# ---------------------------------------------------------------------------
+
+def _numpy_scalar_entry_values(plan, blocks, phases, dtype):
+    """The values at plan.entries with each amplitude term read from the 2-D
+    (block, inverse) arrays, multiplying and summing their numpy scalars."""
+    values = phases
+    if plan.amplitudes:
+        values = []
+        for terms in plan.amplitudes:
+            amp = 0
+            for (tb, tj, wt), lab, (sb, wi, col) in terms:
+                amp = amp + blocks[tb][1][tj, wt] * phases[lab] * blocks[sb][0][wi, col]
+            values.append(amp)
+    return np.array(values, dtype)[plan.entries[:, 2]]
+
+
+def _numpy_scalar_letter(params, leaves, tok, sign, ns):
+    """letter_matrix's matrix, from the same plan, F blocks and R symbols,
+    with the F blocks kept as arrays."""
+    plan = braids._letter_plan(leaves, leaves[0], tok)
+    blocks = []
+    for args in plan.f_args:
+        blk = f_matrix(*args, params, ns)
+        blocks.append((blk.matrix, blk.inverse()))
+    phases = []
+    for triples in plan.r_args:
+        if sign < 0:
+            triples = tuple((a, b, c) for b, a, c in reversed(triples))
+        ph = functools.reduce(operator.mul, [r_symbol(*args, params, ns) for args in triples])
+        phases.append(1 / ph if sign < 0 else ph)
+    m = np.zeros(plan.shape, dtype=ns.dtype)
+    m[plan.entries[:, 0], plan.entries[:, 1]] = _numpy_scalar_entry_values(
+        plan, blocks, phases, ns.dtype)
+    return m
+
+
+# both ends of the bench's alpha range and 20 seeded alphas in (2, 3)
+ORACLE_ALPHAS = (2.001, 2.999) + tuple(np.random.default_rng(41).uniform(2, 3, 20).tolist())
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_float_letters_match_numpy_scalar_amplitudes_bit_for_bit(alpha):
+    # every letter and sign on a,s,s, both arrangements of a,psi,s,s, a,s^4
+    # and a,s^8: Python-number amplitudes round as numpy's scalars do
+    p = ModelParams(alpha)
+    n = 0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(braids, "_LETTER_MEMO", {})
+        symbols = {}
+        for leaves, tok, sign in _letter_cases():
+            got = letter_matrix(p, leaves, tok, sign, symbols=symbols)[0]
+            want = _numpy_scalar_letter(p, leaves, tok, sign, FLOAT_NS)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (leaves, tok, sign)
+            n += 1
+    assert n == 2 * (3 + 4 + 4 + 5 + 9)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2001, 1000), Fraction(12, 5), Fraction(2999, 1000)],
+                         ids=str)
+def test_mp_letters_match_numpy_scalar_amplitudes(alpha):
+    p = ModelParams(float(alpha), exact=alpha)
+    with mpmath.workdps(50):
+        ns = mp_namespace()
+        symbols = {}
+        for leaves, tok, sign in _letter_cases():
+            got = letter_matrix(p, leaves, tok, sign, ns=ns, symbols=symbols)[0]
+            want = _numpy_scalar_letter(p, leaves, tok, sign, mp_namespace())
+            assert got.shape == want.shape
+            assert all(a == b for a, b in zip(got.ravel(), want.ravel())), (leaves, tok, sign)
+
+
+def test_letter_stack_matches_the_scalar_letters_bit_for_bit():
+    # every positive letter whose F blocks are all 2x2 families (the ones
+    # _letter_stack takes), at the oracle alphas
+    alphas = np.array(ORACLE_ALPHAS)
+    n = 0
+    for leaves, tok, sign in _letter_cases():
+        plan = braids._letter_plan(leaves, leaves[0], tok)
+        if sign < 0 or any(len(f_channels(*args)[0]) != 2 for args in plan.f_args):
+            continue
+        stack = braids._letter_stack(leaves, tok, alphas, 1e-10)
+        assert stack.shape == (len(alphas),) + plan.shape
+        for al, m in zip(ORACLE_ALPHAS, stack):
+            want = letter_matrix(ModelParams(al), leaves, tok, 1)[0]
+            assert m.tobytes() == want.tobytes(), (leaves, tok, al)
+        n += 1
+    assert n == 14
 
 
 def test_mp_word_evaluates_each_f_block_once(monkeypatch):

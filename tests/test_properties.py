@@ -22,8 +22,8 @@ from nss import (ALPHA, PSI, SIGMA, BraidWord, IntegerAlpha, ModelParams,  # noq
 from nss import braids  # noqa: E402
 from nss.braids import evaluate_word_open, letter_matrix  # noqa: E402
 from nss.anyon import _B_TABLE, _F_FAMILIES, _R_TABLE, mp_namespace  # noqa: E402
-from nss.gates import (PSI_LEAVES, _syllables, _word_text,  # noqa: E402
-                       leakage_norms, reichardt_iterate)
+from nss.gates import (PSI_LEAVES, VAC_LEAVES, _syllables, _word_text,  # noqa: E402
+                       leakage_norms, reichardt_iterate, vacuum_sector_matrix)
 
 FAMILIES_2X2 = [f for f in _F_FAMILIES if f_matrix(*f, ModelParams(2.4)).matrix.shape == (2, 2)]
 PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -224,6 +224,33 @@ def test_sigma_strands_obey_the_braid_relation(alpha, i):
     defect = np.abs(evaluate_word(p, leaves, lhs)
                     - evaluate_word(p, leaves, BraidWord.parse(f"b{i + 1} b{i} b{i + 1}")))
     assert np.max(defect) <= _word_bound(p, leaves, lhs)
+
+
+@st.composite
+def closed_search_words(draw, max_syllables=8):
+    """A word over the search alphabet whose total b2 power is even, so that
+    it closes on the control sector and on its vacuum channel."""
+    letters = draw(st.lists(st.sampled_from(_syllables(2)), min_size=1, max_size=max_syllables))
+    assume(sum(pw for tok, pw in letters if tok == "b2") % 2 == 0)
+    return BraidWord.from_letters(letters)
+
+
+@PROPERTY
+@given(alpha=st.floats(2.05, 2.95), word=closed_search_words())
+def test_vacuum_action_is_a_power_of_the_vacuum_action_of_y(alpha, word):
+    # on the vacuum channel (a, 1, s, s) only an x after an odd running b2
+    # power acts, as X_v, the vacuum action of y = b2 x b2; so a word acts
+    # as X_v^m with m the sum of those x powers
+    p = ModelParams(alpha)
+    run = m = 0
+    for tok, pw in word.letters:
+        if tok == "b2":
+            run += pw
+        elif run % 2:
+            m += pw
+    xv = vacuum_sector_matrix(p, BraidWord.parse("b2 x b2"))
+    defect = np.abs(vacuum_sector_matrix(p, word) - np.linalg.matrix_power(xv, m))
+    assert np.max(defect) <= _word_bound(p, VAC_LEAVES, word)
 
 
 class _NoHits(dict):

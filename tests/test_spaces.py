@@ -10,7 +10,7 @@ from nss import (ALPHA, PSI, SIGMA, VACUUM, EmptyBasis, FusionTree, IndefSpace,
                  ModelParams, QubitCode, control_basis_transform,
                  enumerate_basis, f_matrix, modified_dimension, qubit_space,
                  tree_norm_sign)
-from nss import anyon
+from nss import anyon, spaces
 from nss.anyon import bubble_pop, fuse
 from nss.errors import ModelError, UnsupportedTriple
 from nss.labels import parse_leaves
@@ -152,7 +152,8 @@ def test_plan_built_space_matches_tree_oracle(leaves):
         # build reads its one row by the rule of the stacked path
         row = _metric_signs(leaves, ALPHA, np.array([p.alpha]), p.tol)[0]
         assert space.metric_signs.tobytes() == row.tobytes()
-        assert list(space.computational_mask) == [_computational_flag(t) for t in basis]
+        code = QubitCode.of(leaves, ALPHA)
+        assert list(space.computational_mask) == [_computational_flag(t, code) for t in basis]
         assert space.scale == abs(modified_dimension(p.alpha, p.tol))
 
 
@@ -205,6 +206,96 @@ def test_interval_signs_follow_the_b_rows(monkeypatch):
         assert mutant != before[inside]
         assert list(IndefSpace.build(inside, leaves).metric_signs) == mutant
         assert list(IndefSpace.build(outside, leaves).metric_signs) == before[outside]
+    finally:
+        monkeypatch.undo()
+        _interval_signs.cache_clear()
+
+
+def _oracle_norm_sign(tree, params):
+    """A tree's norm sign computed on its own: each vertex's bubble in
+    order, then the parity factor and the root's sign."""
+    ch = tree.chain
+    prod = 1.0
+    for i in range(1, len(tree.leaves)):
+        prod *= math.copysign(1.0, bubble_pop(ch[i - 1], tree.leaves[i], ch[i], params))
+    n = _effective_qubits(tree.leaves)
+    d = modified_dimension(tree.root.value(params.alpha), params.tol)
+    return int((-1) ** (n + 1) * math.copysign(1.0, d) * prod)
+
+
+@pytest.mark.parametrize("leaves", ["a", "a,s,s", "a,s,s,s,s", "a,s,s,s,s,s,s",
+                                    "a,s,s,s,s,s,s,s,s", "a,psi,s,s", "a,s,psi,s"])
+def test_interval_rows_equal_the_tree_by_tree_signs(leaves):
+    leaves = parse_leaves(leaves)
+    basis = enumerate_basis(leaves, ALPHA)
+    for r in range(8):
+        mid = ModelParams(r + 0.5)
+        want = [_oracle_norm_sign(t, mid) for t in basis]
+        assert [tree_norm_sign(t, mid) for t in basis] == want
+        assert list(_interval_signs(leaves, ALPHA, r)) == want, r
+
+
+def test_interval_row_pops_each_distinct_bubble_once(monkeypatch):
+    # the 70 trees of a,s^8 meet 16 distinct (a, b, c) vertices
+    popped = []
+
+    def counting(*args, **kwargs):
+        popped.append(args[:3])
+        return bubble_pop(*args, **kwargs)
+
+    leaves = QubitCode(4).leaves
+    _interval_signs.cache_clear()
+    try:
+        monkeypatch.setattr(spaces, "bubble_pop", counting)
+        row = _interval_signs(leaves, ALPHA, 2)
+    finally:
+        monkeypatch.undo()
+        _interval_signs.cache_clear()
+    assert len(row) == 70 and len(popped) == len(set(popped)) <= 16
+    assert list(row) == [_oracle_norm_sign(t, ModelParams(2.5)) for t in enumerate_basis(leaves, ALPHA)]
+
+
+def test_four_qubit_order_and_mask_equal_a_decode_sort():
+    # computational trees first, each part by _tree_sort_key, and the mask
+    # marks the trees that decode (the register grid below stops at 3 qubits)
+    code = QubitCode(4)
+    plan = _space_plan(code.leaves, ALPHA)
+    want = sorted(reversed(plan.basis), key=lambda t: (code.decode(t) is None, _tree_sort_key(t)))
+    assert plan.basis == tuple(want) and len(want) == 70
+    assert list(plan.computational_mask) == [code.decode(t) is not None for t in want]
+    assert sum(plan.computational_mask) == 16
+
+
+# (B row taken out of the table or None, leaves, charge, the error's message);
+# the failing vertex sits on the first tree that meets it, which is not
+# always the first tree, and a non-integer q-spin is reported after the
+# first tree's bubbles
+_SIGN_ERRORS = [
+    ((ALPHA, SIGMA, ALPHA.shifted(-1)), "a,s,s,s,s", ALPHA, "B[a+1,s;a] not tabulated"),
+    ((ALPHA, SIGMA, ALPHA.shifted(1)), "a,psi,s,s", ALPHA, "B[a,s;a+1] not tabulated"),
+    ((ALPHA, PSI, ALPHA.shifted(-2)), "a,psi,s,s", ALPHA, "B[a,psi;a-2] not tabulated"),
+    ((ALPHA, PSI, ALPHA.shifted(-2)), "a,s,psi,s", ALPHA, "B[a+1,psi;a-1] not tabulated"),
+    (None, "a,s", ALPHA.shifted(1), "metric convention needs integer total q-spin"),
+    (None, "a,s,s,s", ALPHA.shifted(1), "metric convention needs integer total q-spin"),
+    ((ALPHA, PSI, ALPHA.shifted(-2)), "a,psi,s", ALPHA.shifted(1),
+     "metric convention needs integer total q-spin"),
+]
+
+
+@pytest.mark.parametrize("row, leaves, charge, message", _SIGN_ERRORS)
+def test_sign_errors_match_the_tree_by_tree_signs(monkeypatch, row, leaves, charge, message):
+    table = {k: v for k, v in anyon._B_TABLE.items() if k != row}
+    leaves = parse_leaves(leaves)
+    basis = enumerate_basis(leaves, charge)
+    _interval_signs.cache_clear()
+    try:
+        monkeypatch.setattr(anyon, "_B_INDEX", anyon._kind_index(table))
+        # an interval row, and signs taken tree by tree near an integer
+        for p in (ModelParams(2.4), ModelParams(3 + 1e-5)):
+            want = _signs_or_error(lambda: [_oracle_norm_sign(t, p) for t in basis])
+            assert want == (UnsupportedTriple, message)
+            assert _signs_or_error(lambda: IndefSpace.build(p, leaves, charge)) == want
+            assert _signs_or_error(lambda: [tree_norm_sign(t, p) for t in basis]) == want
     finally:
         monkeypatch.undo()
         _interval_signs.cache_clear()
