@@ -78,8 +78,9 @@ FLOAT_NS = SimpleNamespace(
 
 
 def mp_namespace():
-    """An mpmath namespace mirroring :data:`FLOAT_NS`, its elementary functions
-    memoised in caches it owns; callers set the precision."""
+    """:data:`FLOAT_NS` over mpmath numbers, its elementary functions memoised
+    in caches it owns and its guard and sign functions shared; callers set the
+    precision."""
     import mpmath as mp
     from fractions import Fraction
 
@@ -93,21 +94,18 @@ def mp_namespace():
         cached = functools.cache(lambda prec, kind, z: fn(z))
         return lambda z: cached(mp.mp.prec, type(z), z)
 
-    return SimpleNamespace(
-        pi=mp.pi,
-        sin=memoised(mp.sin),
-        cos=memoised(mp.cos),
-        tan=memoised(mp.tan),
-        sqrt=memoised(lambda z: mp.sqrt(mp.mpc(z))),
-        exp=memoised(lambda z: mp.exp(mp.mpc(z))),
-        one=mp.mpf(1),
-        i=mp.mpc(0, 1),
-        dtype=object,
-        number=number,
-        guard=_guard,
-        s_sign=s_sign,
-        t_sign=t_sign,
-    )
+    return SimpleNamespace(**{
+        **vars(FLOAT_NS),
+        "pi": mp.pi,
+        "sin": memoised(mp.sin),
+        "cos": memoised(mp.cos),
+        "tan": memoised(mp.tan),
+        "sqrt": memoised(lambda z: mp.sqrt(mp.mpc(z))),
+        "exp": memoised(lambda z: mp.exp(mp.mpc(z))),
+        "one": mp.mpf(1),
+        "i": mp.mpc(0, 1),
+        "dtype": object,
+        "number": number})
 
 
 def _guard_min(den, tol, what):
@@ -173,8 +171,10 @@ def fuse(a: QLabel, b: QLabel) -> tuple[QLabel, ...]:
     raise UnsupportedPair(f"{a} x {b} not tabulated")
 
 
+@functools.lru_cache(maxsize=None)
 def _outcomes(a: QLabel, b: QLabel) -> tuple[QLabel, ...]:
-    """Fusion outcomes of a x b, or () when the pair is not tabulated."""
+    """Fusion outcomes of a x b, or () when the pair is not tabulated; each
+    pair's outcomes are found once per process."""
     try:
         return fuse(a, b)
     except UnsupportedPair:
@@ -467,23 +467,29 @@ def f_matrix(a: QLabel, b: QLabel, c: QLabel, d: QLabel,
         raise UnsupportedFamily(f"F[{a},{b},{c};{d}] not tabulated")
     if VACUUM in (a, b, c):
         return FBlock(np.array([[ns.one + 0 * ns.i]], dtype=ns.dtype), *channels)
-    what, formula, pops = _f_plan(b, c, d[1] - a[1])
-    al, s, tol = alpha_in(params, ns), a[1], params.tol
-    x = al + s
-    if not pops:  # the one-dimensional data are normalized and read no q-power
-        return FBlock(np.array(formula(x, None, None, ns)[1], dtype=ns.dtype), *channels)
-    den, ft = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
-    ft = np.array(ft, dtype=ns.dtype) / ns.guard(den, tol, what)
-    out, _, _ = _f_normalised(ft.tolist(), pops, al, s, tol, ns)
+    out, _, _ = _f_formula(a, b, c, d, alpha_in(params, ns), params.tol, ns)
     return FBlock(np.array(out, dtype=ns.dtype), *channels)
 
 
-def _f_normalised(ft, pops, al, s, tol, ns):
-    """(rows, nums, dens): entry (n, m) of ft times nums[n] / dens[m], each
-    the product of two of the plan's bubble roots."""
+def _f_formula(a, b, c, d, al, tol, ns):
+    """The tabulated F[a,b,c;d] at alpha ``al`` as (rows, nums, dens): for a
+    2x2 block, the family's rows divided in numpy by the guarded denominator,
+    then entry (n, m) times nums[n] / dens[m], each the product of two of the
+    plan's bubble roots.  A number ``al`` gives lists of numbers; an object
+    array of alphas on :data:`_ARRAY_NS` gives object arrays."""
+    what, formula, pops = _f_plan(b, c, d[1] - a[1])
+    s = a[1]
+    x = al + s
+    if not pops:  # the one-dimensional data are normalized and read no q-power
+        return formula(x, None, None, ns)[1], (), ()
+    den, ft = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
+    ft, den = np.array(ft, dtype=ns.dtype), ns.guard(den, tol, what)
+    # numpy's complex divide sets the bits; the entries are then Python numbers again
+    ft = (ft / den).tolist() if ft.ndim == 2 else (ft / den.astype(complex)).astype(object)
     r = [ns.sqrt(row(al + (s + k), ns, tol)) for row, k in pops]
-    nums, dens = (r[0] * r[1], r[6] * r[7]), (r[2] * r[3], r[4] * r[5])
-    return [[nu / de * f for de, f in zip(dens, row)] for nu, row in zip(nums, ft)], nums, dens
+    n0, n1, d0, d1 = r[0] * r[1], r[6] * r[7], r[2] * r[3], r[4] * r[5]
+    (f00, f01), (f10, f11) = ft
+    return [[n0 / d0 * f00, n0 / d1 * f01], [n1 / d0 * f10, n1 / d1 * f11]], (n0, n1), (d0, d1)
 
 
 def _f_blocks(family, alphas: np.ndarray, tol: float):
@@ -491,10 +497,11 @@ def _f_blocks(family, alphas: np.ndarray, tol: float):
     alphas, bit for bit, with :meth:`FBlock.inverse` and the metric signs of
     the two tree shapes, as three arrays stacked on a first axis.
 
-    The formulas run on object arrays of Python numbers, so every operation
-    is the one the scalar path makes; only where that path uses numpy's
-    complex divide (the block by its denominator, the inverse by its
-    determinant) does this one divide complex128 arrays.
+    It runs f_matrix's formula step (:func:`_f_formula`) on object arrays of
+    Python numbers, so every operation is the one the scalar path makes;
+    only where that path uses numpy's complex divide (the block by its
+    denominator, the inverse by its determinant) does this one divide
+    complex128 arrays.
 
     ``signs[k, 0]`` are the rows' and ``signs[k, 1]`` the columns' signs.
     Each row numerator and column denominator is a product of principal
@@ -503,13 +510,7 @@ def _f_blocks(family, alphas: np.ndarray, tol: float):
     fires at any alpha raises; the error scalar calls in alpha order would
     meet first may be another one.
     """
-    a, b, c, d = family
-    what, formula, pops = _f_plan(b, c, d[1] - a[1])
-    ns, s, al = _ARRAY_NS, a[1], alphas.astype(object)
-    x = al + s
-    den, ft = formula(x, q_power(2 * x, ns), q_power(2, ns), ns)
-    ft = np.array(ft, dtype=complex) / ns.guard(den, tol, what).astype(complex)
-    out, nums, dens = _f_normalised(ft.astype(object), pops, al, s, tol, ns)
+    out, nums, dens = _f_formula(*family, alphas.astype(object), tol, _ARRAY_NS)
     m = np.array(out, dtype=complex)
     det = (out[0][0] * out[1][1] - out[0][1] * out[1][0]).astype(complex)
     inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
@@ -557,13 +558,12 @@ def _pentagon_instances():
     """(a, b, c, d, e, p, m, l, r) for every instance the sweep considers."""
     pool_a = [ALPHA.shifted(s) for s in (-1, 0, 1)] + [VACUUM, SIGMA, PSI]
     pool_bcd = [VACUUM, SIGMA, PSI]
-    outcomes = functools.lru_cache(maxsize=None)(_outcomes)
     for a, b, c, d in itertools.product(pool_a, pool_bcd, pool_bcd, pool_bcd):
-        for p in outcomes(a, b):
-            for m in outcomes(p, c):
-                for e in outcomes(m, d):
-                    for l in outcomes(c, d):
-                        for r in outcomes(b, l):
+        for p in _outcomes(a, b):
+            for m in _outcomes(p, c):
+                for e in _outcomes(m, d):
+                    for l in _outcomes(c, d):
+                        for r in _outcomes(b, l):
                             yield a, b, c, d, e, p, m, l, r
 
 
@@ -576,20 +576,18 @@ def _pentagon_plan():
     holds the same symbols as the right side's one nonzero product; it then
     holds for any F values.  An instance that holds only for particular
     values raises ModelError."""
-    channels = {}  # family -> (rows, cols), or None when untabulated
     reasons = {}
     skipped = verified = vacuum_free = 0
 
     def get(fam):
-        if fam not in channels:
-            channels[fam] = f_channels(*fam) or (((), ()) if VACUUM in fam[:3] else None)
-        return channels[fam]
+        """(rows, cols) of a family, ((), ()) for an excluded vacuum leg, None when untabulated."""
+        return f_channels(*fam) or (((), ()) if VACUUM in fam[:3] else None)
 
     def product(*entries):
         """The symbols of a product of (family, n, m) entries, sorted, or None for 0."""
         symbols = []
         for fam, n, m in entries:
-            rows, cols = channels[fam]
+            rows, cols = get(fam)
             if n not in rows or m not in cols:
                 return None
             if VACUUM not in fam[:3]:

@@ -26,7 +26,7 @@ from .anyon import (_ARRAY_NS, _COMPUTATIONAL_TRIPLES, FLOAT_NS, _f_blocks, _sym
                     computational_bubbles, f_channels, f_matrix, q_power, r_symbol)
 from .errors import LeakyPermutation, NotBlockDiagonal, UnsupportedFamily
 from .labels import ModelParams, QLabel
-from .spaces import IndefSpace, enumerate_basis
+from .spaces import IndefSpace, _system, enumerate_basis
 
 # global phases making the single-qubit generator matrices special unitary
 SPECIAL_UNITARY_PHASES = {
@@ -213,9 +213,7 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
     memoized as their plan and nonzero values in a bounded memo; readers take
     one ``get`` and writers hold a lock, so concurrent callers are safe.
     """
-    leaves = tuple(leaves)
-    if charge is None:
-        charge = leaves[0]
+    leaves, charge = _system(leaves, charge)
     cacheable = ns is FLOAT_NS
     key = (params, leaves, charge, tok, sign)
     if cacheable:
@@ -248,13 +246,12 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
 
 
 def _letter_stack(leaves, tok: str, alphas: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`letter_matrix` of the positive unit letter ``tok`` at charge
-    leaves[0] at each of an array of alphas, bit for bit, on a first axis.
+    """:func:`letter_matrix` of the positive unit letter ``tok`` at the
+    default charge at each of an array of alphas, bit for bit, on a first axis.
     Its F blocks must be 2x2 families (:func:`anyon._f_blocks`).  Each element
     takes letter_matrix's operations: R phases and block entries are Python
     numbers, multiplied and summed in object arrays."""
-    leaves = tuple(leaves)
-    plan = _letter_plan(leaves, leaves[0], tok)
+    plan = _letter_plan(*_system(leaves), tok)
     # (block, inverse) per F block, holding Python complex, alphas last
     blocks = [[np.moveaxis(np.array(a.tolist(), dtype=object), 0, -1)
                for a in _f_blocks(args, alphas, tol)[:2]] for args in plan.f_args]
@@ -328,9 +325,7 @@ def evaluate_word_open(params: ModelParams, leaves, word: BraidWord,
     if units > _MAX_UNIT_LETTERS:
         raise ValueError(f"word has {units} unit letters, more than the "
                          f"{_MAX_UNIT_LETTERS} a word may have")
-    leaves = tuple(leaves)
-    if charge is None:
-        charge = leaves[0]
+    leaves, charge = _system(leaves, charge)
     dim = len(enumerate_basis(leaves, charge))  # an empty basis raises before any letter
     cur, m = leaves, None
     symbols = {}  # this call's F blocks and R symbols, by argument tuple
@@ -495,24 +490,18 @@ def two_qubit_block_form(params: ModelParams, gen: str) -> np.ndarray:
     x1 = wrap_closed_form(params)
     b1 = exchange_closed_form(params)
     out = np.zeros((6, 6), dtype=complex)
-
-    def first_qubit(u):
-        return np.kron(np.eye(2), u)   # first-qubit bit varies fastest
-
-    def second_qubit(u):
-        return np.kron(u, np.eye(2))
-
+    # the first qubit's bit varies fastest: np.kron(np.eye(2), u) acts on it
     if gen == "x":
-        out[:4, :4] = first_qubit(x1)
+        out[:4, :4] = np.kron(np.eye(2), x1)
         out[4:, 4:] = x1
     elif gen == "b2":
-        out[:4, :4] = first_qubit(b1)
+        out[:4, :4] = np.kron(np.eye(2), b1)
         out[4:, 4:] = q_power(0.5) * np.eye(2)
     elif gen == "b4":
-        out[:4, :4] = second_qubit(b1)
+        out[:4, :4] = np.kron(b1, np.eye(2))
         out[4:, 4:] = q_power(0.5) * np.eye(2)
     elif gen == "j4":
-        out[:4, :4] = second_qubit(x1)
+        out[:4, :4] = np.kron(x1, np.eye(2))
         out[4:, 4:] = np.diag([q_power(1 - al), q_power(1 + al)])
     else:
         raise ValueError(f"no closed block form for {gen!r}")

@@ -76,8 +76,8 @@ def _cmd_model(args) -> int:
 def _cmd_space(args) -> int:
     params = _params(args)
     leaves = parse_leaves(args.leaves)
-    charge = parse_label(args.charge) if args.charge else leaves[0]
-    space = IndefSpace.build(params, leaves, charge)
+    space = IndefSpace.build(params, leaves, parse_label(args.charge) if args.charge else None)
+    charge = space.charge
     payload = {
         "alpha": params.alpha,
         "leaves": [str(l) for l in leaves],
@@ -106,10 +106,10 @@ def _cmd_space(args) -> int:
 def _cmd_braid(args) -> int:
     params = _params(args)
     leaves = parse_leaves(args.system)
-    charge = parse_label(args.charge) if args.charge else leaves[0]
+    charge = parse_label(args.charge) if args.charge else None
     word = BraidWord.parse(args.word)
     space = IndefSpace.build(params, leaves, charge)
-    m = evaluate_word(params, leaves, word, charge=charge)
+    m = evaluate_word(params, leaves, word, charge=space.charge)
     payload = {
         "alpha": params.alpha,
         "system": [str(l) for l in leaves],
@@ -118,7 +118,7 @@ def _cmd_braid(args) -> int:
         "pseudo_unitarity_defect": pseudo_unitarity_defect(m, space),
         "det_modulus": float(abs(np.linalg.det(np.asarray(m, dtype=complex)))),
     }
-    if (leaves, charge) == (gates.PSI_LEAVES, ALPHA):
+    if (leaves, space.charge) == (gates.PSI_LEAVES, ALPHA):
         su2, su11 = gates.leakage_norms(m)
         payload["leakage"] = {"su2": su2, "su11": su11}
     _emit(args, payload)
@@ -127,7 +127,7 @@ def _cmd_braid(args) -> int:
 
 def _cmd_reichardt(args) -> int:
     params = _params(args)
-    word = BraidWord.parse(args.word) if args.word else gates.W_WORD
+    word = gates.W_WORD if args.word is None else BraidWord.parse(args.word)
     reports = gates.reichardt_iterate(params, word, k=args.k,
                                       extended=args.extended, dps=args.dps)
     rows = [r.as_dict() for r in reports]

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import anyon
-from .anyon import bubble_pop, f_matrix, modified_dimension
+from .anyon import _outcomes, bubble_pop, f_matrix, modified_dimension
 from .errors import EmptyBasis, UnsupportedTriple
 from .labels import ALPHA, PSI, SIGMA, VACUUM, ModelParams, QLabel, parse_label
 
@@ -62,6 +61,12 @@ class FusionTree:
         leaves = tuple(parse_label(t) for t in parts[0].split(",") if t.strip())
         inner = tuple(parse_label(t) for t in parts[1].split(",") if t.strip())
         return cls(leaves, inner, parse_label(parts[2]))
+
+
+def _system(leaves, charge=None) -> tuple[tuple[QLabel, ...], QLabel]:
+    """(leaves as a tuple, total charge): the charge defaults to the first leaf."""
+    leaves = tuple(leaves)
+    return leaves, leaves[0] if charge is None else charge
 
 
 def _label_sort_key(label: QLabel):
@@ -119,7 +124,6 @@ def _enumerate_trees(leaves: tuple, charge) -> list[FusionTree]:
             return [FusionTree(leaves, (), charge)]
         raise EmptyBasis(f"single leaf {leaves[0]} != charge {charge}")
     chains = []
-    outcomes = functools.lru_cache(maxsize=None)(anyon._outcomes)
 
     def extend(chain):
         i = len(chain)
@@ -127,7 +131,7 @@ def _enumerate_trees(leaves: tuple, charge) -> list[FusionTree]:
             if chain[-1] == charge:
                 chains.append(chain)
             return
-        for c in outcomes(chain[-1], leaves[i]):
+        for c in _outcomes(chain[-1], leaves[i]):
             extend(chain + (c,))
 
     extend((leaves[0],))
@@ -231,9 +235,7 @@ class IndefSpace:
 
     @classmethod
     def build(cls, params: ModelParams, leaves, charge=None) -> "IndefSpace":
-        leaves = tuple(leaves)
-        if charge is None:
-            charge = leaves[0]
+        leaves, charge = _system(leaves, charge)
         if not charge.is_alpha:
             raise UnsupportedTriple("metric is defined for alpha-type total charge")
         plan = _space_plan(leaves, charge)

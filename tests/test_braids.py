@@ -19,6 +19,7 @@ from nss import braids
 from nss.anyon import FLOAT_NS, f_channels, f_matrix, mp_namespace, r_symbol
 from nss.braids import (apply_letter_to_leaves, evaluate_word_open, letter_matrix,
                         two_qubit_block_form, J4_WORD)
+from nss.errors import UnsupportedFamily
 from nss.gates import PSI_LEAVES, W_WORD
 from nss.labels import parse_leaves
 from nss.spaces import enumerate_basis
@@ -265,6 +266,17 @@ def test_two_qubit_block_forms():
                       ("j4", "b3 b2 x b2 b3")):
         m = evaluate_word(p, leaves, BraidWord.parse(word))
         assert np.max(np.abs(m - two_qubit_block_form(p, gen))) < 1e-10
+
+
+def test_two_qubit_block_form_has_no_other_generator():
+    with pytest.raises(ValueError, match="no closed block form for 'b3'"):
+        two_qubit_block_form(ModelParams(2.4), "b3")
+
+
+def test_letter_with_an_untabulated_f_family_raises():
+    # b2 on a,psi,psi exchanges two psi legs, whose F[a,psi,psi;a] has no row
+    with pytest.raises(UnsupportedFamily, match=re.escape("F[a,psi,psi;a] not tabulated")):
+        letter_matrix(ModelParams(2.4), (ALPHA, PSI, PSI), "b2", 1)
 
 
 def test_j4_acts_trivially_on_first_qubit():

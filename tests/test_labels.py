@@ -1,10 +1,11 @@
 """The QLabel contract: text forms, pickling, ordering, hashing, validation."""
 import pickle
+from fractions import Fraction
 
 import pytest
 
 from nss import ALPHA, P2, PSI, S32, SIGMA, VACUUM
-from nss.labels import QLabel, alpha_label
+from nss.labels import ModelParams, QLabel, alpha_label
 
 LABELS = [ALPHA, alpha_label(-2), alpha_label(1), SIGMA, PSI, VACUUM, S32, P2]
 
@@ -55,6 +56,13 @@ def test_constructor_errors():
         QLabel("sigma", 1)
     with pytest.raises(ValueError, match="only alpha-type labels shift"):
         SIGMA.shifted(1)
+
+
+def test_model_params_reject_nan_alpha_and_a_mismatched_fraction():
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        ModelParams(float("nan"))
+    with pytest.raises(ValueError, match="exact fraction does not match alpha"):
+        ModelParams(2.4, exact=Fraction(5, 2))
 
 
 def test_q_spin_values():

@@ -68,6 +68,17 @@ def test_empty_basis():
         enumerate_basis((ALPHA, SIGMA), ALPHA)
 
 
+def test_no_leaves_is_an_empty_basis():
+    with pytest.raises(EmptyBasis, match="^no leaves$"):
+        enumerate_basis((), ALPHA)
+
+
+def test_non_alpha_internal_labels_sort_by_kind():
+    # sigma, psi, vacuum, ...: the psi channel comes before the vacuum
+    trees = enumerate_basis((SIGMA,) * 3, SIGMA)
+    assert [t.serialize() for t in trees] == ["(s,s,s|psi|s)", "(s,s,s|1|s)"]
+
+
 def test_empty_basis_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(EmptyBasis):

@@ -559,6 +559,21 @@ def test_cli_reichardt_csv():
     assert float(row[1]) == pytest.approx(0.832193, abs=1e-5)
 
 
+def test_cli_reichardt_empty_word_is_the_empty_word():
+    code, out = run_cli("reichardt", "--word", "", "--k", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["word"] == ""
+    assert [(r["k"], r["word"], r["len"]) for r in data["reports"]] == [(0, "", 0), (1, "x^16", 1)]
+
+
+def test_cli_reichardt_defaults_to_the_w_word():
+    code, out = run_cli("reichardt", "--k", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["word"] == data["reports"][0]["word"] == "b2^2 x b2^2 x b2^-2"
+
+
 def test_cli_search_small():
     code, out = run_cli("search", "--alpha", "12/5", "--max-len", "3",
                         "--threshold", "0.9", "--top", "5")
@@ -612,13 +627,16 @@ def test_cli_bad_input_is_a_usage_error(args, tmp_path):
      "word leaves the system as s,a,s"),
     (("space", "--leaves", "s,s", "--charge", "psi"), "UnsupportedTriple",
      "metric is defined for alpha-type total charge"),
+    (("braid", "--system", "a,psi,psi", "--word", "b2"), "UnsupportedFamily",
+     "F[a,psi,psi;a] not tabulated"),
     (("reichardt", "--k", "5"), "PrecisionExhausted",
      "k > 4 needs the extended-precision mode"),
     (("space", "--leaves", "a,psi,s,s", "--alpha", "1.000001"), "SingularParameter",
      "B[a,psi,a]: denominator ~ 0"),
     (("space", "--leaves", "a,s,s", "--alpha", "4.00000000011"), "SingularParameter",
      "B[a,s,a-1] cot: denominator ~ 0"),
-], ids=["space", "space-shifted", "braid", "space-psi-charge", "reichardt-k5",
+], ids=["space", "space-shifted", "braid", "space-psi-charge", "braid-untabulated-f",
+        "reichardt-k5",
         "space-near-1", "space-near-4"])
 def test_cli_model_errors_spell_systems_as_leaves(args, error, message):
     code, out = run_cli(*args)
