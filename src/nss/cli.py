@@ -76,7 +76,8 @@ def _cmd_model(args) -> int:
 def _cmd_space(args) -> int:
     params = _params(args)
     leaves = parse_leaves(args.leaves)
-    space = IndefSpace.build(params, leaves, parse_label(args.charge) if args.charge else None)
+    space = IndefSpace.build(params, leaves,
+                             None if args.charge is None else parse_label(args.charge))
     charge = space.charge
     payload = {
         "alpha": params.alpha,
@@ -106,7 +107,7 @@ def _cmd_space(args) -> int:
 def _cmd_braid(args) -> int:
     params = _params(args)
     leaves = parse_leaves(args.system)
-    charge = parse_label(args.charge) if args.charge else None
+    charge = None if args.charge is None else parse_label(args.charge)
     word = BraidWord.parse(args.word)
     space = IndefSpace.build(params, leaves, charge)
     m = evaluate_word(params, leaves, word, charge=space.charge)

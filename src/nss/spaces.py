@@ -66,6 +66,8 @@ class FusionTree:
 def _system(leaves, charge=None) -> tuple[tuple[QLabel, ...], QLabel]:
     """(leaves as a tuple, total charge): the charge defaults to the first leaf."""
     leaves = tuple(leaves)
+    if not leaves:
+        raise EmptyBasis("no leaves")
     return leaves, leaves[0] if charge is None else charge
 
 
@@ -202,21 +204,6 @@ def _interval_signs(leaves: tuple, charge, residue: int) -> np.ndarray:
     return signs
 
 
-def _metric_signs(leaves: tuple, charge, alphas: np.ndarray, tol: float) -> np.ndarray:
-    """The metric signs at each of an array of alphas, one row each: the
-    interval table's row, or within max(tol, _TABLE_RADIUS) of an integer each
-    tree's :func:`tree_norm_sign`, which may raise."""
-    basis = _space_plan(leaves, charge).basis
-    near = abs(alphas - np.round(alphas)) <= max(tol, _TABLE_RADIUS)
-    residues = np.floor(alphas) % 8
-    out = np.empty((len(alphas), len(basis)), dtype=int)
-    for r in dict.fromkeys(residues[~near].tolist()):
-        out[~near & (residues == r)] = _interval_signs(leaves, charge, int(r))
-    for k in np.flatnonzero(near):
-        out[k] = _norm_signs(basis, ModelParams(float(alphas[k]), tol))
-    return out
-
-
 @dataclass(frozen=True)
 class IndefSpace:
     """An ordered fusion-tree basis with its diagonal +-1 metric and scale.
@@ -239,7 +226,8 @@ class IndefSpace:
         if not charge.is_alpha:
             raise UnsupportedTriple("metric is defined for alpha-type total charge")
         plan = _space_plan(leaves, charge)
-        # _metric_signs' rule at one alpha, into an array the space owns
+        # the interval's table row, copied, or tree by tree near an integer;
+        # verify's samples, 1e-3 clear of every integer, read the row alone
         al, tol = params.alpha, params.tol
         if abs(al - round(al)) <= max(tol, _TABLE_RADIUS):
             signs = np.array(_norm_signs(plan.basis, params), dtype=int)

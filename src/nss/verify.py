@@ -7,13 +7,16 @@ with a guard band of 1e-3 at both ends.
 
 The four checks that sample 50 or 100 alphas in (2, 3) (closed-form-single-
 qubit, computational-positivity, f-pseudo-unitarity and r-unit-modulus)
-evaluate them in one array pass each, bit for bit with a loop over alphas.
-If a pass raises a model error, the check reruns it on each alpha alone, in
-sample order, and raises the first error that meets (:func:`_sampled`).
+have ModelParams accept each alpha once, in draw order, and then evaluate
+them in one array pass each, bit for bit with a loop over alphas
+(:func:`_accepted_alphas`); nothing is rerun.  An accepted sample is at
+least 1e-3 from an integer, where no guard or sign check can fire, so
+computational-positivity reads one interval sign row per residue.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,22 +52,12 @@ def _result(name, defect, tol, detail=""):
     return CheckResult(name, status, float(defect), detail)
 
 
-def _sampled(alphas, tol, array_pass):
-    """``array_pass(alphas)``, once ModelParams accepts each sampled alpha in order.
-
-    On a ModelError, ModelParams and then ``array_pass`` run on each alpha
-    alone, in sample order, so the error raised is the first one a loop over
-    alphas meets.
-    """
-    try:
-        for al in alphas:  # a loose tol may call a sampled alpha integral
-            ModelParams(float(al), tol)
-        return array_pass(alphas)
-    except ModelError:
-        for k, al in enumerate(alphas):
-            ModelParams(float(al), tol)
-            array_pass(alphas[k:k + 1])
-        raise
+def _accepted_alphas(rng, count, tol):
+    """``count`` alphas drawn in (2, 3), once ModelParams accepts each in draw order."""
+    alphas = _sample_alphas(rng, count)
+    for al in alphas:  # a loose tol may call a sampled alpha integral
+        ModelParams(float(al), tol)
+    return alphas
 
 
 # ---------------------------------------------------------------------------
@@ -94,35 +87,29 @@ def _chk_affine_relation(params, rng):
 def _closed_form_defect(alphas, tol):
     """Acceptance criterion 1: max |phased x or b2 on a,s,s - its closed form| over the alphas."""
     leaves = _WORKING_SYSTEMS[0]
-
-    def array_pass(alphas):
-        words = [braids._letter_stack(leaves, gen, alphas, tol) for gen in ("x", "b2")]
-        forms = braids._closed_form_stacks(alphas, tol)
-        defects = [np.max(np.abs(SPECIAL_UNITARY_PHASES[gen] * m - form), axis=(1, 2))
-                   for gen, m, form in zip(("x", "b2"), words, forms)]
-        # fmax skips a NaN matrix, as max(worst, x) does in a loop over alphas
-        return float(np.fmax.reduce(np.concatenate(defects), initial=0.0))
-
-    return _sampled(alphas, tol, array_pass)
+    words = [braids._letter_stack(leaves, gen, alphas, tol) for gen in ("x", "b2")]
+    forms = braids._closed_form_stacks(alphas, tol)
+    defects = [np.max(np.abs(SPECIAL_UNITARY_PHASES[gen] * m - form), axis=(1, 2))
+               for gen, m, form in zip(("x", "b2"), words, forms)]
+    # fmax skips a NaN matrix, as max(worst, x) does in a loop over alphas
+    return float(np.fmax.reduce(np.concatenate(defects), initial=0.0))
 
 
 def _chk_closed_form_single_qubit(params, rng):
-    worst = _closed_form_defect(_sample_alphas(rng, 50), params.tol)
+    worst = _closed_form_defect(_accepted_alphas(rng, 50, params.tol), params.tol)
     return _result("closed-form-single-qubit", worst, params.tol,
                    "assembled generators match the analytic forms at 50 alphas")
 
 
 def _chk_computational_positivity(params, rng):
-    def array_pass(alphas):
-        bad = 0  # (alpha, n) pairs with a computational sign that is not +1
-        for n in (1, 2, 3):
-            leaves = QubitCode(n).leaves
-            signs = spaces._metric_signs(leaves, ALPHA, alphas, params.tol)
-            mask = spaces._space_plan(leaves, ALPHA).computational_mask
-            bad += int(np.count_nonzero(np.any(signs[:, mask] != 1, axis=1)))
-        return bad
-
-    bad = _sampled(_sample_alphas(rng, 100), params.tol, array_pass)
+    alphas = _accepted_alphas(rng, 100, params.tol)
+    counts = Counter(math.floor(al) % 8 for al in alphas.tolist())  # samples per residue
+    bad = 0  # (alpha, n) pairs with a computational sign that is not +1
+    for n in (1, 2, 3):
+        leaves = QubitCode(n).leaves
+        mask = spaces._space_plan(leaves, ALPHA).computational_mask
+        bad += sum(c for r, c in counts.items()
+                   if np.any(spaces._interval_signs(leaves, ALPHA, r)[mask] != 1))
     return _result("computational-positivity", float(bad), 0.5,
                    "computational vectors have +1 norm for n=1..3, 100 alphas in (2,3)")
 
@@ -256,22 +243,19 @@ def _chk_two_qubit_blocks(params, rng):
 
 
 def _chk_r_unit_modulus(params, rng):
-    def array_pass(alphas):
-        r = np.array([anyon._symbol_stack("R", *row, alphas, params.tol)
-                      for row in anyon._R_TABLE], dtype=object)
-        # abs of Python numbers: numpy's complex abs differs in the last bit
-        return np.fmax.reduce(abs(abs(r) - 1.0).astype(float), axis=None, initial=0.0)
-
-    worst = _sampled(_sample_alphas(rng, 100), params.tol, array_pass)
+    alphas = _accepted_alphas(rng, 100, params.tol)
+    r = np.array([anyon._symbol_stack("R", *row, alphas, params.tol) for row in anyon._R_TABLE],
+                 dtype=object)
+    # abs of Python numbers: numpy's complex abs differs in the last bit
+    worst = np.fmax.reduce(abs(abs(r) - 1.0).astype(float), axis=None, initial=0.0)
     return _result("r-unit-modulus", worst, params.tol, "all table rows at 100 alphas")
 
 
 def _chk_f_pseudo_unitarity(params, rng):
+    alphas = _accepted_alphas(rng, 100, params.tol)
     fams = [f for f in anyon._F_FAMILIES if len(anyon.f_channels(*f)[0]) == 2]
-    m, invs, signs = _sampled(
-        _sample_alphas(rng, 100), params.tol,
-        lambda alphas: list(map(np.concatenate, zip(*(anyon._f_blocks(fam, alphas, params.tol)
-                                                      for fam in fams)))))
+    m, invs, signs = map(np.concatenate,
+                         zip(*(anyon._f_blocks(fam, alphas, params.tol) for fam in fams)))
     # signs: (block, rows then columns, channel)
     jr, jc = np.zeros((2,) + m.shape)
     jr[:, (0, 1), (0, 1)], jc[:, (0, 1), (0, 1)] = signs[:, 0], signs[:, 1]

@@ -12,10 +12,11 @@ from nss import (ALPHA, PSI, SIGMA, VACUUM, EmptyBasis, FusionTree, IndefSpace,
                  tree_norm_sign)
 from nss import anyon, spaces
 from nss.anyon import bubble_pop, fuse
+from nss.braids import BraidWord, evaluate_word, letter_matrix
 from nss.errors import ModelError, UnsupportedTriple
 from nss.labels import parse_leaves
 from nss.spaces import (_computational_flag, _effective_qubits, _interval_signs,
-                        _label_sort_key, _metric_signs, _space_plan, _tree_sort_key)
+                        _label_sort_key, _space_plan, _tree_sort_key)
 
 RNG = np.random.default_rng(11)
 
@@ -71,6 +72,17 @@ def test_empty_basis():
 def test_no_leaves_is_an_empty_basis():
     with pytest.raises(EmptyBasis, match="^no leaves$"):
         enumerate_basis((), ALPHA)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: IndefSpace.build(p, ()),
+    lambda p: evaluate_word(p, (), BraidWord(())),
+    lambda p: letter_matrix(p, (), "x", 1),
+], ids=["space", "word", "letter"])
+def test_no_leaves_is_an_empty_basis_for_spaces_and_braids(build):
+    # the charge defaults to the first leaf, and there is none
+    with pytest.raises(EmptyBasis, match="^no leaves$"):
+        build(ModelParams(2.4))
 
 
 def test_non_alpha_internal_labels_sort_by_kind():
@@ -160,8 +172,8 @@ def test_plan_built_space_matches_tree_oracle(leaves):
         space = IndefSpace.build(p, leaves)
         assert space.metric_signs.dtype == int
         assert list(space.metric_signs) == [tree_norm_sign(t, p) for t in basis]
-        # build reads its one row by the rule of the stacked path
-        row = _metric_signs(leaves, ALPHA, np.array([p.alpha]), p.tol)[0]
+        # the interval's table row, also where build takes the signs tree by tree
+        row = _interval_signs(leaves, ALPHA, math.floor(p.alpha) % 8)
         assert space.metric_signs.tobytes() == row.tobytes()
         code = QubitCode.of(leaves, ALPHA)
         assert list(space.computational_mask) == [_computational_flag(t, code) for t in basis]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nss import (IntegerAlpha, ModelParams, braids, bubble_pop, f_matrix, failures, r_symbol,
-                 run_all, verify)
+                 run_all, spaces, verify)
 from nss.anyon import (_B_TABLE, _F_FAMILIES, _R_TABLE, FLOAT_NS, _f_blocks, _symbol_stack,
                        f_channels, mp_namespace, q_power)
 from nss.braids import (SPECIAL_UNITARY_PHASES, BraidWord, evaluate_word, exchange_closed_form,
@@ -227,18 +227,13 @@ def test_f_pseudo_unitarity_error_is_the_loops_first():
         assert by_name[name].detail.startswith("IntegerAlpha: alpha = ")
 
 
-# samples forced from index 40 on, at tol 1e-12, with the error the F check's
-# loop meets first
+# samples forced from index 40 on, at tol 1e-12; ModelParams rejects the
+# first, which is the error the F check's loop meets first
 NEAR_INTEGERS = [
     ((3 - 5e-13,), "IntegerAlpha"),
-    ((3 + 1.1e-12,), "SingularParameter"),
-    ((3 - 1.1e-12, 3 - 5e-13), "SingularParameter"),
     ((3 + 5e-13, 3 + 1.1e-12), "IntegerAlpha"),
-    # the first family a guard stops differs between the two alphas
-    ((2 + 1e-7, 3 + 1.1e-12), "SingularParameter"),
-    ((3 - 3e-12, 3 + 4e-12), None),
 ]
-NEAR_INTEGER_IDS = ["rejected", "guard", "guard-first", "rejected-first", "family-order", "regular"]
+NEAR_INTEGER_IDS = ["rejected", "rejected-first"]
 
 
 def _force_samples(monkeypatch, near):
@@ -326,6 +321,30 @@ def test_sampled_check_near_integers_matches_its_loop(monkeypatch, name, near):
     check, oracle = LOOPS[name]
     params = ModelParams(2.4, tol=1e-12)
     assert _outcome(check, params, 3) == _outcome(oracle, params, 3)
+
+
+class _BandEndsRng:
+    """An rng whose draws are the ends of [0, 1)."""
+
+    def random(self, count):
+        return np.array([0.0, 1 - 2 ** -53])
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-10])
+def test_sampled_checks_match_their_loops_at_the_band_ends(monkeypatch, tol):
+    # an accepted sample is 1e-3 from an integer: no guard, sign check or
+    # tree-by-tree sign can fire there, so nothing needs a rerun
+    ends = tuple(verify._sample_alphas(_BandEndsRng(), 2))
+    assert ends == (2.001, np.nextafter(2.999, 2.0))
+    assert spaces._TABLE_RADIUS < 1e-3
+    _force_samples(monkeypatch, ends)
+    params = ModelParams(2.4, tol=tol)
+    checks = {**LOOPS, "f-pseudo-unitarity": (verify._chk_f_pseudo_unitarity,
+                                              _f_pseudo_unitarity_oracle)}
+    for name, (check, oracle) in checks.items():
+        got = _outcome(check, params, 3)
+        assert isinstance(got, verify.CheckResult), name
+        assert got == _outcome(oracle, params, 3), name
 
 
 def _closed_forms_oracle(p, phased):
@@ -642,6 +661,18 @@ def test_cli_model_errors_spell_systems_as_leaves(args, error, message):
     code, out = run_cli(*args)
     assert code == 3
     assert json.loads(out) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize("args", [
+    ("space", "--leaves", "a,s,s", "--charge", ""),
+    ("braid", "--system", "a,s,s", "--charge", "", "--word", "x"),
+    # the charge is reported before a bad word
+    ("braid", "--system", "a,s,s", "--charge", "", "--word", "("),
+], ids=["space", "braid", "braid-bad-word"])
+def test_cli_empty_charge_is_a_usage_error(args):
+    code, out = run_cli(*args)
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError", "message": "cannot parse label token ''"}
 
 
 @pytest.mark.parametrize("word, message", [("x", "letter x needs strand 2"),
