@@ -77,33 +77,37 @@ FLOAT_NS = SimpleNamespace(
 )
 
 
-def mp_namespace():
-    """:data:`FLOAT_NS` over mpmath numbers, its elementary functions memoised
-    in caches it owns and its guard and sign functions shared; callers set the
-    precision."""
-    import mpmath as mp
+def mp_namespace(dps):
+    """:data:`FLOAT_NS` over the numbers of a private mpmath context working
+    at ``dps`` digits, its elementary functions memoised in caches it owns and
+    its guard and sign functions shared.  mpmath's global precision is
+    neither read nor set, so namespaces at different precisions, in one
+    thread or several, never disturb each other."""
+    import mpmath
     from fractions import Fraction
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
 
     def number(x):
         if isinstance(x, Fraction):
-            return mp.mpf(x.numerator) / x.denominator
-        return mp.mpf(x)
+            return ctx.mpf(x.numerator) / x.denominator
+        return ctx.mpf(x)
 
     def memoised(fn):
-        # one cache per function, keyed by (working precision, argument type, argument)
-        cached = functools.cache(lambda prec, kind, z: fn(z))
-        return lambda z: cached(mp.mp.prec, type(z), z)
+        # one cache per function, keyed by (argument type, argument)
+        cached = functools.cache(lambda kind, z: fn(z))
+        return lambda z: cached(type(z), z)
 
     return SimpleNamespace(**{
         **vars(FLOAT_NS),
-        "pi": mp.pi,
-        "sin": memoised(mp.sin),
-        "cos": memoised(mp.cos),
-        "tan": memoised(mp.tan),
-        "sqrt": memoised(lambda z: mp.sqrt(mp.mpc(z))),
-        "exp": memoised(lambda z: mp.exp(mp.mpc(z))),
-        "one": mp.mpf(1),
-        "i": mp.mpc(0, 1),
+        "pi": ctx.pi,
+        "sin": memoised(ctx.sin),
+        "cos": memoised(ctx.cos),
+        "tan": memoised(ctx.tan),
+        "sqrt": memoised(lambda z: ctx.sqrt(ctx.mpc(z))),
+        "exp": memoised(lambda z: ctx.exp(ctx.mpc(z))),
+        "one": ctx.mpf(1),
+        "i": ctx.mpc(0, 1),
         "dtype": object,
         "number": number})
 

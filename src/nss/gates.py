@@ -11,7 +11,6 @@ magnitudes |M[0,1]| and |M[2,3]| are the leakage figures tracked here.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -215,7 +214,8 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
     """Iterate the recursion k times starting from the given braid word.
 
     Returns reports for iterations 0..k.  ``extended`` switches the whole
-    evaluation to mpmath arbitrary precision, needed when an off-diagonal
+    evaluation to an mpmath namespace of its own at ``dps`` digits (see
+    :func:`~nss.anyon.mp_namespace`), needed when an off-diagonal
     falls below the double-precision cancellation floor (~1e-16); without
     it, a fifth-power-law violation beyond ``_LAW_TOL`` raises
     PrecisionExhausted.  Raises ValueError when k < 0 or an extended run's
@@ -227,36 +227,31 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
         raise ValueError(f"dps must lie in 1..{_MAX_DPS}")
     if k > 4 and not extended:
         raise PrecisionExhausted("k > 4 needs the extended-precision mode")
-    if extended:
-        import mpmath
-        precision, ns = mpmath.workdps(dps), mp_namespace()
-    else:
-        precision, ns = contextlib.nullcontext(), FLOAT_NS
-    with precision:
-        cur = evaluate_word(params, PSI_LEAVES, word, ns=ns)
-        dm = evaluate_word(params, PSI_LEAVES, D_WORD, ns=ns)
-        reports = []
-        cur_word = word
-        for step in range(k + 1):
-            # the law is checked in the working precision: extended-mode
-            # off-diagonals fall far below the smallest double
-            mags = abs(cur[0, 1]), abs(cur[2, 3])
-            su2, su11 = float(mags[0]), float(mags[1])
-            ld2 = ld11 = None
-            if step > 0:
-                ld2 = float(_rel_defect(mags[0], prev_mags[0] ** 5))
-                ld11 = float(_rel_defect(mags[1], prev_mags[1] ** 5))
-                if max(ld2, ld11) > _LAW_TOL:
-                    raise PrecisionExhausted(
-                        f"fifth-power law defect {max(ld2, ld11):.2e} at k={step}; "
-                        + _law_remedy(params, extended))
-            th1, th2 = _diag_phases(np.diag(cur))
-            reports.append(LeakageReport(cur_word, step, su2, su11, th1, th2,
-                                         len(cur_word), ld2, ld11))
-            prev_mags = mags
-            if step < k:
-                cur = reichardt_step(cur, dm)
-                cur_word = step_word(cur_word)
+    ns = mp_namespace(dps) if extended else FLOAT_NS
+    cur = evaluate_word(params, PSI_LEAVES, word, ns=ns)
+    dm = evaluate_word(params, PSI_LEAVES, D_WORD, ns=ns)
+    reports = []
+    cur_word = word
+    for step in range(k + 1):
+        # the law is checked in the working precision: extended-mode
+        # off-diagonals fall far below the smallest double
+        mags = abs(cur[0, 1]), abs(cur[2, 3])
+        su2, su11 = float(mags[0]), float(mags[1])
+        ld2 = ld11 = None
+        if step > 0:
+            ld2 = float(_rel_defect(mags[0], prev_mags[0] ** 5))
+            ld11 = float(_rel_defect(mags[1], prev_mags[1] ** 5))
+            if max(ld2, ld11) > _LAW_TOL:
+                raise PrecisionExhausted(
+                    f"fifth-power law defect {max(ld2, ld11):.2e} at k={step}; "
+                    + _law_remedy(params, extended))
+        th1, th2 = _diag_phases(np.diag(cur))
+        reports.append(LeakageReport(cur_word, step, su2, su11, th1, th2,
+                                     len(cur_word), ld2, ld11))
+        prev_mags = mags
+        if step < k:
+            cur = reichardt_step(cur, dm)
+            cur_word = step_word(cur_word)
     return reports
 
 

@@ -6,7 +6,9 @@ in the reason string, and their assertions are kept faithful to the stated
 targets (see notes in the repository README).
 """
 import cmath
+import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -143,8 +145,14 @@ def test_criterion_08_diagonal_phases():
     assert ok
 
 
+@functools.cache
+def _l11_hits():
+    """Criterion 9's search, run once for every test that reads it."""
+    return tuple(search_low_leakage(P125, max_len=11, threshold=0.3, jobs=1))
+
+
 def test_criterion_09_brute_force_search():
-    hits = search_low_leakage(P125, max_len=11, threshold=0.3, jobs=1)
+    hits = _l11_hits()
     nonempty = len(hits) > 0
     best = hits[0].report if hits else None
     best_ok = (best is not None and best.su2_offdiag <= 0.29
@@ -156,6 +164,17 @@ def test_criterion_09_brute_force_search():
     _verdict(9, ok, f"{len(hits)} hits; best ({best.su2_offdiag:.4f}, "
                     f"{best.su11_offdiag:.4f}); 0.286/0.285 word found: {paper_pair}")
     assert ok
+
+
+def test_l11_hits_are_diagonal_words_and_four_leaky_norm_pairs():
+    # criterion 9's 533 hits, by norm pair rounded to 6 digits: the diagonal
+    # words (norms <= 4.2e-15) and four pairs with real leakage
+    pairs = Counter((round(h.report.su2_offdiag, 6), round(h.report.su11_offdiag, 6))
+                    for h in _l11_hits())
+    assert pairs == {(0.0, 0.0): 83, (0.285869, 0.284849): 348, (0.221762, 0.283063): 70,
+                     (0.107929, 0.189743): 24, (0.263822, 0.206601): 8}
+    diagonal = [h.report for h in _l11_hits() if h.report.su2_offdiag < 1e-6]
+    assert max(max(r.su2_offdiag, r.su11_offdiag) for r in diagonal) <= 4.2e-15
 
 
 def test_criterion_10_pentagon_sweep():

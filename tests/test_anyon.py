@@ -70,8 +70,8 @@ def test_dimension_at_one_half():
 
 def test_dimension_against_high_precision_oracle():
     # independent arbitrary-precision evaluation of the same formula
-    mp.mp.dps = 50
-    want = float(-4 * mp.sin(mp.pi * mp.mpf("2.7") / 4) / mp.sin(mp.pi * mp.mpf("2.7")))
+    with mp.workdps(50):
+        want = float(-4 * mp.sin(mp.pi * mp.mpf("2.7") / 4) / mp.sin(mp.pi * mp.mpf("2.7")))
     assert modified_dimension(2.7) == pytest.approx(want, abs=1e-13)
 
 
@@ -101,8 +101,8 @@ def test_bubble_examples():
 def test_bubble_down_step_oracle():
     # sqrt(2)/(-1 + cot(pi a/4)) at a = 12/5, checked in high precision
     p = ModelParams.from_string("12/5")
-    mp.mp.dps = 50
-    want = float(mp.sqrt(2) / (-1 + mp.cot(mp.pi * mp.mpf(12) / 5 / 4)))
+    with mp.workdps(50):
+        want = float(mp.sqrt(2) / (-1 + mp.cot(mp.pi * mp.mpf(12) / 5 / 4)))
     got = bubble_pop(ALPHA, SIGMA, ALPHA.shifted(-1), p)
     assert got == pytest.approx(want, abs=1e-13)
     assert got == pytest.approx(-1.0674, abs=2e-4)
@@ -363,15 +363,14 @@ def test_f_matrix_matches_per_entry_normalisation():
 
 
 def test_f_matrix_mp_matches_per_entry_normalisation():
-    with mp.workdps(40):
-        ns = mp_namespace()
-        for p in (ModelParams.from_string("12/5"), ModelParams(2.0137), ModelParams(2.9871)):
-            for fam in _shifted_families():
-                blk = f_matrix(*fam, p, ns)
-                # the oracle's own namespace, so a memo fault cannot hide on both sides
-                want, _, _ = _f_matrix_oracle(*fam, p, mp_namespace())
-                assert blk.matrix.dtype == object and blk.matrix.shape == want.shape
-                assert all(x == y for x, y in zip(blk.matrix.flat, want.flat))
+    ns = mp_namespace(40)
+    for p in (ModelParams.from_string("12/5"), ModelParams(2.0137), ModelParams(2.9871)):
+        for fam in _shifted_families():
+            blk = f_matrix(*fam, p, ns)
+            # the oracle's own namespace, so a memo fault cannot hide on both sides
+            want, _, _ = _f_matrix_oracle(*fam, p, mp_namespace(40))
+            assert blk.matrix.dtype == object and blk.matrix.shape == want.shape
+            assert all(x == y for x, y in zip(blk.matrix.flat, want.flat))
 
 
 def _bits(z):
@@ -413,24 +412,31 @@ def test_array_namespace_is_float_namespace_per_element():
             assert ns.guard(arr, tol, "w") is arr
 
 
-# what each memoised function of mp_namespace() computes, called directly
+# what each memoised function of mp_namespace(dps) computes, called directly
+# on mpmath's global context
 _MP_DIRECT = {"sin": lambda z: mp.sin(z), "cos": lambda z: mp.cos(z),
               "tan": lambda z: mp.tan(z), "sqrt": lambda z: mp.sqrt(mp.mpc(z)),
               "exp": lambda z: mp.exp(mp.mpc(z))}
+
+
+def _same_number(got, want, ns):
+    """``got`` equals ``want`` and is the same kind of number (mpf or mpc) of ns's own context."""
+    return type(got) is getattr(ns.one.context, type(want).__name__) and got == want
 
 
 @pytest.mark.parametrize("order", [(20, 60), (60, 20)])
 def test_mp_namespace_memo_equals_direct_calls(order):
     with mp.workdps(60):
         args = [mp.mpf(2) / 7, mp.mpf(-3) / 11, mp.mpc(1, 3) / 7, 0.25]
-    ns = mp_namespace()
+    namespaces = {dps: mp_namespace(dps) for dps in order}
     # the second round is served from the memo, at each precision in turn
     for dps in order + order:
-        with mp.workdps(dps):
-            for name, direct in _MP_DIRECT.items():
-                for z in args:
-                    got, want = getattr(ns, name)(z), direct(z)
-                    assert type(got) is type(want) and got == want, (name, z, dps)
+        ns = namespaces[dps]
+        for name, direct in _MP_DIRECT.items():
+            for z in args:
+                with mp.workdps(dps):
+                    want = direct(z)
+                assert _same_number(getattr(ns, name)(z), want, ns), (name, z, dps)
 
 
 def test_mp_namespace_memo_keeps_argument_types_apart():
@@ -439,25 +445,33 @@ def test_mp_namespace_memo_keeps_argument_types_apart():
         z = mp.mpc(x, 0)
         assert x == z and hash(x) == hash(z)
         for first, second in ((x, z), (z, x)):
-            ns = mp_namespace()
+            ns = mp_namespace(30)
             for name in ("sin", "cos", "tan"):
                 f = getattr(ns, name)
                 for arg in (first, second, first):
                     got = f(arg)
-                    assert type(got) is type(arg) and got == _MP_DIRECT[name](arg)
+                    assert type(got).__name__ == type(arg).__name__
+                    assert _same_number(got, _MP_DIRECT[name](arg), ns)
 
 
 def test_mp_namespaces_share_no_memo(monkeypatch):
+    # each namespace evaluates on a context of its own: count those contexts' calls
     calls = []
-    real_sin, real_exp = mp.sin, mp.exp
-    monkeypatch.setattr(mp, "sin", lambda z: calls.append("sin") or real_sin(z))
-    monkeypatch.setattr(mp, "exp", lambda z: calls.append("exp") or real_exp(z))
-    with mp.workdps(30):
-        z = mp.mpf(2) / 7
-        one, two = mp_namespace(), mp_namespace()
-        for ns in (one, one, two, two, one):
-            ns.sin(z)
-            ns.exp(z)
+    real_context = mp.MPContext
+
+    def counting_context():
+        ctx = real_context()
+        sin, exp = ctx.sin, ctx.exp
+        ctx.sin = lambda z: calls.append("sin") or sin(z)
+        ctx.exp = lambda z: calls.append("exp") or exp(z)
+        return ctx
+
+    monkeypatch.setattr(mp, "MPContext", counting_context)
+    z = mp.mpf(2) / 7
+    one, two = mp_namespace(30), mp_namespace(30)
+    for ns in (one, one, two, two, one):
+        ns.sin(z)
+        ns.exp(z)
     assert calls == ["sin", "exp"] * 2
 
 
@@ -492,12 +506,11 @@ def test_f_matrix_pops_eight_bubbles_per_2x2_block(monkeypatch):
     anyon._f_plan.cache_clear()
     try:
         p = ModelParams(2.4)
-        with mp.workdps(30):
-            for ns in (FLOAT_NS, mp_namespace()):
-                for fam in _shifted_families():
-                    calls.clear()
-                    blk = f_matrix(*fam, p, ns)
-                    assert len(calls) == (8 if blk.matrix.shape == (2, 2) else 0)
+        for ns in (FLOAT_NS, mp_namespace(30)):
+            for fam in _shifted_families():
+                calls.clear()
+                blk = f_matrix(*fam, p, ns)
+                assert len(calls) == (8 if blk.matrix.shape == (2, 2) else 0)
     finally:
         anyon._f_plan.cache_clear()  # drop the plans that hold counting rows
 

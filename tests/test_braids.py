@@ -688,15 +688,14 @@ def test_float_letters_bit_identical_to_oracle(alpha):
 @pytest.mark.parametrize("alpha", LETTER_ALPHAS, ids=str)
 def test_mp_letters_equal_to_oracle(alpha):
     p = ModelParams(float(alpha), exact=alpha)
-    with mpmath.workdps(40):
-        ns = mp_namespace()
-        symbols = {}
-        for leaves, tok, sign in _letter_cases():
-            m, out = letter_matrix(p, leaves, tok, sign, ns=ns, symbols=symbols)
-            # the oracle's own namespace, so a memo fault cannot hide on both sides
-            want, want_out = _oracle_letter(p, leaves, tok, sign, mp_namespace())
-            assert out == want_out and m.shape == want.shape
-            assert all(a == b for a, b in zip(m.ravel(), want.ravel())), (leaves, tok, sign)
+    ns = mp_namespace(40)
+    symbols = {}
+    for leaves, tok, sign in _letter_cases():
+        m, out = letter_matrix(p, leaves, tok, sign, ns=ns, symbols=symbols)
+        # the oracle's own namespace, so a memo fault cannot hide on both sides
+        want, want_out = _oracle_letter(p, leaves, tok, sign, mp_namespace(40))
+        assert out == want_out and m.shape == want.shape
+        assert all(a == b for a, b in zip(m.ravel(), want.ravel())), (leaves, tok, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -763,14 +762,13 @@ def test_float_letters_match_numpy_scalar_amplitudes_bit_for_bit(alpha):
                          ids=str)
 def test_mp_letters_match_numpy_scalar_amplitudes(alpha):
     p = ModelParams(float(alpha), exact=alpha)
-    with mpmath.workdps(50):
-        ns = mp_namespace()
-        symbols = {}
-        for leaves, tok, sign in _letter_cases():
-            got = letter_matrix(p, leaves, tok, sign, ns=ns, symbols=symbols)[0]
-            want = _numpy_scalar_letter(p, leaves, tok, sign, mp_namespace())
-            assert got.shape == want.shape
-            assert all(a == b for a, b in zip(got.ravel(), want.ravel())), (leaves, tok, sign)
+    ns = mp_namespace(50)
+    symbols = {}
+    for leaves, tok, sign in _letter_cases():
+        got = letter_matrix(p, leaves, tok, sign, ns=ns, symbols=symbols)[0]
+        want = _numpy_scalar_letter(p, leaves, tok, sign, mp_namespace(50))
+        assert got.shape == want.shape
+        assert all(a == b for a, b in zip(got.ravel(), want.ravel())), (leaves, tok, sign)
 
 
 def test_letter_stack_matches_the_scalar_letters_bit_for_bit():
@@ -801,24 +799,24 @@ def test_mp_word_evaluates_each_f_block_once(monkeypatch):
 
     monkeypatch.setattr(braids, "f_matrix", counting)
     p = ModelParams.from_string("12/5")
-    with mpmath.workdps(40):
-        ns = mp_namespace()
-        evaluate_word(p, PSI_LEAVES, W_WORD, ns=ns)
-        assert len(calls) == 4 and len(set(calls)) == 4
-        evaluate_word(p, PSI_LEAVES, W_WORD, ns=ns)
+    ns = mp_namespace(40)
+    evaluate_word(p, PSI_LEAVES, W_WORD, ns=ns)
+    assert len(calls) == 4 and len(set(calls)) == 4
+    evaluate_word(p, PSI_LEAVES, W_WORD, ns=ns)
     assert len(calls) == 8
 
 
 def test_mp_word_follows_the_working_precision():
-    # nothing evaluated at one precision is reused at another
+    # the working precision is the namespace's dps, whatever mpmath's global precision
     p = ModelParams.from_string("12/5")
-    ns = mp_namespace()
+    ns30, ns60 = mp_namespace(30), mp_namespace(60)
 
-    def at(dps):
-        with mpmath.workdps(dps):
-            m = evaluate_word(p, PSI_LEAVES, W_WORD, ns=ns)
-            return [str(z) for z in m.ravel()]
+    def at(ns):
+        m = evaluate_word(p, PSI_LEAVES, W_WORD, ns=ns)
+        return [str(z) for z in m.ravel()]
 
-    first30, first60 = at(30), at(60)
+    first30, first60 = at(ns30), at(ns60)
     assert first30 != first60
-    assert first30 == at(30) and first60 == at(60)
+    assert first30 == at(ns30) and first60 == at(ns60)
+    with mpmath.workdps(5):
+        assert at(ns30) == first30 and at(mp_namespace(60)) == first60

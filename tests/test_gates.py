@@ -1,9 +1,12 @@
 """Gate compilation: D, W, the recursion, search, and the controlled gate."""
 import cmath
+import functools
 import math
 import random
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -113,11 +116,10 @@ def test_step_rejects_off_block_entry():
 
 
 def test_step_float_matches_mp():
-    ns = mp_namespace()
-    with mpmath.workdps(50):
-        w = evaluate_word(P, PSI_LEAVES, W_WORD, ns=ns)
-        d = evaluate_word(P, PSI_LEAVES, D_WORD, ns=ns)
-        m = reichardt_step(w, d)
+    ns = mp_namespace(50)
+    w = evaluate_word(P, PSI_LEAVES, W_WORD, ns=ns)
+    d = evaluate_word(P, PSI_LEAVES, D_WORD, ns=ns)
+    m = reichardt_step(w, d)
     assert m.dtype == object
     want = reichardt_step(build_W(P).matrix, build_D(P).matrix)
     assert np.max(np.abs(np.asarray(m, dtype=complex) - want)) < 1e-12
@@ -177,6 +179,52 @@ def test_iterate_extended_keeps_global_precision():
     before = mpmath.mp.dps
     reichardt_iterate(P, W_WORD, k=1, extended=True, dps=before + 40)
     assert mpmath.mp.dps == before
+
+
+# two extended recursions far apart in precision, whose off-diagonals reach
+# 1.4e-50 (W_WORD, k=4) and 6.7e-69 (LOW_LEAKAGE_WORD, k=3)
+_PRECISION_JOBS = ((W_WORD, 4, 650), (LOW_LEAKAGE_WORD, 3, 150))
+
+
+@functools.cache
+def _serial_reports(word, k, dps):
+    return reichardt_iterate(P, word, k=k, extended=True, dps=dps)
+
+
+def test_iterate_extended_ignores_global_precision(monkeypatch):
+    # a step that resets mpmath's global precision, as other code in the
+    # process may, changes nothing: the recursion works at its own dps
+    step = gates.reichardt_step
+
+    def resetting_step(w, d):
+        mpmath.mp.dps = 15
+        return step(w, d)
+
+    word, k, dps = _PRECISION_JOBS[0]
+    want = _serial_reports(word, k, dps)
+    before = mpmath.mp.prec
+    monkeypatch.setattr(gates, "reichardt_step", resetting_step)
+    try:
+        assert reichardt_iterate(P, word, k=k, extended=True, dps=dps) == want
+    finally:
+        mpmath.mp.prec = before
+
+
+def test_concurrent_extended_recursions_are_independent():
+    barrier = threading.Barrier(len(_PRECISION_JOBS))
+
+    def run(job):
+        word, k, dps = job
+        barrier.wait()
+        return reichardt_iterate(P, word, k=k, extended=True, dps=dps)
+
+    want = [_serial_reports(*job) for job in _PRECISION_JOBS]
+    before = mpmath.mp.prec
+    try:
+        with ThreadPoolExecutor(len(_PRECISION_JOBS)) as pool:
+            assert list(pool.map(run, _PRECISION_JOBS)) == want
+    finally:
+        mpmath.mp.prec = before
 
 
 def test_iterate_diagonal_fixed_point():

@@ -10,7 +10,6 @@ import pathlib
 import subprocess
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -76,14 +75,13 @@ def test_float_symbols_match_mpmath(alpha):
     # every table row in double precision against mpmath at 50 digits; the
     # F rows lose most (~1e-11) near the ends of (2, 3)
     p = ModelParams(alpha)
-    with mpmath.workdps(50):
-        ns = mp_namespace()
-        pairs = [(bubble_pop(*row, p), bubble_pop(*row, p, ns)) for row in _B_TABLE]
-        pairs += [(r_symbol(*row, p), r_symbol(*row, p, ns)) for row in _R_TABLE]
-        for fam in _F_FAMILIES:
-            pairs += zip(f_matrix(*fam, p).matrix.flat, f_matrix(*fam, p, ns).matrix.flat)
-        for fl, exact in pairs:
-            assert abs(fl - complex(exact)) <= 1e-10 * max(1.0, abs(exact))
+    ns = mp_namespace(50)
+    pairs = [(bubble_pop(*row, p), bubble_pop(*row, p, ns)) for row in _B_TABLE]
+    pairs += [(r_symbol(*row, p), r_symbol(*row, p, ns)) for row in _R_TABLE]
+    for fam in _F_FAMILIES:
+        pairs += zip(f_matrix(*fam, p).matrix.flat, f_matrix(*fam, p, ns).matrix.flat)
+    for fl, exact in pairs:
+        assert abs(fl - complex(exact)) <= 1e-10 * max(1.0, abs(exact))
 
 
 @PROPERTY
@@ -161,9 +159,8 @@ def test_float_words_match_mpmath(alpha, system_word):
     leaves, w = system_word
     p = ModelParams(alpha)
     m, end = evaluate_word_open(p, leaves, w)
-    with mpmath.workdps(50):
-        mm, mp_end = evaluate_word_open(p, leaves, w, ns=mp_namespace())
-        exact = np.array(mm.tolist(), dtype=complex)
+    mm, mp_end = evaluate_word_open(p, leaves, w, ns=mp_namespace(50))
+    exact = np.array(mm.tolist(), dtype=complex)
     assert mp_end == end
     assert np.max(np.abs(m - exact)) <= _word_bound(p, leaves, w)
 

@@ -5,7 +5,6 @@ import math
 import subprocess
 import sys
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -158,13 +157,12 @@ def test_f_signs_from_norms_match_bubble_signs():
 def test_f_block_signs_match_mp_bubble_signs():
     alphas = np.linspace(2.0005, 2.9995, 51)
     signs = [_f_blocks(fam, alphas, 1e-10)[2].tolist() for fam in FAMILIES_2X2]
-    with mp.workdps(30):
-        ns = mp_namespace()
-        for k, al in enumerate(alphas):
-            p = ModelParams(float(al))
-            oracle = _bubble_sign_oracle(p, ns)
-            for fam, sg in zip(FAMILIES_2X2, signs):
-                assert sg[k] == list(oracle(fam, f_matrix(*fam, p, ns))), (al, fam)
+    ns = mp_namespace(30)
+    for k, al in enumerate(alphas):
+        p = ModelParams(float(al))
+        oracle = _bubble_sign_oracle(p, ns)
+        for fam, sg in zip(FAMILIES_2X2, signs):
+            assert sg[k] == list(oracle(fam, f_matrix(*fam, p, ns))), (al, fam)
 
 
 def _alphas_mod_8(seed):
