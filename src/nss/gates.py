@@ -302,6 +302,11 @@ def _syllables(max_power: int) -> list[tuple[str, int]]:
     return [(tok, p) for tok in ("x", "b2") for a in range(1, max_power + 1) for p in (a, -a)]
 
 
+def _text(syllable) -> str:
+    """The syllable's text in a word, str(BraidWord((syllable,))): the search's order."""
+    return str(BraidWord((syllable,)))
+
+
 def _block_product(s, m):
     """The 8 block entries of S @ M, given the 8 block entries of each."""
     a0, a1, a2, a3, b0, b1, b2, b3 = s
@@ -314,28 +319,37 @@ def _block_product(s, m):
 
 def _search_range(params, max_len, threshold, max_power, first_syllables):
     """Raw hits (word, n1, n2, 8 block entries) of the DFS over the words
-    starting with one of first_syllables.
+    starting with one of first_syllables, taken in the order given.
 
+    Below the first syllable each node steps through its generator's
+    syllables in text order (_text), so the words of one length come out in
+    str(BraidWord) order: the separator " " sorts below every character of
+    a syllable's text, so the first syllable that differs decides both.
     A node carries only the second column of each block, (u01, u11, l01,
     l11), since M[:, 1] = S M_prev[:, 1] and the norms read nothing else;
     an x syllable is diagonal in both blocks (see _letter_pool), so its step
     is 4 products, and a b2 node forms the u11, l11 entries only for the x
     level below it (x leaves read neither).  Each node reads the pool once,
-    with one of the pool's own keys.  The last level is scored in its
-    parent's loop, and a node on arrangement 0 forms its second norm only
-    when the first passes.  A hit's 8 entries are its path's full block
-    products, formed with _block_product in the path's order only when a hit
-    needs them.
+    with one of the pool's own keys.  The level above the leaves has its own
+    loop, which scores its leaves; there a node writes its path entries only
+    when it or one of its leaves is a hit, and a b2 node on arrangement 1
+    forms nothing, since x keeps the arrangement and none of its leaves can
+    score (an x leaf that leads off it raises ModelError).  A node on
+    arrangement 0 forms its second norm only when the first passes.  A
+    hit's 8 entries are its path's full block products, formed with
+    _block_product in the path's order only when a hit needs them.
     """
     pool = _letter_pool(params, max_power)
-    # the (pool key, syllable) pairs that follow each generator, indexed by arrangement
-    x_steps, b2_steps = ([[(key, key[1:]) for key in pool if key[:2] == (si, tok)] for si in (0, 1)]
-                         for tok in ("x", "b2"))
+    # the (pool key, syllable) pairs that follow each generator, indexed by
+    # arrangement, in text order
+    x_steps, b2_steps = ([[(key, key[1:]) for key in sorted(pool, key=lambda k: _text(k[1:]))
+                           if key[:2] == (si, tok)] for si in (0, 1)] for tok in ("x", "b2"))
     last = max_len - 1
     hits = []
     word, mats = [None] * max_len, [None] * max_len  # the path's syllables and entries
-    # full[d]: the block entries of the path's first d syllables; a node at
-    # depth d resets full[d + 1] to None, and a hit forms what it needs
+    # full[d]: the block entries of the path's first d syllables; a node that
+    # x_level or b2_level places at depth d resets full[d + 1] to None, and a
+    # hit forms what it needs
     full = [(1 + 0j, 0j, 0j, 1 + 0j) * 2] + [None] * max_len
 
     def formed(depth):
@@ -356,18 +370,7 @@ def _search_range(params, max_len, threshold, max_power, first_syllables):
                 full[nd] = f = _block_product(s, full[depth] or formed(depth))
                 hits.append((tuple(word[:nd]), abs(v01), abs(w01), f))
             if nd < last:
-                b2_level(nd, b2_steps[si2], v01, v11, w01, w11)
-            elif nd == last:
-                for key, syl in b2_steps[si2]:
-                    s, si3 = pool[key]
-                    if not si3:
-                        n1 = abs(s[0] * v01 + s[1] * v11)
-                        if n1 < threshold:
-                            n2 = abs(s[4] * w01 + s[5] * w11)
-                            if n2 < threshold:
-                                word[last] = syl
-                                hits.append((tuple(word), n1, n2,
-                                             _block_product(s, full[last] or formed(last))))
+                (b2_level if nd < last - 1 else b2_above)(nd, b2_steps[si2], v01, v11, w01, w11)
 
     def b2_level(depth, tok_steps, u01, u11, l01, l11):
         nd = depth + 1
@@ -380,22 +383,63 @@ def _search_range(params, max_len, threshold, max_power, first_syllables):
                 full[nd] = f = _block_product(s, full[depth] or formed(depth))
                 hits.append((tuple(word[:nd]), abs(v01), abs(w01), f))
             if nd < last:
-                x_level(nd, x_steps[si2], v01, a2 * u01 + a3 * u11,
-                        w01, b2 * l01 + b3 * l11)
-            elif nd == last:
-                for key, syl in x_steps[si2]:
-                    s, si3 = pool[key]
-                    if not si3:
-                        n1 = abs(s[0] * v01)
-                        if n1 < threshold:
-                            n2 = abs(s[4] * w01)
-                            if n2 < threshold:
-                                word[last] = syl
-                                hits.append((tuple(word), n1, n2,
-                                             _block_product(s, full[last] or formed(last))))
+                (x_level if nd < last - 1 else x_above)(nd, x_steps[si2], v01, a2 * u01 + a3 * u11,
+                                                        w01, b2 * l01 + b3 * l11)
 
+    # the level above the leaves: f is the node's full entries, once a hit needs them
+    def x_above(depth, tok_steps, u01, u11, l01, l11):
+        for key, syl in tok_steps:
+            s, si2 = pool[key]
+            a0, _, _, a3, b0, _, _, b3 = s
+            v01, v11, w01, w11 = a0 * u01, a3 * u11, b0 * l01, b3 * l11
+            f = None
+            if not si2 and abs(v01) < threshold and abs(w01) < threshold:
+                word[depth], f = syl, _block_product(s, full[depth] or formed(depth))
+                hits.append((tuple(word[:last]), abs(v01), abs(w01), f))
+            for key, leaf in b2_steps[si2]:
+                t, si3 = pool[key]
+                if not si3:
+                    n1 = abs(t[0] * v01 + t[1] * v11)
+                    if n1 < threshold:
+                        n2 = abs(t[4] * w01 + t[5] * w11)
+                        if n2 < threshold:
+                            if f is None:
+                                word[depth], f = syl, _block_product(s, full[depth] or formed(depth))
+                            word[last] = leaf
+                            hits.append((tuple(word), n1, n2, _block_product(t, f)))
+
+    def b2_above(depth, tok_steps, u01, u11, l01, l11):
+        for key, syl in tok_steps:
+            s, si2 = pool[key]
+            if si2:
+                # x keeps the arrangement, so none of these leaves can score;
+                # each is still read once, as every node is
+                for key, leaf in x_steps[1]:
+                    if not pool[key][1]:
+                        raise ModelError(f"syllable {BraidWord((leaf,))} leaves arrangement 1; "
+                                         "the search steps x as keeping it")
+                continue
+            a0, a1, _, _, b0, b1, _, _ = s
+            v01, w01 = a0 * u01 + a1 * u11, b0 * l01 + b1 * l11
+            f = None
+            if abs(v01) < threshold and abs(w01) < threshold:
+                word[depth], f = syl, _block_product(s, full[depth] or formed(depth))
+                hits.append((tuple(word[:last]), abs(v01), abs(w01), f))
+            for key, leaf in x_steps[0]:
+                t, si3 = pool[key]
+                if not si3:
+                    n1 = abs(t[0] * v01)
+                    if n1 < threshold:
+                        n2 = abs(t[4] * w01)
+                        if n2 < threshold:
+                            if f is None:
+                                word[depth], f = syl, _block_product(s, full[depth] or formed(depth))
+                            word[last] = leaf
+                            hits.append((tuple(word), n1, n2, _block_product(t, f)))
+
+    x_first, b2_first = (x_above, b2_above) if last == 1 else (x_level, b2_level)
     for syl in first_syllables:
-        level, tok_steps = (x_level, x_steps) if syl[0] == "x" else (b2_level, b2_steps)
+        level, tok_steps = (x_first, x_steps) if syl[0] == "x" else (b2_first, b2_steps)
         level(0, [st for st in tok_steps[0] if st[1] == syl], 0j, 1 + 0j, 0j, 1 + 0j)
     return hits
 
@@ -427,7 +471,7 @@ def search_low_leakage(params: ModelParams, max_len: int, threshold: float,
         raise ValueError("threshold must be a finite number")
     if threshold <= 0:
         return []
-    syllables = _syllables(max_power)
+    syllables = sorted(_syllables(max_power), key=_text)
     if jobs > 1:
         # imported here, so importing the package does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -443,21 +487,10 @@ def search_low_leakage(params: ModelParams, max_len: int, threshold: float,
     else:
         raw = _search_range(params, max_len, threshold, max_power, syllables)
 
-    text = _word_text(syllables)
-
-    def rank(h):
-        word, n1, n2, _ = h
-        return (round(max(n1, n2), 12), len(word), text(word))
-
-    raw.sort(key=rank)
+    # the DFS gives each length's words in text order (see _search_range), so a
+    # stable sort by (leakage, length) ranks in (leakage, length, text) order
+    raw.sort(key=lambda h: (round(max(h[1], h[2]), 12), len(h[0])))
     return _phase_dedupe(raw)
-
-
-def _word_text(syllables):
-    """str(BraidWord(word)) for words over syllables, joined from each
-    syllable's text."""
-    text = {s: str(BraidWord((s,))) for s in syllables}.__getitem__
-    return lambda word: " ".join(map(text, word))
 
 
 def _phase_dedupe(raw) -> list[SearchHit]:

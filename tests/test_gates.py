@@ -416,13 +416,24 @@ def test_search_splits_by_first_syllable(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     hits = search_low_leakage(P, 4, 0.9, jobs=4)
     assert workers == [4]
-    assert tasks == [((t, p),) for t in ("x", "b2") for p in (1, -1, 2, -2)]
+    # in text order: " " < "-" < digits < "^" < letters, so b2 < b2^-1 < b2^-2 < b2^2 < x
+    assert tasks == [((t, p),) for t in ("b2", "x") for p in (1, -1, -2, 2)]
     assert [str(h.word) for h in hits] == [str(h.word) for h in search_low_leakage(P, 4, 0.9)]
 
 
 def _powers(max_power):
-    """The syllable powers the oracles step through, written out apart from gates."""
+    """The syllable powers of the letter pool, written out apart from gates."""
     return [p for a in range(1, max_power + 1) for p in (a, -a)]
+
+
+def _text_order(syllables):
+    """The syllables sorted by their text: the order the search steps in."""
+    return sorted(syllables, key=lambda syl: str(BraidWord((syl,))))
+
+
+def _text_powers(max_power):
+    """The syllable powers the oracles step through below the first syllable."""
+    return [p for _, p in _text_order([("x", p) for p in _powers(max_power)])]
 
 
 def _numpy_dfs(params, max_len, threshold, max_power):
@@ -430,7 +441,7 @@ def _numpy_dfs(params, max_len, threshold, max_power):
     kernel replaced."""
     pool = {key: (gates._from_blocks(np.array(entries).reshape(2, 2, 2)), si2)
             for key, (entries, si2) in gates._letter_pool(params, max_power).items()}
-    powers = _powers(max_power)
+    powers = _text_powers(max_power)
     hits = []
 
     def dfs(tok, mat, si, depth, letters, tok_powers):
@@ -446,7 +457,7 @@ def _numpy_dfs(params, max_len, threshold, max_power):
             if depth + 1 < max_len:
                 dfs(nxt, prod, si2, depth + 1, w2, powers)
 
-    for tok in ("x", "b2"):
+    for tok in ("b2", "x"):
         for p in powers:
             dfs(tok, np.eye(4, dtype=complex), 0, 0, (), (p,))
     return hits
@@ -454,7 +465,7 @@ def _numpy_dfs(params, max_len, threshold, max_power):
 
 @pytest.mark.parametrize("max_power", [2, 3])
 def test_search_kernel_matches_numpy_dfs(max_power):
-    syllables = gates._syllables(max_power)
+    syllables = _text_order(gates._syllables(max_power))
     for alpha in ("2.001", "2.05", "12/5", "2.5", "2.999"):
         params = ModelParams.from_string(alpha)
         want = _numpy_dfs(params, 6, 0.5, max_power)
@@ -476,7 +487,7 @@ def _search_range_oracle(params, max_len, threshold, max_power, first_syllables)
     """The scalar DFS with one _block_product call per node that the
     unpacked kernel replaced."""
     pool = gates._letter_pool(params, max_power)
-    powers = _powers(max_power)
+    powers = _text_powers(max_power)
     last = max_len - 1
     hits = []
     word = []
@@ -527,7 +538,7 @@ def test_search_kernel_matches_block_product_dfs(alpha, max_len, max_power):
     # raw hits (word, n1, n2, 8 entries) equal bit for bit, in the same order
     params = ModelParams.from_string(alpha)
     threshold = 0.5 if max_len > 2 else 2.0
-    syllables = gates._syllables(max_power)
+    syllables = _text_order(gates._syllables(max_power))
     want = _search_range_oracle(params, max_len, threshold, max_power, syllables)
     got = gates._search_range(params, max_len, threshold, max_power, syllables)
     assert len(want) > 0
@@ -566,9 +577,9 @@ def _phase_dedupe_oracle(raw):
     # a family whose norms straddle the rank key's 12-digit rounding boundary
     ("436/165", 9, 0.3, 939),
     ("2.999", 7, 0.5, 58), ("12/5", 11, 0.3, 533)])
-def test_phase_dedupe_matches_per_row_loop(monkeypatch, alpha, max_len, threshold, kept):
-    params = ModelParams.from_string(alpha)
-    raw = gates._search_range(params, max_len, threshold, 2, gates._syllables(2))
+def test_phase_dedupe_matches_per_row_loop(monkeypatch, searched, alpha, max_len, threshold, kept):
+    # the raw hits in the order the search made them, and what it returned
+    raw, results = searched(alpha, max_len, threshold)
     ranked = sorted(raw, key=_rank_oracle)
     want = _phase_dedupe_oracle(ranked)
     assert len(want) == kept
@@ -577,8 +588,7 @@ def test_phase_dedupe_matches_per_row_loop(monkeypatch, alpha, max_len, threshol
         monkeypatch.setattr(gates, "_DEDUPE_CHUNK", chunk)
         assert gates._phase_dedupe(ranked) == want
     # search_low_leakage ranks the same raw hits the same way
-    monkeypatch.setattr(gates, "_search_range", lambda *args: list(raw))
-    assert search_low_leakage(params, max_len, threshold) == want
+    assert list(results) == want
 
 
 def test_import_does_not_load_multiprocessing():
@@ -662,6 +672,22 @@ def test_letter_pool_rejects_an_x_that_is_not_diagonal(monkeypatch, position):
     monkeypatch.setattr(gates, "letter_matrix", leaky)
     with pytest.raises(ModelError, match=r"syllable x\^-1 on a,psi,s,s is not diagonal"):
         search_low_leakage(P, 3, 0.5)
+
+
+@pytest.mark.parametrize("max_len", [2, 3])
+def test_search_rejects_an_x_that_leaves_its_arrangement(monkeypatch, max_len):
+    # the level above the leaves scores no x leaf below a b2 node on
+    # arrangement 1, so an x that led off it must stop the search
+    letter_pool = gates._letter_pool
+
+    def moved(*args):
+        pool = letter_pool(*args)
+        pool[1, "x", -1] = pool[1, "x", -1][0], 0
+        return pool
+
+    monkeypatch.setattr(gates, "_letter_pool", moved)
+    with pytest.raises(ModelError, match=r"syllable x\^-1 leaves arrangement 1"):
+        search_low_leakage(P, max_len, 0.5)
 
 
 # ---------------------------------------------------------------------------

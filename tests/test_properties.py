@@ -1,6 +1,6 @@
 """Property tests over random alpha: F-move identities, the integer ends,
 double against mpmath precision and the braid relations of the letters; over
-random words: the search's rank text, w w^-1 = 1, double against mpmath
+random words: the search's text order, w w^-1 = 1, double against mpmath
 precision and the fifth-power law.
 
 Deterministic (derandomized, no example database) with fixed example counts.
@@ -9,6 +9,7 @@ import math
 import pathlib
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from nss import (ALPHA, PSI, SIGMA, BraidWord, IntegerAlpha, ModelParams,  # noq
 from nss import braids  # noqa: E402
 from nss.braids import evaluate_word_open, letter_matrix  # noqa: E402
 from nss.anyon import _B_TABLE, _F_FAMILIES, _R_TABLE, mp_namespace  # noqa: E402
-from nss.gates import (PSI_LEAVES, VAC_LEAVES, _syllables, _word_text,  # noqa: E402
-                       leakage_norms, reichardt_iterate, vacuum_sector_matrix)
+from nss import gates  # noqa: E402
+from nss.gates import (PSI_LEAVES, VAC_LEAVES, _syllables, leakage_norms,  # noqa: E402
+                       reichardt_iterate, search_low_leakage, vacuum_sector_matrix)
 
 FAMILIES_2X2 = [f for f in _F_FAMILIES if f_matrix(*f, ModelParams(2.4)).matrix.shape == (2, 2)]
 PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -84,16 +86,37 @@ def test_float_symbols_match_mpmath(alpha):
         assert abs(fl - complex(exact)) <= 1e-10 * max(1.0, abs(exact))
 
 
-@PROPERTY
-@given(max_power=st.integers(1, 3), length=st.integers(1, 11), data=st.data())
-def test_search_rank_text_is_the_word_text(max_power, length, data):
-    # the search ranks equal-length words by this text
-    syllables = _syllables(max_power)
-    word = st.lists(st.sampled_from(syllables), min_size=length, max_size=length).map(tuple)
-    words = data.draw(st.lists(word, min_size=2, max_size=20))
-    text = _word_text(syllables)
-    assert [text(w) for w in words] == [str(BraidWord(w)) for w in words]
-    assert sorted(words, key=text) == sorted(words, key=lambda w: str(BraidWord(w)))
+@settings(PROPERTY, max_examples=20)
+@given(alpha=alphas, max_power=st.sampled_from([1, 2, 3, 11]),
+       threshold=st.floats(0.05, 1.5), data=st.data())
+def test_search_enumerates_in_text_order(alpha, max_power, threshold, data):
+    # max_power 11 puts x^-10 before x^-2 in text order, unlike the pool's
+    # power order; a max_len of 3 keeps it at 22,308 nodes
+    max_len = data.draw(st.integers(1, 3 if max_power == 11 else 6))
+    params = ModelParams(alpha)
+    real, raw = gates._search_range, []
+
+    def recording(*args):
+        raw.extend(real(*args))
+        return list(raw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates, "_search_range", recording)
+        serial = search_low_leakage(params, max_len, threshold, max_power=max_power)
+    # the raw words of each length come out in str(BraidWord) order
+    for length in range(1, max_len + 1):
+        texts = [str(BraidWord(w)) for w, *_ in raw if len(w) == length]
+        assert texts == sorted(texts)
+    # so a stable sort by (leakage, length) ranks as the (leakage, length,
+    # text) key does, serial and split over processes alike
+    ranked = sorted(raw, key=lambda h: (round(max(h[1], h[2]), 12), len(h[0]),
+                                        str(BraidWord(h[0]))))
+    want = gates._phase_dedupe(ranked)
+    assert serial == want
+    with pytest.MonkeyPatch.context() as mp:
+        # the split in threads: its order without a process pool per example
+        mp.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
+        assert search_low_leakage(params, max_len, threshold, jobs=3, max_power=max_power) == want
 
 
 LETTERS = ["x", "h1", "b2", "b3", "b10"]
