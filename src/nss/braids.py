@@ -94,17 +94,22 @@ class BraidWord:
         return len(self.letters)
 
     def free_reduce(self) -> "BraidWord":
+        """Merge neighbouring syllables of one generator and drop zero powers;
+        a syllable that merges with none is kept as the same object."""
         out = []
-        for tok, p in self.letters:
+        for syl in self.letters:
+            tok, p = syl
             if out and out[-1][0] == tok:
                 p += out.pop()[1]
-                if not p:
-                    continue
-            out.append((tok, p))
+                syl = (tok, p)
+            if p:
+                out.append(syl)
         return BraidWord(tuple(out))
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(tuple((t, -p) for t, p in reversed(self.letters)))
+        """The reversed word of negated powers, one syllable object per distinct syllable."""
+        inv = {s: (s[0], -s[1]) for s in set(self.letters)}
+        return BraidWord(tuple(map(inv.__getitem__, reversed(self.letters))))
 
 
 def apply_letter_to_leaves(leaves, tok: str) -> tuple[QLabel, ...]:
@@ -208,20 +213,21 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
     """Matrix of one unit-power letter; returns (a fresh matrix, new_leaves).
 
     Each F block and R symbol the letter's cached plan needs is read from
-    ``symbols`` (keyed by its argument tuple) or evaluated into it; one dict
-    serves the letters of one evaluation.  Double-precision letters are
-    memoized as their plan and nonzero values in a bounded memo; readers take
-    one ``get`` and writers hold a lock, so concurrent callers are safe.
+    ``symbols`` (keyed by its argument tuple) or evaluated into it, and so is
+    the letter, as its plan and nonzero values keyed by (params, leaves,
+    charge, tok, sign); one dict serves the letters of one evaluation.
+    Double-precision letters are also memoized that way in a bounded memo;
+    readers take one ``get`` and writers hold a lock, so concurrent callers
+    are safe.
     """
     leaves, charge = _system(leaves, charge)
     cacheable = ns is FLOAT_NS
     key = (params, leaves, charge, tok, sign)
-    if cacheable:
-        hit = _LETTER_MEMO.get(key)
-        if hit is not None:
-            return _scatter(*hit), hit[0].leaves
-    plan = _letter_plan(leaves, charge, tok)
     symbols = {} if symbols is None else symbols
+    hit = (cacheable and _LETTER_MEMO.get(key)) or symbols.get(key)
+    if hit:
+        return _scatter(*hit), hit[0].leaves
+    plan = _letter_plan(leaves, charge, tok)
     for args in plan.f_args:
         if args not in symbols:  # as nested lists, whose entries are Python numbers
             blk = f_matrix(*args, params, ns)
@@ -236,12 +242,13 @@ def letter_matrix(params: ModelParams, leaves, tok: str, sign: int,
         ph = functools.reduce(operator.mul, [symbols[args] for args in triples])
         phases.append(1 / ph if sign < 0 else ph)
     vals = _entry_values(plan, [symbols[args] for args in plan.f_args], phases, ns.dtype)
+    vals.setflags(write=False)
+    symbols[key] = letter = plan, vals
     if cacheable:
-        vals.setflags(write=False)
         with _LETTER_MEMO_LOCK:
             if len(_LETTER_MEMO) >= _LETTER_MEMO_SIZE:
                 del _LETTER_MEMO[next(iter(_LETTER_MEMO))]
-            _LETTER_MEMO[key] = (plan, vals)
+            _LETTER_MEMO[key] = letter
     return _scatter(plan, vals), plan.leaves
 
 
@@ -328,7 +335,7 @@ def evaluate_word_open(params: ModelParams, leaves, word: BraidWord,
     leaves, charge = _system(leaves, charge)
     dim = len(enumerate_basis(leaves, charge))  # an empty basis raises before any letter
     cur, m = leaves, None
-    symbols = {}  # this call's F blocks and R symbols, by argument tuple
+    symbols = {}  # this call's F blocks, R symbols and letters, by argument tuple
     for tok, p in word.letters:
         for _ in range(abs(p)):
             lm, cur = letter_matrix(params, cur, tok, 1 if p > 0 else -1, charge, ns, symbols)

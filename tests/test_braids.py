@@ -20,7 +20,7 @@ from nss.anyon import FLOAT_NS, f_channels, f_matrix, mp_namespace, r_symbol
 from nss.braids import (apply_letter_to_leaves, evaluate_word_open, letter_matrix,
                         two_qubit_block_form, J4_WORD)
 from nss.errors import UnsupportedFamily
-from nss.gates import PSI_LEAVES, W_WORD
+from nss.gates import D_WORD, LOW_LEAKAGE_WORD, PSI_LEAVES, W_WORD
 from nss.labels import parse_leaves
 from nss.spaces import enumerate_basis
 
@@ -804,6 +804,69 @@ def test_mp_word_evaluates_each_f_block_once(monkeypatch):
     assert len(calls) == 4 and len(set(calls)) == 4
     evaluate_word(p, PSI_LEAVES, W_WORD, ns=ns)
     assert len(calls) == 8
+
+
+class _NeverHits(dict):
+    """A letter memo that stores every letter and never returns one."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def _count_entry_values(monkeypatch):
+    """The plans that braids._entry_values is called with from now on."""
+    plans = []
+    real = braids._entry_values
+
+    def counting(plan, *args):
+        plans.append(plan)
+        return real(plan, *args)
+
+    monkeypatch.setattr(braids, "_entry_values", counting)
+    return plans
+
+
+@pytest.mark.parametrize("word, distinct", [(W_WORD, 5), (D_WORD, 1), (LOW_LEAKAGE_WORD, 7)],
+                         ids=["W", "D", "low-leakage"])
+def test_mp_word_builds_each_distinct_letter_once(monkeypatch, word, distinct):
+    # W's 8 unit letters are 5 distinct (leaves, generator, sign) letters, D's
+    # 2 are 1 and LOW_LEAKAGE_WORD's 14 are 7; a repeated letter is scattered
+    # from the values its first build kept, which changes no bit of the word
+    p, ns = ModelParams.from_string("12/5"), mp_namespace(40)
+    plans = _count_entry_values(monkeypatch)
+    got = evaluate_word(p, PSI_LEAVES, word, ns=ns)
+    assert len(plans) == distinct
+    want, cur = None, PSI_LEAVES
+    for tok, power in word.letters:
+        for _ in range(abs(power)):  # each letter built apart, with symbols of its own
+            lm, cur = letter_matrix(p, cur, tok, 1 if power > 0 else -1, ns=ns)
+            want = lm if want is None else lm @ want
+    assert [str(z) for z in got.ravel()] == [str(z) for z in want.ravel()]
+
+
+@pytest.mark.parametrize("memo", [dict, _NeverHits], ids=["empty-memo", "memo-never-hits"])
+def test_float_word_builds_each_distinct_letter_once(monkeypatch, memo):
+    monkeypatch.setattr(braids, "_LETTER_MEMO", memo())
+    plans = _count_entry_values(monkeypatch)
+    got = evaluate_word(ModelParams(2.4), PSI_LEAVES, LOW_LEAKAGE_WORD)
+    assert len(plans) == 7
+    monkeypatch.setattr(braids, "_LETTER_MEMO", {})
+    assert got.tobytes() == evaluate_word(ModelParams(2.4), PSI_LEAVES, LOW_LEAKAGE_WORD).tobytes()
+
+
+@pytest.mark.parametrize("ns", [FLOAT_NS, mp_namespace(40)], ids=["float", "mp"])
+def test_a_repeated_letter_is_a_fresh_copy(monkeypatch, ns):
+    # writing into one returned letter changes no later copy of it within
+    # the same evaluation
+    monkeypatch.setattr(braids, "_LETTER_MEMO", _NeverHits())
+    p, symbols = ModelParams.from_string("12/5"), {}
+    first, leaves = letter_matrix(p, PSI_LEAVES, "b2", -1, ns=ns, symbols=symbols)
+    want = [str(z) for z in first.ravel()]
+    plan, vals = symbols[(p, PSI_LEAVES, ALPHA, "b2", -1)]
+    assert plan.leaves == leaves and not vals.flags.writeable
+    first[...] = 0
+    second, _ = letter_matrix(p, PSI_LEAVES, "b2", -1, ns=ns, symbols=symbols)
+    assert second is not first and [str(z) for z in second.ravel()] == want
 
 
 def test_mp_word_follows_the_working_precision():

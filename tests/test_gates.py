@@ -277,10 +277,13 @@ def test_law_failure_asks_for_precision_where_the_law_holds():
 
 def _free_reduce_oracle(word):
     """Free reduction on a stack of [generator, power] lists, written apart
-    from BraidWord.free_reduce: a syllable adds to the top when their
-    generators match, and a top whose power reaches 0 is popped."""
+    from BraidWord.free_reduce: a zero power is skipped, a syllable adds to
+    the top when their generators match, and a top whose power reaches 0 is
+    popped."""
     out = []
     for tok, p in word.letters:
+        if not p:
+            continue
         if out and out[-1][0] == tok:
             out[-1][1] += p
             if out[-1][1] == 0:
@@ -303,12 +306,36 @@ _SYLLABLES = st.tuples(st.sampled_from(["x", "b2", "b3"]), st.integers(-3, 3))
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(letters=st.lists(_SYLLABLES, max_size=30))
 def test_free_reduce_matches_the_stack_oracle(letters):
-    # the bare constructor keeps zero powers; a checked word drops them
+    # the bare constructor keeps zero powers, which free reduction drops;
+    # a checked word drops them already
     raw, w = BraidWord(tuple(letters)), BraidWord.from_letters(letters)
     assert raw.free_reduce() == _free_reduce_oracle(raw)
     assert w.free_reduce() == _free_reduce_oracle(w)
     assert w.free_reduce().free_reduce() == w.free_reduce()
     assert w.free_reduce().inverse() == w.inverse().free_reduce()
+
+
+def test_free_reduce_merges_across_zero_powers():
+    raw = BraidWord((("x", 1), ("b2", 0), ("x", -1)))
+    assert raw.free_reduce() == _free_reduce_oracle(raw) == BraidWord(())
+    stepped = step_word(BraidWord((("b2", 1), ("x", 0))))
+    assert stepped == _step_word_oracle(BraidWord((("b2", 1),)))
+    assert stepped.letters[-1] == ("b2", 1) and len(stepped) == 9
+
+
+def test_recursion_words_share_their_syllables():
+    # a step reuses the syllable objects it is given: only a merged syllable
+    # and the inverse of each distinct syllable are new, so W's k = 6 word of
+    # 93,749 syllables holds a few dozen tuples rather than one per syllable
+    w = W_WORD
+    for _ in range(6):
+        w = step_word(w)
+    assert len(w) == 93_749
+    assert len({id(s) for s in w.letters}) < 100
+    inv = w.inverse()
+    assert len({id(s) for s in inv.letters}) == len(set(w.letters))
+    assert inv.free_reduce().letters == inv.letters
+    assert all(a is b for a, b in zip(inv.free_reduce().letters, inv.letters))
 
 
 def _random_letters(rng, n, toks=("x", "b2", "b3")):
@@ -335,11 +362,13 @@ def test_step_word_matches_reducing_the_concatenation():
         assert got.free_reduce() == got
         cancelled += len(got) < 5 * len(word.free_reduce()) + 4 * len(d.free_reduce())
     assert cancelled > 100
-    # iterating keeps agreeing
-    w = W_WORD
-    for _ in range(3):
-        assert step_word(w) == _step_word_oracle(w)
-        w = step_word(w)
+    # iterating keeps agreeing, and the words keep sharing their syllables
+    for w in (W_WORD, LOW_LEAKAGE_WORD):
+        for _ in range(6):
+            stepped = step_word(w)
+            assert stepped == _step_word_oracle(w)
+            assert len({id(s) for s in stepped.letters}) < 100
+            w = stepped
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,8 @@ class _NoHits(dict):
     max_syllables=6, max_power=2,
     systems=[(ALPHA,) + (SIGMA,) * 4, (ALPHA, PSI, SIGMA, SIGMA), (ALPHA,) + (SIGMA,) * 8]))
 def test_warm_letter_memo_changes_no_bit(alpha, system_word):
-    # a word of letters each built from its plan and symbols, of letters
+    # a word of letters built from their plans and symbols (a repeat from
+    # the values its first build kept in that evaluation), of letters
     # some of which an empty memo returns, and of letters a warm memo returns
     # all (evaluate_word's body, which may end on permuted leaves) have the
     # same bytes
