@@ -601,21 +601,18 @@ def _pentagon_plan():
     for a, b, c, d, e, p, m, l, r in _pentagon_instances():
         needed = [(p, c, d, e), (a, b, l, e), (a, b, c, m), (b, c, d, r)]
         ts = _outcomes(b, c)
-        missing = next((f for f in needed if get(f) is None), None)
-        if missing is None and ts:  # an untabulated b x c verifies nothing
-            missing = next((f for f in [(a, t, d, e) for t in ts] if get(f) is None), None)
-            if missing is None:
-                lhs = product((needed[0], l, m), (needed[1], r, p))
-                rhs = [product((needed[2], t, p), ((a, t, d, e), r, m), (needed[3], l, t))
-                       for t in ts]
-                if [x for x in rhs if x is not None] != ([] if lhs is None else [lhs]):
-                    raise ModelError(f"pentagon (a,b,c,d;e) = ({a},{b},{c},{d};{e}), (p,m,l,r) = "
-                                     f"({p},{m},{l},{r}) holds only for particular F values")
-                verified += 1
-                vacuum_free += VACUUM not in (a, b, c, d)
+        missing = next((f for f in needed + [(a, t, d, e) for t in ts] if get(f) is None), None)
         if missing is not None:
             skipped += 1
             reasons[missing[:3]] = reasons.get(missing[:3], 0) + 1
+        elif ts:  # an untabulated b x c verifies nothing
+            lhs = product((needed[0], l, m), (needed[1], r, p))
+            rhs = [product((needed[2], t, p), ((a, t, d, e), r, m), (needed[3], l, t)) for t in ts]
+            if [x for x in rhs if x is not None] != ([] if lhs is None else [lhs]):
+                raise ModelError(f"pentagon (a,b,c,d;e) = ({a},{b},{c},{d};{e}), (p,m,l,r) = "
+                                 f"({p},{m},{l},{r}) holds only for particular F values")
+            verified += 1
+            vacuum_free += VACUUM not in (a, b, c, d)
     reasons = tuple(("F[{},{},{}]".format(*fam), n) for fam, n in reasons.items())
     return verified, skipped, reasons, vacuum_free
 

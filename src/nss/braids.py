@@ -185,9 +185,7 @@ def _letter_plan(leaves: tuple, charge: QLabel, tok: str) -> _LetterPlan:
             vertex = vertices[v] = src[:2] + (src[2].index(ch[i]),) + tgt + ([None] * len(tgt[2]),)
         sb, s_rows, col, tb, t_rows, t_cols, amp_of = vertex
         for tj, mt in enumerate(t_cols):
-            row = j if same and mt == ch[i] else idx.get(ch[:i] + (mt,) + ch[i + 1:])
-            if row is None:
-                continue
+            row = j if same and mt == ch[i] else idx[ch[:i] + (mt,) + ch[i + 1:]]
             if amp_of[tj] is None:  # labelled where first kept, as a column loop would
                 terms = tuple(((tb, tj, t_rows.index(w)), label((Q, P, w)), (sb, wi, col))
                               for wi, w in enumerate(s_rows))

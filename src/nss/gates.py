@@ -219,7 +219,8 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
     falls below the double-precision cancellation floor (~1e-16); without
     it, a fifth-power-law violation beyond ``_LAW_TOL`` raises
     PrecisionExhausted.  Raises ValueError when k < 0 or an extended run's
-    dps lies outside 1.._MAX_DPS.
+    dps lies outside 1.._MAX_DPS, and NotBlockDiagonal when the word couples
+    the two blocks, at k = 0 too.
     """
     if k < 0:
         raise ValueError("k must be at least 0")
@@ -229,6 +230,7 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
         raise PrecisionExhausted("k > 4 needs the extended-precision mode")
     ns = mp_namespace(dps) if extended else FLOAT_NS
     cur = evaluate_word(params, PSI_LEAVES, word, ns=ns)
+    _blocks(cur)  # a block-coupling word raises before the first report
     dm = evaluate_word(params, PSI_LEAVES, D_WORD, ns=ns)
     reports = []
     cur_word = word

@@ -125,18 +125,10 @@ def _enumerate_trees(leaves: tuple, charge) -> list[FusionTree]:
         if leaves[0] == charge:
             return [FusionTree(leaves, (), charge)]
         raise EmptyBasis(f"single leaf {leaves[0]} != charge {charge}")
-    chains = []
-
-    def extend(chain):
-        i = len(chain)
-        if i == len(leaves):
-            if chain[-1] == charge:
-                chains.append(chain)
-            return
-        for c in _outcomes(chain[-1], leaves[i]):
-            extend(chain + (c,))
-
-    extend((leaves[0],))
+    chains = [(leaves[0],)]
+    for leaf in leaves[1:]:
+        chains = [ch + (c,) for ch in chains for c in _outcomes(ch[-1], leaf)]
+    chains = [ch for ch in chains if ch[-1] == charge]
     if not chains:
         raise EmptyBasis(f"no admissible labeling for {','.join(map(str, leaves))} "
                          f"at charge {charge}")

@@ -668,6 +668,26 @@ def test_letter_plans_equal_the_per_column_plans():
     assert n == 3 + 4 + 4 + 5 + 9
 
 
+def test_letter_plan_refuses_a_target_basis_missing_a_tree(monkeypatch):
+    # a target tree that the basis lacks would drop an amplitude from the
+    # letter; building the plan must raise instead
+    leaves = parse_leaves("a,psi,s,s")
+    target = apply_letter_to_leaves(leaves, "b2")
+    real = braids.enumerate_basis
+
+    def short(lv, charge):
+        basis = real(lv, charge)
+        return basis[1:] if tuple(lv) == target else basis
+
+    braids._letter_plan.cache_clear()
+    monkeypatch.setattr(braids, "enumerate_basis", short)
+    try:
+        with pytest.raises(KeyError):
+            braids._letter_plan(leaves, leaves[0], "b2")
+    finally:
+        braids._letter_plan.cache_clear()
+
+
 LETTER_ALPHAS = (Fraction(12, 5), Fraction(2003, 1000), Fraction(293, 100))
 
 

@@ -136,6 +136,15 @@ def test_step_matches_expanded_word():
     assert len(word1) == 29
 
 
+@pytest.mark.parametrize("extended", [False, True], ids=["float", "mp"])
+def test_iterate_refuses_a_block_coupling_word_at_k0(extended):
+    # b3 on a,psi,s,s couples the blocks; at k = 1 the step refuses it, and
+    # k = 0 must not report its off-diagonals as if it did not
+    word = BraidWord.parse("b3")
+    with pytest.raises(NotBlockDiagonal, match=r"^off-block norm 6\.687e-01"):
+        reichardt_iterate(P, word, k=0, extended=extended, dps=30)
+
+
 def test_iterate_fifth_power_law():
     reports = reichardt_iterate(P, W_WORD, k=3)
     assert [r.k for r in reports] == [0, 1, 2, 3]

@@ -14,7 +14,7 @@ from nss import anyon, spaces
 from nss.anyon import bubble_pop, fuse
 from nss.braids import BraidWord, evaluate_word, letter_matrix
 from nss.errors import ModelError, UnsupportedTriple
-from nss.labels import parse_leaves
+from nss.labels import alpha_label, parse_leaves
 from nss.spaces import (_computational_flag, _effective_qubits, _interval_signs,
                         _label_sort_key, _space_plan, _tree_sort_key)
 
@@ -95,6 +95,46 @@ def test_empty_basis_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(EmptyBasis):
             enumerate_basis((ALPHA, SIGMA, SIGMA), PSI)
+
+
+def _enumerate_trees_oracle(leaves, charge):
+    """The depth-first walk: each chain extended by every outcome in turn."""
+    if len(leaves) == 0:
+        raise EmptyBasis("no leaves")
+    if len(leaves) == 1:
+        if leaves[0] == charge:
+            return [FusionTree(leaves, (), charge)]
+        raise EmptyBasis(f"single leaf {leaves[0]} != charge {charge}")
+    chains = []
+
+    def extend(chain):
+        i = len(chain)
+        if i == len(leaves):
+            if chain[-1] == charge:
+                chains.append(chain)
+            return
+        for c in anyon._outcomes(chain[-1], leaves[i]):
+            extend(chain + (c,))
+
+    extend((leaves[0],))
+    if not chains:
+        raise EmptyBasis(f"no admissible labeling for {','.join(map(str, leaves))} "
+                         f"at charge {charge}")
+    return [FusionTree(leaves, ch[1:-1], ch[-1]) for ch in chains]
+
+
+def test_level_by_level_enumeration_matches_the_depth_first_walk():
+    labels = parse_leaves("a,a+1,s,psi,1,s32,p2")
+    charges = [alpha_label(k) for k in range(-4, 5)] + [SIGMA, PSI, VACUUM]
+    count = 0
+    for n in range(5):
+        for leaves in itertools.product(labels, repeat=n):
+            for charge in charges:
+                got = _signs_or_error(lambda: spaces._enumerate_trees(leaves, charge))
+                want = _signs_or_error(lambda: _enumerate_trees_oracle(leaves, charge))
+                assert got == want, (leaves, charge)
+                count += 1
+    assert count == 33_612
 
 
 def test_basis_shared_between_list_and_tuple_leaves():
