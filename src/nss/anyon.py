@@ -2,10 +2,10 @@
 
 Everything here is a pure evaluation in the real parameter alpha: fusion
 rules, the modified quantum dimension, bubble-pop coefficients, the sign
-functions s/t, R-symbols and (normalized) F-matrices.  B, R and F are each
-one table that every evaluator and listing reads; alpha-parameterized rows
-apply verbatim under integer shifts of alpha, and lookups outside the
-tables raise, they are never extrapolated.
+functions s/t, R-symbols and (normalized) F-matrices.  The fusion rules, B,
+R and F are each one table that every evaluator and listing reads;
+alpha-parameterized rows apply verbatim under integer shifts of alpha, and
+lookups outside the tables raise, they are never extrapolated.
 
 All q-powers mean ``q^x = exp(i pi x / 4)`` for real x.  Square roots of
 negative bubble coefficients use the principal branch (``+i sqrt|B|``).
@@ -145,44 +145,43 @@ def q_power(x, ns=FLOAT_NS):
 # fusion
 # ---------------------------------------------------------------------------
 
-def fuse(a: QLabel, b: QLabel) -> tuple[QLabel, ...]:
-    """Fusion outcomes of a x b, each with multiplicity one.
-
-    Covers the tabulated rules: the vacuum is a strict unit, sigma shifts an
-    alpha-type label by +-1, psi by +-2/0, sigma x sigma = 1 + psi,
-    sigma x psi = sigma + S3/2 and psi x psi = 1 + P2.  Pairs outside the
-    table (e.g. two alpha-type labels, S3/2 x S3/2) raise UnsupportedPair.
-    """
-    if a == VACUUM:
-        return (b,)
-    if b == VACUUM:
-        return (a,)
-    if a.is_alpha and not b.is_alpha:
-        a, b = b, a  # the table is symmetric in the listed pairs
-    if b.is_alpha:
-        if a == SIGMA:
-            return (b.shifted(+1), b.shifted(-1))
-        if a == PSI:
-            return (b.shifted(+2), b, b.shifted(-2))
-        raise UnsupportedPair(f"{a} x {b} not tabulated")
-    pair = {a, b}
-    if pair == {SIGMA}:
-        return (VACUUM, PSI)
-    if pair == {SIGMA, PSI}:
-        return (SIGMA, S32)
-    if pair == {PSI}:
-        return (VACUUM, P2)
-    raise UnsupportedPair(f"{a} x {b} not tabulated")
+# every fusion rule but the vacuum's, keyed by the two labels' kinds: an
+# alpha-type label's row holds the shifts of its outcomes, every other row
+# the outcomes themselves; two alpha-type labels, or an alpha-type label
+# with S3/2 or P2, have no row
+_FUSION = {
+    frozenset(("sigma", "alpha")): (1, -1),
+    frozenset(("psi", "alpha")): (2, 0, -2),
+    frozenset(("sigma",)): (VACUUM, PSI),
+    frozenset(("sigma", "psi")): (SIGMA, S32),
+    frozenset(("psi",)): (VACUUM, P2),
+}
 
 
 @functools.lru_cache(maxsize=None)
 def _outcomes(a: QLabel, b: QLabel) -> tuple[QLabel, ...]:
-    """Fusion outcomes of a x b, or () when the pair is not tabulated; each
-    pair's outcomes are found once per process."""
-    try:
-        return fuse(a, b)
-    except UnsupportedPair:
-        return ()
+    """Fusion outcomes of a x b, or () when the pair is not tabulated: the
+    vacuum is a strict unit, every other pair reads its :data:`_FUSION` row.
+    Each pair's outcomes are found once per process."""
+    if a == VACUUM or b == VACUUM:
+        return (b if a == VACUUM else a,)
+    row = _FUSION.get(frozenset((a[0], b[0])), ())
+    x = a if a[2] else b
+    return tuple(x.shifted(k) for k in row) if x[2] else row
+
+
+def fuse(a: QLabel, b: QLabel) -> tuple[QLabel, ...]:
+    """Fusion outcomes of a x b, each with multiplicity one (:func:`_outcomes`).
+
+    Pairs outside the table (e.g. two alpha-type labels, S3/2 x S3/2) raise
+    UnsupportedPair, naming the non-alpha label first.
+    """
+    outcomes = _outcomes(a, b)
+    if not outcomes:
+        if a.is_alpha and not b.is_alpha:
+            a, b = b, a
+        raise UnsupportedPair(f"{a} x {b} not tabulated")
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -381,10 +381,8 @@ def block_decompose(matrix, space: IndefSpace, tol: Optional[float] = None) -> B
     mask = space.computational_mask
     if tol is None:
         tol = space.params.tol
-    off1 = m[np.ix_(mask, ~mask)]
-    off2 = m[np.ix_(~mask, mask)]
-    leak = float(max(np.max(np.abs(off1)) if off1.size else 0.0,
-                     np.max(np.abs(off2)) if off2.size else 0.0))
+    leak = float(max(np.max(np.abs(m[np.ix_(mask, ~mask)]), initial=0.0),
+                     np.max(np.abs(m[np.ix_(~mask, mask)]), initial=0.0)))
     if leak > tol:
         raise NotBlockDiagonal(leak)
     return BlockDecomposition(m[np.ix_(mask, mask)], leak)

@@ -164,19 +164,15 @@ def _cmd_verify(args) -> int:
         raise ValueError("--seed must be at least 0")
     params = _params(args)
     results = verify.run_all(params, args.seed)
-    n_fail = len(verify.failures(results))
+    counts = {s: sum(r.status == s for r in results) for s in ("pass", "fail", "skipped")}
     payload = {
         "alpha": params.alpha,
         "seed": args.seed,
         "results": [r.as_dict() for r in results],
-        "counts": {
-            "pass": sum(r.status == "pass" for r in results),
-            "fail": n_fail,
-            "skipped": sum(r.status == "skipped" for r in results),
-        },
+        "counts": counts,
     }
     _emit(args, payload)
-    return EXIT_VERIFY_FAIL if n_fail else EXIT_OK
+    return EXIT_VERIFY_FAIL if counts["fail"] else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

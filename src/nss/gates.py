@@ -59,16 +59,18 @@ def build_D(params: ModelParams) -> BraidMatrix:
     (computational) phases are exactly 1, which is what makes the iteration
     below leave the computational action untouched.
     """
-    space = psi_sector(params)
-    m = evaluate_word(params, PSI_LEAVES, D_WORD)
-    return BraidMatrix(m, space)
+    return _control_gate(params, D_WORD)
 
 
 def build_W(params: ModelParams) -> BraidMatrix:
     """The initializing braid b2^2 x b2^2 x b2^-2 on the control sector."""
+    return _control_gate(params, W_WORD)
+
+
+def _control_gate(params: ModelParams, word: BraidWord) -> BraidMatrix:
+    """``word`` on the control sector, built first so a bad alpha raises there."""
     space = psi_sector(params)
-    m = evaluate_word(params, PSI_LEAVES, W_WORD)
-    return BraidMatrix(m, space)
+    return BraidMatrix(evaluate_word(params, PSI_LEAVES, word), space)
 
 
 def leakage_norms(matrix) -> tuple[float, float]:

@@ -98,8 +98,13 @@ def parse_label(token: str) -> QLabel:
     raise ValueError(f"cannot parse label token {token!r}")
 
 
+def _label_list(text: str) -> tuple[QLabel, ...]:
+    """The labels of a comma-separated list, () for a blank one; a blank token raises."""
+    return tuple(map(parse_label, text.split(","))) if text.strip() else ()
+
+
 def parse_leaves(text: str) -> tuple[QLabel, ...]:
-    leaves = tuple(parse_label(t) for t in text.split(",") if t.strip())
+    leaves = _label_list(text)
     if not leaves:
         raise ValueError(f"no leaves in {text!r}")
     return leaves

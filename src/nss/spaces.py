@@ -19,7 +19,7 @@ import numpy as np
 
 from .anyon import _outcomes, bubble_pop, f_matrix, modified_dimension
 from .errors import EmptyBasis, UnsupportedTriple
-from .labels import ALPHA, PSI, SIGMA, VACUUM, ModelParams, QLabel, parse_label
+from .labels import ALPHA, PSI, SIGMA, VACUUM, ModelParams, QLabel, _label_list, parse_label
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,7 @@ class FusionTree:
         parts = body[1:-1].split("|")
         if len(parts) != 3:
             raise ValueError(f"bad tree literal {text!r}")
-        leaves = tuple(parse_label(t) for t in parts[0].split(",") if t.strip())
-        inner = tuple(parse_label(t) for t in parts[1].split(",") if t.strip())
-        return cls(leaves, inner, parse_label(parts[2]))
+        return cls(_label_list(parts[0]), _label_list(parts[1]), parse_label(parts[2]))
 
 
 def _system(leaves, charge=None) -> tuple[tuple[QLabel, ...], QLabel]:

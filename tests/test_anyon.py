@@ -217,6 +217,67 @@ def _check_table_only(fn, table, is_unit):
                 fn(*triple, p)
 
 
+def _fuse_oracle(a, b):
+    """The fusion rules as the per-pair branches the fusion table replaced."""
+    if a == VACUUM:
+        return (b,)
+    if b == VACUUM:
+        return (a,)
+    if a.is_alpha and not b.is_alpha:
+        a, b = b, a
+    if b.is_alpha:
+        if a == SIGMA:
+            return (b.shifted(+1), b.shifted(-1))
+        if a == PSI:
+            return (b.shifted(+2), b, b.shifted(-2))
+        raise UnsupportedPair(f"{a} x {b} not tabulated")
+    pair = {a, b}
+    if pair == {SIGMA}:
+        return (VACUUM, PSI)
+    if pair == {SIGMA, PSI}:
+        return (SIGMA, S32)
+    if pair == {PSI}:
+        return (VACUUM, P2)
+    raise UnsupportedPair(f"{a} x {b} not tabulated")
+
+
+def test_fusion_table_matches_the_branches_it_replaced():
+    # outcomes in order, or the same error and message, on every ordered pair
+    for a, b in itertools.product(LABEL_GRID, repeat=2):
+        want = _outcome(_fuse_oracle, a, b)
+        assert _outcome(fuse, a, b) == want, (a, b)
+        assert anyon._outcomes(a, b) == (() if want[0] is UnsupportedPair else want), (a, b)
+    assert _outcome(fuse, S32, ALPHA) == (UnsupportedPair, "s32 x a not tabulated")
+    assert _outcome(fuse, ALPHA, ALPHA.shifted(1)) == (UnsupportedPair, "a x a+1 not tabulated")
+
+
+def test_symbol_tables_use_only_tabulated_fusion_vertices():
+    def vertex(a, b, c):
+        return c in anyon._outcomes(a, b)
+
+    # every R row (b, a; c) is a vertex of the fusion table
+    assert all(vertex(a, b, c) for b, a, c in _R_TABLE)
+    # so is every B row but the two that meet S3/2 with an alpha-type label,
+    # which the fusion table has no row for
+    assert [row for row in _B_TABLE if not vertex(*row)] == [
+        (ALPHA, S32, ALPHA.shifted(1)), (ALPHA, S32, ALPHA.shifted(-1))]
+    # each F[a,b,c;d] row n has n in b x c and d in a x n, each column m has
+    # m in a x b and d in m x c, but for the S3/2 row of the four families
+    # whose right tree passes through (a, S3/2; d)
+    off = []
+    for a, b, c, d in _F_FAMILIES:
+        rows, cols = f_channels(a, b, c, d)
+        assert all(vertex(a, b, m) and vertex(m, c, d) for m in cols)
+        off += [(b, c, d[1], n) for n in rows if not (vertex(b, c, n) and vertex(a, n, d))]
+    assert sorted(off) == sorted([(PSI, SIGMA, 1, S32), (PSI, SIGMA, -1, S32),
+                                  (SIGMA, PSI, 1, S32), (SIGMA, PSI, -1, S32)])
+    # every fusion vertex has an R row but psi x psi -> 1, p2
+    labels = [SIGMA, PSI, S32, P2, ALPHA]
+    bare = [(a, b, c) for a, b in itertools.product(labels, repeat=2)
+            for c in anyon._outcomes(a, b) if (b, a, c) not in _R_TABLE]
+    assert bare == [(PSI, PSI, VACUUM), (PSI, PSI, P2)]
+
+
 def test_r_symbol_is_the_vacuum_rule_plus_the_table():
     _check_table_only(r_symbol, _R_TABLE,
                       lambda b, a, c: (b == VACUUM and a == c) or (a == VACUUM and b == c))

@@ -566,21 +566,34 @@ def _hit_bits(hit):
     return word, n1.hex(), n2.hex(), [_hex(z) for z in entries]
 
 
-@pytest.mark.parametrize("alpha, max_len, max_power", [
-    ("2.001", 7, 2), ("12/5", 7, 2), ("37/14", 7, 2), ("2.999", 7, 2),
-    ("12/5", 7, 1), ("12/5", 7, 3), ("12/5", 1, 2), ("12/5", 2, 2),
-    ("12/5", 8, 2), ("2.05", 7, 2),
+_KERNEL_CASES = [
+    ("2.001", 7, 2, 0.5), ("12/5", 7, 2, 0.5), ("37/14", 7, 2, 0.5), ("2.999", 7, 2, 0.5),
+    ("12/5", 7, 1, 0.5), ("12/5", 7, 3, 0.5), ("12/5", 1, 2, 2.0), ("12/5", 2, 2, 2.0),
+    ("12/5", 8, 2, 0.5), ("2.05", 7, 2, 0.5),
     # the shallowest b2 nodes whose x children are leaves
-    ("12/5", 3, 2), ("2.001", 3, 1)])
-def test_search_kernel_matches_block_product_dfs(alpha, max_len, max_power):
+    ("12/5", 3, 2, 0.5), ("2.001", 3, 1, 0.5),
+    # None: the threshold is |upper off-diagonal of b2^2|, which b2^2 misses
+    # while its x^-1 leaf, whose product rounds below it, scores
+    ("23/10", 2, 2, None)]
+
+
+@pytest.mark.parametrize("alpha, max_len, max_power, threshold", _KERNEL_CASES,
+                         ids=["-".join(map(str, case[:3])) for case in _KERNEL_CASES])
+def test_search_kernel_matches_block_product_dfs(alpha, max_len, max_power, threshold):
     # raw hits (word, n1, n2, 8 entries) equal bit for bit, in the same order
     params = ModelParams.from_string(alpha)
-    threshold = 0.5 if max_len > 2 else 2.0
+    at_b2_squared = threshold is None
+    if at_b2_squared:
+        # b2^2 is a BLAS product, so its bits, and this threshold, depend on the CPU kernel
+        threshold = abs(gates._letter_pool(params, max_power)[0, "b2", 2][0][1])
     syllables = _text_order(gates._syllables(max_power))
     want = _search_range_oracle(params, max_len, threshold, max_power, syllables)
     got = gates._search_range(params, max_len, threshold, max_power, syllables)
     assert len(want) > 0
     assert got == want
+    if at_b2_squared:
+        words = [h[0] for h in got]
+        assert (("b2", 2),) not in words and (("b2", 2), ("x", -1)) in words
     # == takes -0.0 for 0.0; the bits of every norm and entry match too
     assert list(map(_hit_bits, got)) == list(map(_hit_bits, want))
     # the jobs > 1 split: one first syllable per call

@@ -513,6 +513,12 @@ def test_serialization_roundtrip():
     assert trees[0].serialize() == "(a,psi,s,s|a+2,a+1|a)"
 
 
+def test_an_empty_internal_field_is_the_internal_labels_of_a_short_tree():
+    # a label list drops no token, but a tree with under three leaves has none inside
+    assert FusionTree.deserialize("(a,s||a+1)") == FusionTree((ALPHA, SIGMA), (), ALPHA.shifted(1))
+    assert FusionTree.deserialize("(a||a)") == FusionTree((ALPHA,), (), ALPHA)
+
+
 def test_tree_chain_is_cached_and_trees_compare_by_their_fields():
     t = FusionTree((ALPHA, PSI, SIGMA, SIGMA), (ALPHA.shifted(2), ALPHA.shifted(1)), ALPHA)
     fresh = FusionTree(t.leaves, t.internal, t.root)

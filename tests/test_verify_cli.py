@@ -542,6 +542,9 @@ def test_cli_space_decodes_other_odd_labels_as_noncomputational(tree):
      "internal labels must number len(leaves) - 2"),
     (("--leaves", "a,q"), "cannot parse label token 'q'"),
     (("--leaves", "a+x,s,s"), "cannot parse label token 'a+x'"),
+    (("--leaves", "a,,s,s"), "cannot parse label token ''"),
+    (("--leaves", "a,s,s", "--decode", "(a, ,s|a+1|a)"), "cannot parse label token ' '"),
+    (("--leaves", ""), "no leaves in ''"),
 ])
 def test_cli_space_bad_label_or_tree_is_a_usage_error(args, message):
     code, out = run_cli("space", *args)
@@ -629,6 +632,11 @@ def test_cli_verify_rejects_negative_seed():
     ("braid", "--system", "a,s,s", "--word", "b2^999999999"),
     ("model", "--out", "<tmp>/missing/x.json"),
     ("reichardt", "--extended", "--dps", "10000000"),
+    # an empty or blank label token is not dropped
+    ("space", "--leaves", "a,,s,s"),
+    ("space", "--leaves", "a,s,s,"),
+    ("braid", "--system", "a, ,s,s", "--word", "x"),
+    ("space", "--leaves", "a,s,s", "--decode", "(a,,s,s|a+1|a)"),
 ])
 def test_cli_bad_input_is_a_usage_error(args, tmp_path):
     code, out = run_cli(*(a.replace("<tmp>", str(tmp_path)) for a in args))
