@@ -82,7 +82,10 @@ def mp_namespace(dps):
     at ``dps`` digits, its elementary functions memoised in caches it owns and
     its guard and sign functions shared.  mpmath's global precision is
     neither read nor set, so namespaces at different precisions, in one
-    thread or several, never disturb each other."""
+    thread or several, never disturb each other.  The context is
+    ``ns.one.context``; its owner may change its precision between
+    evaluations, and a memoised result keeps the precision it was first
+    computed at."""
     import mpmath
     from fractions import Fraction
     ctx = mpmath.MPContext()

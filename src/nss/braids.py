@@ -381,9 +381,9 @@ def block_decompose(matrix, space: IndefSpace, tol: Optional[float] = None) -> B
     mask = space.computational_mask
     if tol is None:
         tol = space.params.tol
-    leak = float(max(np.max(np.abs(m[np.ix_(mask, ~mask)]), initial=0.0),
-                     np.max(np.abs(m[np.ix_(~mask, mask)]), initial=0.0)))
-    if leak > tol:
+    # one max over both off-blocks, so a NaN in either propagates and raises
+    leak = float(np.max(np.abs(m[mask[:, None] != mask]), initial=0.0))
+    if not leak <= tol:
         raise NotBlockDiagonal(leak)
     return BlockDecomposition(m[np.ix_(mask, mask)], leak)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,9 @@ D_WORD = BraidWord.parse("x^2")
 _LAW_TOL = 1e-3
 # an mpmath step costs about dps^2; W_WORD k=8 needs 31,200, LOW_LEAKAGE_WORD k=7 42,700
 _MAX_DPS = 50_000
+# the smallest seed off-diagonal that doubles place well enough to grade an
+# extended run's digits by (see _step_digits)
+_GRADE_FLOOR = 1e-10
 
 # canonical representative of the word family found by the exhaustive search
 # at <= 11 syllables whose leakage norms are ~0.2859 and ~0.2848, one of four
@@ -122,12 +126,16 @@ def reichardt_step(w: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def step_word(word: BraidWord, d_word: BraidWord = D_WORD) -> BraidWord:
-    """The free-reduced braid word realizing one recursion step of `word`.
+    """The free-reduced braid word realizing one recursion step of `word`."""
+    return _step_reduced(word.free_reduce(), d_word.free_reduce())
+
+
+def _step_reduced(w: BraidWord, d: BraidWord) -> BraidWord:
+    """:func:`step_word` of free-reduced ``w`` and ``d``.
 
     With each part reduced, syllables merge only where two parts meet; a
     whole cancellation there runs on into the parts on either side.
     """
-    w, d = word.free_reduce(), d_word.free_reduce()
     wi, d3 = w.inverse(), BraidWord.from_letters([(t, 3 * p) for t, p in d.letters])
     out = []
     for part in (w, d, wi, d3, w, d3, wi, d, w):
@@ -211,18 +219,48 @@ def _law_remedy(params: ModelParams, extended: bool) -> str:
     return "rerun with a larger dps" if extended else "rerun with extended=True"
 
 
+def _step_digits(params: ModelParams, word: BraidWord, k: int, dps: int) -> list[int]:
+    """The digits that an extended run works at: index 0 for the evaluation
+    of ``word``, j for recursion step j, and ``dps`` for step k.
+
+    A step takes a block [[a, b], [c, d]] to off-diagonals b P / det^2 and
+    c P / det^2, with P a polynomial in ad, bc and D's entries, so it needs
+    relative accuracy in its input's off-diagonals, whose relative error a
+    step multiplies by 5.  With l = -log10 of the seed's smaller
+    off-diagonal, step j's off-diagonals are 10^(-l 5^j), and at
+    dps - l (5^k - 5^j) + (k - j) log10 5 digits each step keeps the spare
+    digits of the last one.  The seed's off-diagonals are read in doubles;
+    at k = 0, or when the smaller reads below _GRADE_FLOOR (a diagonal or the empty
+    word), every evaluation works at dps.
+    """
+    if k == 0:
+        return [dps]
+    # doubles through a copy of FLOAT_NS: the letter memo serves FLOAT_NS
+    # itself, so this evaluation neither reads nor fills it
+    floats = SimpleNamespace(**vars(FLOAT_NS))
+    eps = min(leakage_norms(evaluate_word(params, PSI_LEAVES, word, ns=floats)))
+    if not eps >= _GRADE_FLOOR:
+        return [dps] * (k + 1)
+    ell = -math.log10(eps)
+    return [max(1, min(dps, dps - math.floor(ell * (5 ** k - 5 ** j) - (k - j) * math.log10(5))))
+            for j in range(k + 1)]
+
+
 def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
                       extended: bool = False, dps: int = 120) -> list[LeakageReport]:
     """Iterate the recursion k times starting from the given braid word.
 
     Returns reports for iterations 0..k.  ``extended`` switches the whole
-    evaluation to an mpmath namespace of its own at ``dps`` digits (see
-    :func:`~nss.anyon.mp_namespace`), needed when an off-diagonal
-    falls below the double-precision cancellation floor (~1e-16); without
-    it, a fifth-power-law violation beyond ``_LAW_TOL`` raises
-    PrecisionExhausted.  Raises ValueError when k < 0 or an extended run's
-    dps lies outside 1.._MAX_DPS, and NotBlockDiagonal when the word couples
-    the two blocks, at k = 0 too.
+    evaluation to an mpmath namespace of its own (see
+    :func:`~nss.anyon.mp_namespace`), needed when an off-diagonal falls
+    below the double-precision cancellation floor (~1e-16); without it, a
+    fifth-power-law violation beyond ``_LAW_TOL`` raises
+    PrecisionExhausted.  ``dps`` is the digits of the last step; D is
+    evaluated at dps, and the word and each earlier step at the fewer
+    digits that keep the last step's spare digits (:func:`_step_digits`).
+    Raises ValueError when k < 0 or an extended run's dps lies outside
+    1.._MAX_DPS, and NotBlockDiagonal when the word couples the two blocks,
+    at k = 0 too.
     """
     if k < 0:
         raise ValueError("k must be at least 0")
@@ -230,10 +268,19 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
         raise ValueError(f"dps must lie in 1..{_MAX_DPS}")
     if k > 4 and not extended:
         raise PrecisionExhausted("k > 4 needs the extended-precision mode")
-    ns = mp_namespace(dps) if extended else FLOAT_NS
-    cur = evaluate_word(params, PSI_LEAVES, word, ns=ns)
+    if extended:
+        digits = _step_digits(params, word, k, dps)
+        ns = mp_namespace(dps)
+        ctx = ns.one.context
+        # D before the word: the namespace's memo serves a value at the
+        # precision it was first computed at, and D needs dps
+        dm = evaluate_word(params, PSI_LEAVES, D_WORD, ns=ns)
+        ctx.dps = digits[0]
+        cur = evaluate_word(params, PSI_LEAVES, word, ns=ns)
+    else:
+        cur = evaluate_word(params, PSI_LEAVES, word)
+        dm = evaluate_word(params, PSI_LEAVES, D_WORD)
     _blocks(cur)  # a block-coupling word raises before the first report
-    dm = evaluate_word(params, PSI_LEAVES, D_WORD, ns=ns)
     reports = []
     cur_word = word
     for step in range(k + 1):
@@ -254,8 +301,11 @@ def reichardt_iterate(params: ModelParams, word: BraidWord = W_WORD, k: int = 3,
                                      len(cur_word), ld2, ld11))
         prev_mags = mags
         if step < k:
+            if extended:
+                ctx.dps = digits[step + 1]
             cur = reichardt_step(cur, dm)
-            cur_word = step_word(cur_word)
+            # the seed is reduced once; each stepped word is reduced already
+            cur_word = _step_reduced(cur_word if step else word.free_reduce(), D_WORD)
     return reports
 
 

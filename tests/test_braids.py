@@ -20,7 +20,7 @@ from nss.anyon import FLOAT_NS, f_channels, f_matrix, mp_namespace, r_symbol
 from nss.braids import (apply_letter_to_leaves, evaluate_word_open, letter_matrix,
                         two_qubit_block_form, J4_WORD)
 from nss.errors import UnsupportedFamily
-from nss.gates import D_WORD, LOW_LEAKAGE_WORD, PSI_LEAVES, W_WORD
+from nss.gates import D_WORD, LOW_LEAKAGE_WORD, PSI_LEAVES, W_WORD, psi_sector
 from nss.labels import parse_leaves
 from nss.spaces import enumerate_basis
 
@@ -325,6 +325,18 @@ def test_block_decompose_rejects_mixing():
     with pytest.raises(NotBlockDiagonal) as err:
         block_decompose(m, space)
     assert err.value.norm == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+def test_block_decompose_rejects_a_nan_off_block_entry(entry):
+    # on the psi sector (computational 1, 2) a NaN in either off-block raises,
+    # so no NaN passes as block-diagonal
+    space = psi_sector(ModelParams(2.4))
+    m = np.eye(4, dtype=complex)
+    m[entry] = np.nan
+    with pytest.raises(NotBlockDiagonal) as err:
+        block_decompose(m, space)
+    assert math.isnan(err.value.norm)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,62 @@ def test_law_failure_asks_for_precision_where_the_law_holds():
         reichardt_iterate(ModelParams(2.6), W_WORD, k=2)
 
 
+def _working_digits(monkeypatch, word, k, dps):
+    """The run's reports, the digits of its mpmath word evaluations (D's
+    then the word's) and the digits each of its steps ran at."""
+    evals, steps = [], []
+    evaluate, step = gates.evaluate_word, gates.reichardt_step
+
+    def recording_evaluate(params, leaves, w, charge=None, ns=gates.FLOAT_NS):
+        if ns.dtype is object:
+            evals.append(ns.one.context.dps)
+        return evaluate(params, leaves, w, charge, ns)
+
+    def recording_step(w, d):
+        steps.append(w[0, 0].context.dps)
+        return step(w, d)
+
+    monkeypatch.setattr(gates, "evaluate_word", recording_evaluate)
+    monkeypatch.setattr(gates, "reichardt_step", recording_step)
+    reports = reichardt_iterate(P, word, k=k, extended=True, dps=dps)
+    monkeypatch.undo()
+    return reports, evals, steps
+
+
+# every extended job of the bench's recursion workload: its dps leaves 30
+# digits spare at the last step
+_BENCH_RECURSIONS = [(W_WORD, k) for k in range(3, 7)] + [(LOW_LEAKAGE_WORD, k) for k in (3, 4)]
+
+
+@pytest.mark.parametrize("word,k", _BENCH_RECURSIONS,
+                         ids=[f"{'W' if w == W_WORD else 'LL'}-k{k}" for w, k in _BENCH_RECURSIONS])
+def test_extended_steps_keep_the_last_steps_spare_digits(monkeypatch, full_precision_recursion,
+                                                         word, k):
+    ell = -math.log10(min(leakage_norms(evaluate_word(P, PSI_LEAVES, word))))
+    dps = math.ceil(ell * 5 ** k) + 30
+    spare = dps - ell * 5 ** k
+    want = [max(1, min(dps, dps - math.floor(ell * (5 ** k - 5 ** j) - (k - j) * math.log10(5))))
+            for j in range(k + 1)]
+    reports, evals, steps = _working_digits(monkeypatch, word, k, dps)
+    assert evals == [dps, want[0]] and steps == want[1:]
+    assert steps[-1] == dps and want[0] < dps
+    # the same doubles as every evaluation at dps
+    got = [(r.word, r.su2_offdiag, r.su11_offdiag, (r.theta1, r.theta2), r.word_length)
+           for r in reports]
+    assert got == full_precision_recursion(P, word, k, dps)
+    for r in reports[1:]:
+        assert max(r.law_defect_su2, r.law_defect_su11) <= 10.0 ** -(spare - 2), r.k
+
+
+@pytest.mark.parametrize("word,k", [(BraidWord.parse("x"), 2), (BraidWord(()), 2), (W_WORD, 0)],
+                         ids=["x", "empty", "W-k0"])
+def test_extended_run_is_ungraded_without_a_placeable_off_diagonal(monkeypatch, word, k):
+    # x and the empty word are diagonal, and k = 0 has no later step
+    reports, evals, steps = _working_digits(monkeypatch, word, k, 60)
+    assert evals == [60, 60] and steps == [60] * k
+    assert len(reports) == k + 1
+
+
 
 def _free_reduce_oracle(word):
     """Free reduction on a stack of [generator, power] lists, written apart

@@ -317,7 +317,7 @@ def closed_psi_words(draw, max_syllables=5, max_power=3):
 
 @PROPERTY
 @given(word=closed_psi_words())
-def test_recursion_obeys_the_fifth_power_law(word):
+def test_recursion_obeys_the_fifth_power_law(word, full_precision_recursion):
     # each recursion step raises both off-diagonals to their fifth power; two
     # steps from eps leave eps^25, so the working precision covers 25 times
     # its digits.  The smaller off-diagonal is the SU(2) block's, at most 1
@@ -327,6 +327,10 @@ def test_recursion_obeys_the_fifth_power_law(word):
     dps = math.ceil(-25 * math.log10(eps)) + 30
     reports = reichardt_iterate(p, word, k=2, extended=True, dps=dps)
     assert max(max(r.law_defect_su2, r.law_defect_su11) for r in reports[1:]) <= 1e-12
+    # the word and step 1 work at fewer digits, and give the doubles of a run at dps
+    got = [(r.word, r.su2_offdiag, r.su11_offdiag, (r.theta1, r.theta2), r.word_length)
+           for r in reports]
+    assert got == full_precision_recursion(p, word, 2, dps)
 
 
 def test_a_failing_property_test_fails_without_crashing_the_session(tmp_path):
